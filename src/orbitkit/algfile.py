@@ -19,7 +19,8 @@ from fractions import Fraction
 from .errors import ParseError
 from .liealg import LieAlgebra
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# p or p/q with a nonzero denominator
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 

@@ -3,8 +3,12 @@ invariants, closure-test, regularity-report, catalog.
 
 Algebras come from --catalog <name> or --file <path>; functionals use the
 syntax --f "e3=1,e0=2/3".  --json switches to the machine-readable report
-format; exit codes: 0 completed (verdicts are in the payload), 1 usage
-error, 2 computation error.  ORBITKIT_SEED sets the default seed.
+format.  ORBITKIT_SEED sets the default seed.
+
+Exit codes: 0 completed (verdicts are in the payload), 1 usage error, 2
+computation error.  Every failure is exit 1 or exit 2: bad arguments, bad
+numbers, an unreadable or malformed file, or a bad ORBITKIT_SEED end in a
+message on stderr, never in a traceback.
 """
 
 from __future__ import annotations
@@ -16,12 +20,11 @@ from fractions import Fraction
 
 from . import report
 from .algfile import parse_algebra, parse_functional
-from .catalog import CatalogEntry, catalog_names, get_entry
+from .catalog import catalog_names, get_entry
 from .coadjoint import (
     check_polarization,
     condition_R_at,
     form_matrix,
-    functional as make_functional,
     regularity_report,
     stabilizer,
     stabilizer_ideal,
@@ -35,7 +38,6 @@ from .invariants import (
     orbit_certificates,
     semi_invariants,
 )
-from .liealg import LieAlgebra
 from .symflow import orbit_map
 
 
@@ -46,12 +48,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("ORBITKIT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    convert.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return convert
+
+
+def _add_seed_argument(sub):
+    # argparse converts a string default with type=int, so a bad ORBITKIT_SEED
+    # is a usage error, reported only by the commands that use the seed
+    sub.add_argument("--seed", type=int, default=os.environ.get("ORBITKIT_SEED", "0"),
+                     help="search seed (default: ORBITKIT_SEED, else 0)")
 
 
 def _add_source_arguments(sub):
@@ -361,24 +373,24 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("invariants")
     _add_source_arguments(p)
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_int_at_least(1), default=2)
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("closure-test")
     _add_source_arguments(p)
     p.add_argument("--f", help="reference functional (catalog default)")
     p.add_argument("--g", help="target functional on the orbit space coordinates")
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--tol-exponent", type=int, default=6,
+    p.add_argument("--degree", type=_int_at_least(1), default=2)
+    p.add_argument("--tol-exponent", type=_int_at_least(0), default=6,
                    help="tolerance 10^-k on the distance (default k=6)")
-    p.add_argument("--budget", type=int, default=10 ** 4)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--budget", type=_int_at_least(1), default=10 ** 4)
+    _add_seed_argument(p)
     p.set_defaults(func=_cmd_closure_test)
 
     p = sub.add_parser("regularity-report")
     _add_source_arguments(p)
     p.add_argument("--f", help="extra functional added to the sample")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    _add_seed_argument(p)
     p.set_defaults(func=_cmd_regularity_report)
 
     return parser

@@ -8,7 +8,7 @@ from scratch; nothing is ever rounded.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -16,10 +16,9 @@ from .errors import (
     FlagInvalid,
     NotCoabelianIdeal,
     NotGeneralPosition,
-    NonRationalSpectrum,
     PreconditionFailed,
 )
-from .exactlin import Matrix, Q0, Subspace, kernel, vec, vec_dot
+from .exactlin import Matrix, Q0, Subspace, kernel, unit_vector, vec, vec_dot
 from .liealg import LieAlgebra
 
 # numerators and denominators of seeded random functionals are bounded by this
@@ -139,7 +138,7 @@ def largest_ideal_in_kernel(g: LieAlgebra, f) -> Subspace:
         ann = current.annihilator_matrix()
         rows = list(ann.entries)
         for i in range(g.dim):
-            ad = g.ad_matrix(tuple(Q0 if k != i else Fraction(1) for k in range(g.dim)))
+            ad = g.ad_matrix(unit_vector(g.dim, i))
             for c in ann.entries:
                 rows.append(tuple(vec_dot(c, ad.column(j)) for j in range(g.dim)))
         nxt = kernel(Matrix(rows)) if rows else Subspace.full(g.dim)
@@ -170,17 +169,8 @@ def vergne_polarization(g: LieAlgebra, flag, f) -> Subspace:
             raise FlagInvalid("flag is not a chain")
     result = Subspace.zero(g.dim)
     for gk in chain:
-        basis = gk.basis
-        gram = Matrix([[vec_dot(f, g.bracket(vm, wj)) for vm in basis] for wj in basis])
-        coeff_space = kernel(gram)
-        vectors = []
-        for coeffs in coeff_space.basis:
-            v = [Q0] * g.dim
-            for c, b in zip(coeffs, basis):
-                for idx, x in enumerate(b):
-                    v[idx] = v[idx] + c * x
-            vectors.append(tuple(v))
-        result = result + Subspace.from_vectors(g.dim, vectors)
+        gram = Matrix([[vec_dot(f, g.bracket(vm, wj)) for vm in gk.basis] for wj in gk.basis])
+        result = result + Subspace.from_vectors(g.dim, gk.combinations(kernel(gram).basis))
     return result
 
 
@@ -247,19 +237,6 @@ class CenterRemarkReport:
         return self.m_zn_commutes and self.zn_in_zm
 
 
-def _center_of_subspace(g: LieAlgebra, v: Subspace) -> Subspace:
-    """{x in v : [x, v] = 0} in ambient coordinates."""
-    rows = []
-    n = g.dim
-    for b in v.basis:
-        for k in range(n):
-            rows.append(tuple(g.bracket(
-                tuple(Fraction(1) if t == i else Q0 for t in range(n)), b)[k]
-                for i in range(n)))
-    commutes = kernel(Matrix(rows)) if rows else Subspace.full(n)
-    return commutes.intersect(v)
-
-
 def remark_invariants(g: LieAlgebra, f, require_general_position: bool = True):
     """Verify [m, zn] = 0 and zn <= zm for m = g_f + n at a functional.
 
@@ -274,8 +251,8 @@ def remark_invariants(g: LieAlgebra, f, require_general_position: bool = True):
             "to evaluate the identities anyway")
     n = g.nilradical()
     m = stabilizer_ideal(g, f, n)
-    zn = _center_of_subspace(g, n)
-    zm = _center_of_subspace(g, m)
+    zn = g.centralizer(n).intersect(n)
+    zm = g.centralizer(m).intersect(m)
     return CenterRemarkReport(
         general_position=gp,
         m=m,

@@ -141,10 +141,6 @@ class UEAElement:
     def is_zero(self):
         return not self.terms
 
-    def renormalized(self, strategy):
-        """Re-run normal ordering with a different rewrite strategy."""
-        return UEAElement(self.algebra, dict(self.terms), _strategy=strategy)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -154,10 +150,6 @@ class UEAElement:
             mono = "*".join(names[i] for i in word) if word else "1"
             chunks.append(f"({self.terms[word]})*{mono}")
         return " + ".join(chunks)
-
-
-def uea_mul(u: UEAElement, v: UEAElement) -> UEAElement:
-    return u * v
 
 
 def uea_commutator(u: UEAElement, v: UEAElement) -> UEAElement:

@@ -442,16 +442,21 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         # kernel of [A^T | B^T] gives the coefficient pairs with a.A = -b.B
         cols = [list(r) for r in self.basis] + [list(r) for r in other.basis]
-        m = Matrix.from_columns(cols)
-        rel = kernel(m)
-        k = len(self.basis)
-        vectors = []
-        for coeffs in rel.basis:
-            v = zero_vector(self.ambient_dim)
-            for c, row in zip(coeffs[:k], self.basis):
-                v = vec_add(v, vec_scale(c, row))
-            vectors.append(v)
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        rel = kernel(Matrix.from_columns(cols))
+        # combinations() zips each relation with self.basis, so it reads only
+        # the leading a-coefficients
+        return Subspace.from_vectors(self.ambient_dim, self.combinations(rel.basis))
+
+    def combinations(self, rows):
+        """Ambient vectors sum_k c_k * basis_k, one per coefficient row c."""
+        out = []
+        for coeffs in rows:
+            v = [Q0] * self.ambient_dim
+            for c, row in zip(coeffs, self.basis):
+                if not _is_zero(c):
+                    v = [a + c * b for a, b in zip(v, row)]
+            out.append(tuple(v))
+        return out
 
     def complement_coordinates(self):
         """Lexicographically first coordinate subset completing the basis."""
@@ -480,11 +485,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a + b
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)

@@ -23,9 +23,9 @@ from .errors import (
     InvariantNotVanishing,
     NotIdeal,
 )
-from .exactlin import GaussianRational, Matrix, Q0, Subspace, kernel, vec_dot
+from .exactlin import GaussianRational, Matrix, Q0, Subspace, kernel, unit_vector, vec_dot
 from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
-from .symflow import ExpPoly, OrbitMap, orbit_map, _exact_root, _rational_power
+from .symflow import ExpPoly, OrbitMap, orbit_map, _exact_root
 
 NOT_IN_CLOSURE = "not-in-closure"
 IN_CLOSURE_NUMERIC = "in-closure-numeric"
@@ -53,12 +53,11 @@ def _coordinate_images(g: LieAlgebra, x, module: Subspace | None):
         x = g.basis_vector(x)
     if module is None:
         names = g.basis_names
-        coords = [g.bracket(x, tuple(Fraction(1) if t == j else Q0 for t in range(g.dim)))
-                  for j in range(g.dim)]
+        coords = [g.bracket(x, unit_vector(g.dim, j)) for j in range(g.dim)]
     else:
         if not g.is_ideal(module):
             raise NotIdeal("the coordinate space must be an invariant subspace")
-        names = _subspace_names(g, module)
+        names = g.subspace_names(module)
         coords = []
         for b in module.basis:
             w = g.bracket(x, b)
@@ -74,17 +73,6 @@ def _coordinate_images(g: LieAlgebra, x, module: Subspace | None):
                 lin = lin + ExpPoly.variable(other) * val
         out[name] = lin
     return names, out
-
-
-def _subspace_names(g: LieAlgebra, v: Subspace):
-    names = []
-    for idx, row in enumerate(v.basis):
-        support = [j for j, x in enumerate(row) if x != 0]
-        if len(support) == 1 and row[support[0]] == 1:
-            names.append(g.basis_names[support[0]])
-        else:
-            names.append(f"b{idx}")
-    return tuple(names)
 
 
 def derivation(m: LieAlgebra, x, q: ExpPoly, module: Subspace | None = None) -> ExpPoly:
@@ -159,12 +147,12 @@ def _derivation_matrix(g: LieAlgebra, x, names, monomials, module):
 
 def invariant_space(m: LieAlgebra, degree_bound: int, module: Subspace | None = None):
     """Basis of the nonconstant polynomial invariants up to the degree bound."""
-    names = m.basis_names if module is None else _subspace_names(m, module)
+    names = m.basis_names if module is None else m.subspace_names(module)
     monomials = _monomials(names, degree_bound)
     space = Subspace.full(len(monomials))
     for i in range(m.dim):
-        x = tuple(Fraction(1) if t == i else Q0 for t in range(m.dim))
-        space = space.intersect(kernel(_derivation_matrix(m, x, names, monomials, module)))
+        mat = _derivation_matrix(m, unit_vector(m.dim, i), names, monomials, module)
+        space = space.intersect(kernel(mat))
     return [_vector_to_poly(v, names, monomials) for v in space.basis]
 
 
@@ -174,10 +162,9 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
     Returns a list of (polynomial, weight covector on g's basis); the weight
     vanishes on the commutator ideal, and weight zero means invariant.
     """
-    names = g.basis_names if module is None else _subspace_names(g, module)
+    names = g.basis_names if module is None else g.subspace_names(module)
     monomials = _monomials(names, degree_bound)
-    basis_vecs = [tuple(Fraction(1) if t == i else Q0 for t in range(g.dim))
-                  for i in range(g.dim)]
+    basis_vecs = [unit_vector(g.dim, i) for i in range(g.dim)]
     mats = [_derivation_matrix(g, x, names, monomials, module) for x in basis_vecs]
 
     comm = g.commutator_ideal()
@@ -196,15 +183,8 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
             for lam, _ in _gaussian_eigenvalues(az):
                 if not lam.is_real:
                     continue
-                eig = kernel(az - Matrix.identity(az.rows).scale(lam))
-                vectors = []
-                for coeffs in eig.basis:
-                    v = [Q0] * len(monomials)
-                    for cf, row in zip(coeffs, piece.basis):
-                        for idx, xx in enumerate(row):
-                            v[idx] = v[idx] + cf * xx
-                    vectors.append(tuple(v))
-                sub = Subspace.from_vectors(len(monomials), vectors)
+                eig = kernel(az - Matrix.identity(az.rows).scale(lam.re))
+                sub = Subspace.from_vectors(len(monomials), piece.combinations(eig.basis))
                 if sub.dim:
                     refined.append(sub)
         pieces = refined
@@ -470,6 +450,9 @@ class _Search:
         return {v: pinned.get(v, Fraction(0)) for v in self.poly_vars}
 
     def _pin_starts(self, atoms):
+        if not self.fast:
+            # pinning reads the compiled components
+            return []
         starts = [self._multipass_pin(atoms)]
         for ci in range(len(self.compiled)):
             starts.append(self._multipass_pin(atoms, skip=ci))

@@ -1,9 +1,10 @@
 """Lie algebras over the rationals given by structure constants.
 
 Provides structural series, nilradical, adjoint weights (roots) computed on
-an exact composition series over the Gaussian rationals, and the
-exponentiality test.  All spectra are kept exact: algebras whose adjoint
-maps have eigenvalues outside Q(i) are rejected with NonRationalSpectrum.
+an exact composition series, and the exponentiality test.  The work is
+rational; Gaussian rationals enter only where a non-real eigenvalue is
+chosen.  All spectra are kept exact: algebras whose adjoint maps have
+eigenvalues outside Q(i) are rejected with NonRationalSpectrum.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from .errors import (
     AntisymmetryViolation,
@@ -26,11 +28,9 @@ from .exactlin import (
     GaussianRational,
     Matrix,
     Q0,
-    Q1,
     Subspace,
     kernel,
     rref,
-    scalar,
     solve,
     unit_vector,
     vec,
@@ -225,13 +225,25 @@ class LieAlgebra:
     def is_ideal(self, v: Subspace) -> bool:
         return v.contains_subspace(self.bracket_span(Subspace.full(self.dim), v))
 
+    def centralizer(self, v: Subspace) -> Subspace:
+        """{x : [x, v] = 0}, the common kernel of ad(b) over the basis of v."""
+        rows = [row for b in v.basis for row in self.ad_matrix(b).entries]
+        return kernel(Matrix(rows)) if rows else Subspace.full(self.dim)
+
     def center(self) -> Subspace:
-        rows = []
-        n = self.dim
-        for j in range(n):
-            for k in range(n):
-                rows.append(tuple(self.table[i][j][k] for i in range(n)))
-        return kernel(Matrix(rows))
+        return self.centralizer(Subspace.full(self.dim))
+
+    def subspace_names(self, v: Subspace):
+        """Names for the canonical basis of v: the basis name where a row is a
+        unit vector, b<index> otherwise."""
+        names = []
+        for idx, row in enumerate(v.basis):
+            support = [j for j, x in enumerate(row) if x != 0]
+            if len(support) == 1 and row[support[0]] == 1:
+                names.append(self.basis_names[support[0]])
+            else:
+                names.append(f"b{idx}")
+        return tuple(names)
 
     def descending_central_series(self, m: Subspace):
         """C^1 m = [m, m], C^{k+1} m = [m, C^k m]; returns (series, stable term)."""
@@ -291,22 +303,9 @@ class LieAlgebra:
         """Algebra structure on a subalgebra plus the inclusion matrix."""
         if not self.is_subalgebra(v):
             raise NotSubalgebra("not closed under the bracket")
-        names = []
-        for idx, row in enumerate(v.basis):
-            support = [j for j, x in enumerate(row) if x != 0]
-            if len(support) == 1 and row[support[0]] == 1:
-                names.append(self.basis_names[support[0]])
-            else:
-                names.append(f"b{idx}")
-        table = []
-        for a in v.basis:
-            table_row = []
-            for b in v.basis:
-                coords = v.coordinates_of(self.bracket(a, b))
-                table_row.append(coords)
-            table.append(table_row)
+        table = [[v.coordinates_of(self.bracket(a, b)) for b in v.basis] for a in v.basis]
         incl = Matrix.from_columns(list(v.basis))
-        return LieAlgebra(tuple(names), table), incl
+        return LieAlgebra(self.subspace_names(v), table), incl
 
     # -- spectra -------------------------------------------------------------
 
@@ -314,17 +313,19 @@ class LieAlgebra:
         """Composition series of the adjoint module with its diagonal weights.
 
         Returns (flag vectors in order, list of weight covectors); each weight
-        is a tuple of GaussianRational values on the basis.  Raises
-        NonRationalSpectrum when an eigenvalue escapes Q(i) (or Q when
-        allow_complex is false).
+        is a tuple of GaussianRational values on the basis.  The ad-matrices
+        and flag vectors stay rational: a real eigenvalue enters A - lambda*I
+        as a Fraction, so Gaussian rationals appear only when a non-real
+        eigenvalue is chosen.  Raises NonRationalSpectrum when an eigenvalue
+        escapes Q(i) (or Q when allow_complex is false).
         """
         if not self.is_solvable():
             raise PreconditionFailed("adjoint weights are defined for solvable algebras")
         n = self.dim
         comm = self.commutator_ideal()
         comp_coords = comm.complement_coordinates()
-        comm_mats = [_to_gaussian_matrix(self.ad_matrix(b)) for b in comm.basis]
-        basis_mats = [_to_gaussian_matrix(self.ad_matrix(unit_vector(n, i))) for i in range(n)]
+        comm_mats = [self.ad_matrix(b) for b in comm.basis]
+        basis_mats = [self.ad_matrix(unit_vector(n, i)) for i in range(n)]
 
         flag_vectors = []
         weights = []
@@ -359,24 +360,19 @@ class LieAlgebra:
                         + " eigenvalue on the current invariant subspace",
                         witness=self.basis_names[c])
                 lam = min((e for e, _ in eigs), key=lambda z: (z.re, z.im))
-                eig_kernel = kernel(az - Matrix.identity(az.rows).scale(lam))
-                vectors = []
-                for coeffs in eig_kernel.basis:
-                    v = zero_vector(q)
-                    for cf, row in zip(coeffs, w_space.basis):
-                        v = vec_add(v, vec_scale(cf, row))
-                    vectors.append(v)
-                w_space = Subspace.from_vectors(q, vectors)
+                eig_kernel = kernel(az - Matrix.identity(az.rows).scale(
+                    lam.re if lam.is_real else lam))
+                w_space = Subspace.from_vectors(q, w_space.combinations(eig_kernel.basis))
             v_quot = w_space.basis[0]
+            placed = dict(zip(np_coords, v_quot))
+            lifted = tuple(placed.get(c, Q0) for c in range(n))
+            # induce(ad e_i) applied to v_quot is ad(e_i)*lifted reduced modulo the flag
             weight = []
             for i in range(n):
-                image = induce(basis_mats[i]).apply(v_quot)
-                weight.append(_eigen_ratio(image, v_quot, self.basis_names[i],
-                                           allow_complex))
-            lifted = list(zero_vector(n))
-            for val, c in zip(v_quot, np_coords):
-                lifted[c] = val
-            flag_vectors.append(tuple(lifted))
+                image = flag.reduce(basis_mats[i].apply(lifted))
+                weight.append(_eigen_ratio(tuple(image[p] for p in np_coords), v_quot,
+                                           self.basis_names[i], allow_complex))
+            flag_vectors.append(lifted)
             flag = flag + Subspace.from_vectors(n, [lifted])
             weights.append(tuple(weight))
         return flag_vectors, weights
@@ -403,13 +399,9 @@ class LieAlgebra:
 
     def composition_flag(self):
         """A complete chain of ideals 0 = g_0 < g_1 < ... < g_n = g over Q."""
+        # only real eigenvalues are chosen here, so the flag vectors are rational
         vectors, _ = self._triangularize(allow_complex=False)
-        rational = [tuple(x.rational() if isinstance(x, GaussianRational) else x for x in v)
-                    for v in vectors]
-        flag = [Subspace.zero(self.dim)]
-        for k in range(1, self.dim + 1):
-            flag.append(Subspace.from_vectors(self.dim, rational[:k]))
-        return flag
+        return [Subspace.from_vectors(self.dim, vectors[:k]) for k in range(self.dim + 1)]
 
     def nilradical(self) -> Subspace:
         """Maximal nilpotent ideal: common kernel of all adjoint roots."""
@@ -453,6 +445,10 @@ def _to_gaussian_matrix(m: Matrix) -> Matrix:
                     for x in row] for row in m.entries])
 
 
+def _qq(x: Fraction):
+    return QQ(x.numerator, x.denominator)
+
+
 def _nonpivot_coordinates(space: Subspace):
     pivots = set()
     for row in space.basis:
@@ -491,44 +487,25 @@ def _eigen_ratio(image, v, name, allow_complex):
     return lam
 
 
-def _charpoly_coeffs(m: Matrix):
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] (Faddeev-LeVerrier)."""
-    n = m.rows
-    coeffs = [GaussianRational(1)]
-    mk = m
-    ident = Matrix.identity(n)
-    for k in range(1, n + 1):
-        tr = GaussianRational(0)
-        for i in range(n):
-            tr = tr + mk[i, i]
-        ck = -(tr / k)
-        coeffs.append(ck)
-        if k < n:
-            mk = m * (mk + ident.scale(ck))
-    return coeffs
-
-
 def _gaussian_eigenvalues(m: Matrix):
-    """Eigenvalues of m lying in Q(i), with multiplicities."""
+    """Eigenvalues of m lying in Q(i), with multiplicities, sorted by (re, im).
+
+    sympy factors the characteristic polynomial over QQ_I (the charpoly
+    itself is division-free Berkowitz); the monic linear factors x - lambda
+    give the roots, and the other irreducible factors are left out.
+    """
     n = m.rows
     if n == 0:
         return []
-    coeffs = _charpoly_coeffs(_to_gaussian_matrix(m))
-    x = sympy.Symbol("x")
-    expr = sympy.Integer(0)
-    for k, c in enumerate(coeffs):
-        term = (sympy.Rational(c.re.numerator, c.re.denominator)
-                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
-        expr += term * x ** (n - k)
-    poly = sympy.Poly(expr, x, domain="QQ_I")
+    entries = [[QQ_I(_qq(x.re), _qq(x.im)) for x in row]
+               for row in _to_gaussian_matrix(m).entries]
     eigs = []
-    for factor, mult in poly.factor_list()[1]:
-        if factor.degree() != 1:
-            continue
-        a, b = factor.all_coeffs()
-        root = -sympy.together(b / a)
-        re, im = root.as_real_imag()
-        eigs.append((GaussianRational(Fraction(re.p, re.q), Fraction(im.p, im.q)), mult))
+    for factor, mult in DomainMatrix(entries, (n, n), QQ_I).charpoly_factor_list():
+        if len(factor) == 2:
+            root = -factor[1] / factor[0]
+            eigs.append((GaussianRational(Fraction(root.x.numerator, root.x.denominator),
+                                          Fraction(root.y.numerator, root.y.denominator)),
+                         mult))
     eigs.sort(key=lambda t: (t[0].re, t[0].im))
     return eigs
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isqrt
 
 from .coadjoint import (
     CenterRemarkReport,
@@ -20,7 +21,7 @@ from .coadjoint import (
 from .exactlin import GaussianRational, Subspace
 from .invariants import ClosureVerdict, CriticalVerdict
 from .liealg import ExponentialVerdict, Root
-from .symflow import ExpPoly, OrbitMap
+from .symflow import OrbitMap
 
 SCHEMA = "orbitkit-report/1"
 DISTANCE_DECIMALS = 12
@@ -50,16 +51,6 @@ def subspace_json(s: Subspace, names=None):
 
 def functional_json(f, names):
     return {n: rational_str(x) for n, x in zip(names, f) if x != 0} or {}
-
-
-def decimal_str(x: Fraction, places: int = DISTANCE_DECIMALS) -> str:
-    """Truncated decimal expansion of a nonnegative rational, for display."""
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = int(x * 10 ** places)
-    whole, frac = divmod(scaled, 10 ** places)
-    return f"{sign}{whole}.{frac:0{places}d}"
 
 
 def root_json(r: Root):
@@ -152,14 +143,9 @@ def decimal_str_sqrt(squared: Fraction, places: int = DISTANCE_DECIMALS) -> str:
     """Decimal string of sqrt(squared) by integer square root; display only."""
     squared = Fraction(squared)
     scaled = squared * 10 ** (2 * places)
-    root = _isqrt(scaled.numerator // scaled.denominator)
+    root = isqrt(scaled.numerator // scaled.denominator)
     whole, frac = divmod(root, 10 ** places)
     return f"{whole}.{frac:0{places}d}"
-
-
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(n)
 
 
 def critical_json(v: CriticalVerdict):

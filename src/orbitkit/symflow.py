@@ -35,7 +35,7 @@ from .exactlin import (
     solve,
     unit_vector,
 )
-from .liealg import LieAlgebra, _gaussian_eigenvalues, _to_gaussian_matrix
+from .liealg import LieAlgebra, _gaussian_eigenvalues
 
 GR0 = GaussianRational(0)
 GR1 = GaussianRational(1)
@@ -381,13 +381,17 @@ def _exact_root(x: Fraction, k: int):
 
 
 def _int_root(n: int, k: int):
+    """r with r**k == n, or None; integer Newton iteration from above."""
     if n < 0:
         return None
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    return None
+    if n < 2 or k == 1:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # 2**ceil(bits/k) >= n**(1/k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k == n else None
+        r = s
 
 
 def _format_coeff(c: GaussianRational):
@@ -511,13 +515,13 @@ def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
     if sum(m for _, m in eigs) != n:
         raise NonRationalSpectrum(
             "matrix spectrum is not contained in the Gaussian rationals")
-    ag = _to_gaussian_matrix(a)
     ident = Matrix.identity(n)
     basis_vectors = []
     image_columns = []
-    for lam, _ in eigs:
-        shifted = ag - ident.scale(lam)
-        gen_space = kernel(shifted ** n)
+    for lam, mult in eigs:
+        # a real eigenvalue keeps A - lambda*I, and so the eigenbasis, rational
+        shifted = a - ident.scale(lam.re if lam.is_real else lam)
+        gen_space = kernel(shifted ** mult)
         exp_lam = ExpPoly.exp({param: lam})
         for u in gen_space.basis:
             basis_vectors.append(u)
@@ -626,14 +630,7 @@ def orbit_map(g: LieAlgebra, start, steps, restrict_to: Subspace | None = None) 
     if restrict_to is not None:
         if not g.is_ideal(restrict_to):
             raise NotIdeal("orbit restriction needs an ideal")
-        names = []
-        for idx, row in enumerate(restrict_to.basis):
-            support = [j for j, xx in enumerate(row) if xx != 0]
-            if len(support) == 1 and row[support[0]] == 1:
-                names.append(g.basis_names[support[0]])
-            else:
-                names.append(f"b{idx}")
-        names = tuple(names)
+        names = g.subspace_names(restrict_to)
         dim = restrict_to.dim
     else:
         names = g.basis_names
@@ -660,7 +657,3 @@ def orbit_map(g: LieAlgebra, start, steps, restrict_to: Subspace | None = None) 
     return OrbitMap(algebra=g, component_names=names, params=tuple(params),
                     components=components, start=tuple(start_list),
                     restricted_to=restrict_to)
-
-
-def evaluate_orbit(om: OrbitMap, assignment=None, exp_atoms=None):
-    return om.evaluate(assignment, exp_atoms)

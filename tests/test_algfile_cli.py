@@ -167,3 +167,69 @@ def test_cli_seed_environment(monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["regularity-report", "--catalog", "b5"])
     assert args.seed == 9
+
+
+# -- bad input ends in exit 1 or 2, never in a traceback -----------------------
+
+def test_zero_denominator_in_a_file_is_a_positioned_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_algebra("basis a b\nbracket a b = 1/0*b\n")
+    assert (err.value.line, err.value.col) == (2, 14)
+
+
+def test_zero_denominator_in_a_functional_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_functional("e3=1/0", ("e0", "e3"))
+
+
+def test_cli_zero_denominator_in_f_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "stabilizer", "--catalog", "b5", "--f", "e3=1/0")
+    assert code == 1 and "bad rational" in err
+
+
+def test_cli_zero_denominator_in_g_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "closure-test", "--catalog", "b5", "--g", "e3=1/0")
+    assert code == 1 and "bad rational" in err
+
+
+def test_cli_zero_denominator_in_a_file_is_a_computation_error(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text("basis a b\nbracket a b = 1/0*b\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert code == 2 and "line 2" in err
+
+
+def test_cli_negative_tol_exponent_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "closure-test", "--catalog", "b5", "--g", "e3=1",
+                           "--tol-exponent", "-3")
+    assert code == 1 and "--tol-exponent" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_cli_nonpositive_degree_is_a_usage_error(capsys, degree):
+    code, out, err = run_cli(capsys, "invariants", "--catalog", "b5", "--degree", degree)
+    assert code == 1 and out == "" and "--degree" in err
+
+
+def test_cli_zero_budget_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "closure-test", "--catalog", "b5", "--g", "e3=1",
+                             "--budget", "0")
+    assert code == 1 and out == "" and "--budget" in err
+
+
+def test_cli_non_integer_seed_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ORBITKIT_SEED", "seven")
+    code, out, err = run_cli(capsys, "regularity-report", "--catalog", "b5")
+    assert code == 1 and out == "" and "'seven'" in err
+    # commands without a seed do not read it
+    code, _, _ = run_cli(capsys, "analyze", "--catalog", "b5")
+    assert code == 0
+
+
+def test_cli_closure_test_on_orbit_target_without_compiled_search(capsys):
+    # the e2-motion orbit has complex exponents, so the search cannot pin
+    # starting values; it reports a computation error instead of crashing
+    code, out, err = run_cli(capsys, "closure-test", "--catalog", "e2-motion",
+                             "--g", "a=0,x=1,y=0")
+    assert code == 2 and out == ""
+    assert err.startswith("orbitkit: ") and "Traceback" not in err

@@ -14,7 +14,6 @@ from orbitkit.envelop import (
     is_central,
     symmetrize,
     uea_commutator,
-    uea_mul,
 )
 from orbitkit.errors import RepCheckFailed
 from orbitkit.exactlin import GaussianRational
@@ -65,7 +64,7 @@ def test_pbw_associativity_example():
     m = g49_zero()
     g = gens(m)
     a, b, c = g["e0"], g["e1"], g["e2"]
-    assert uea_mul(uea_mul(a, b), c) == uea_mul(a, uea_mul(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 def test_symmetrize_degree_one():
@@ -170,7 +169,7 @@ def test_evaluate_is_homomorphism():
                            F(rng.randint(-2, 2))})
         v = UEAElement(m, {tuple(rng.choices(range(4), k=rng.randint(0, 2))):
                            F(rng.randint(-2, 2))})
-        left = evaluate_uea(dpi, uea_mul(u, v), checked=False)
+        left = evaluate_uea(dpi, u * v, checked=False)
         right = evaluate_uea(dpi, u, checked=False) * evaluate_uea(dpi, v,
                                                                    checked=False)
         assert left == right

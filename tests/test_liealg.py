@@ -1,9 +1,12 @@
 """Structure constants, series, weights, nilradical, exponentiality."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitkit.errors import (
     AntisymmetryViolation,
@@ -11,9 +14,10 @@ from orbitkit.errors import (
     NotIdeal,
     NotSubalgebra,
 )
-from orbitkit.exactlin import Matrix, Subspace, unit_vector
+from orbitkit.exactlin import GaussianRational, Matrix, Subspace, solve, unit_vector
 from orbitkit.liealg import (
     LieAlgebra,
+    _gaussian_eigenvalues,
     ax_b,
     b5,
     g49_zero,
@@ -218,3 +222,32 @@ def test_composition_flag_is_chain_of_ideals():
             assert g.is_ideal(s)
         for small, big in zip(flag, flag[1:]):
             assert big.contains_subspace(small)
+
+
+_SMALL_Q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_SMALL_QI = st.builds(GaussianRational, _SMALL_Q, st.one_of(st.just(0), _SMALL_Q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gaussian_eigenvalues_recover_a_conjugated_triangular_diagonal(data):
+    # M = P T P^-1 with T upper triangular over Q(i) next to the companion
+    # block of x^2 - 2; the irrational roots +-sqrt(2) must be left out
+    k = data.draw(st.integers(1, 4), label="k")
+    diag = data.draw(st.lists(_SMALL_QI, min_size=k, max_size=k), label="diagonal")
+    n = k + 2
+    t = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(k):
+        t[i][i] = diag[i]
+        for j in range(i + 1, k):
+            t[i][j] = data.draw(_SMALL_Q)
+    t[k][k + 1], t[k + 1][k] = Fraction(2), Fraction(1)
+    lower = [[Fraction(int(i == j)) if i <= j else data.draw(_SMALL_Q) for j in range(n)]
+             for i in range(n)]
+    upper = [[Fraction(int(i == j)) if i >= j else data.draw(_SMALL_Q) for j in range(n)]
+             for i in range(n)]
+    p = Matrix(lower) * Matrix(upper)
+    p_inv = Matrix.from_columns([solve(p, unit_vector(n, j)) for j in range(n)])
+    m = p * Matrix(t) * p_inv
+    expected = sorted(Counter(diag).items(), key=lambda t: (t[0].re, t[0].im))
+    assert _gaussian_eigenvalues(m) == expected

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitkit.coadjoint import functional
 from orbitkit.errors import (
@@ -16,7 +18,7 @@ from orbitkit.liealg import LieAlgebra, b5, heisenberg3
 from orbitkit.symflow import (
     ExpPoly,
     FlowMatrix,
-    evaluate_orbit,
+    _int_root,
     one_param_flow,
     orbit_map,
 )
@@ -174,7 +176,7 @@ def test_orbit_evaluation():
     base = {"x1": 0, "x2": 0, "x3": 0}
     assert om.evaluate(base, {"s": 1, "t": 1}) == (F(1, 3), F(0), F(0), F(1))
     # x1=1, x2=2 with exp(t) -> 1 and exp(-s) -> 1/4
-    point = evaluate_orbit(om, {"x1": 1, "x2": 2, "x3": 0}, {"s": 4, "t": 1})
+    point = om.evaluate({"x1": 1, "x2": 2, "x3": 0}, {"s": 4, "t": 1})
     assert point == (F(1, 3) - 2, F(2), F(-1, 4), F(1, 4))
 
 
@@ -209,3 +211,25 @@ def test_flow_rejects_irrational_spectrum():
     # sanity: the hyperbolic one works and stays exact
     flow = one_param_flow(weird, "a", "t")
     assert flow.substitute({"t": 0}) == FlowMatrix.identity(3)
+
+
+def test_int_root_is_exact_beyond_float_range():
+    r = 2 ** 60 + 12345
+    assert _int_root(r * r, 2) == r
+    assert _int_root(10 ** 400, 2) == 10 ** 200
+    assert _int_root(10 ** 400, 8) == 10 ** 50
+
+
+def test_int_root_rejects_non_powers():
+    assert _int_root(2, 2) is None
+    assert _int_root((2 ** 60 + 12345) ** 2 + 1, 2) is None
+    assert _int_root(10 ** 400 + 1, 3) is None
+    assert _int_root(-8, 3) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 80), st.integers(min_value=1, max_value=7))
+def test_int_root_inverts_powers(r, k):
+    assert _int_root(r ** k, k) == r
+    if r >= 1 and k >= 2:
+        assert _int_root(r ** k + 1, k) is None
