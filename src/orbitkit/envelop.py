@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial
+from math import comb
+
+from sympy.utilities.iterables import multiset_permutations
 
 from .errors import DimensionMismatch, RepCheckFailed
 from .exactlin import GaussianRational
@@ -160,9 +161,9 @@ def symmetrize(q: ExpPoly, algebra: LieAlgebra, generators=None) -> UEAElement:
     """Symmetrization of a polynomial in the basis coordinate functions.
 
     A monomial x_1...x_k goes to (1/k!) times the sum of its k! ordered
-    products; variables that are not basis names stay in the coefficient as
-    symbolic constants.  By default the coordinate e_nu maps to the dotted
-    generator -i * e_nu.
+    products, computed as the mean over its distinct orderings; variables
+    that are not basis names stay in the coefficient as symbolic constants.
+    By default the coordinate e_nu maps to the dotted generator -i * e_nu.
     """
     if generators is None:
         generators = {name: UEAElement.dotted_generator(algebra, name)
@@ -183,14 +184,15 @@ def symmetrize(q: ExpPoly, algebra: LieAlgebra, generators=None) -> UEAElement:
         if not letters:
             total = total + UEAElement.scalar(algebra, coeff)
             continue
-        k = len(letters)
         acc = UEAElement(algebra, {})
-        for perm in permutations(letters):
+        orderings = 0
+        for perm in multiset_permutations(letters):
             prod = UEAElement.scalar(algebra, 1)
             for name in perm:
                 prod = prod * generators[name]
             acc = acc + prod
-        total = total + acc * (coeff * Fraction(1, factorial(k)))
+            orderings += 1
+        total = total + acc * (coeff * Fraction(1, orderings))
     return total
 
 

@@ -3,8 +3,10 @@
 A dual polynomial lives in the coordinate functions of a dual space (the
 basis names of the underlying algebra or of an invariant subspace), possibly
 with extra named rational constants.  The infinitesimal coadjoint action is
-a derivation on these polynomials; invariants and semi-invariants are found
-by exact linear algebra on the monomial space.
+a derivation on these polynomials, given by one matrix A = ad(x) (restricted
+to the ideal when there is one).  Invariants and semi-invariants are found by
+exact linear algebra on the monomial space: the derivation acts directly on
+monomial exponent tuples, and a solution becomes an ExpPoly only at output.
 
 Closure membership returns certificates: a semi-invariant with a nonzero
 value is an exact disproof of membership, while a sufficiently close orbit
@@ -17,11 +19,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
     InvariantNotVanishing,
     NotIdeal,
+    PreconditionFailed,
 )
 from .exactlin import GaussianRational, Matrix, Q0, Subspace, kernel, unit_vector, vec_dot
 from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
@@ -31,10 +35,6 @@ NOT_IN_CLOSURE = "not-in-closure"
 IN_CLOSURE_NUMERIC = "in-closure-numeric"
 EXACT_POINT = "exact-point"
 INCONCLUSIVE = "inconclusive"
-
-
-def coordinate(name: str) -> ExpPoly:
-    return ExpPoly.variable(name)
 
 
 def evaluate_polynomial(q: ExpPoly, point: dict):
@@ -47,42 +47,40 @@ def evaluate_polynomial(q: ExpPoly, point: dict):
 # the derivation action
 # ---------------------------------------------------------------------------
 
-def _coordinate_images(g: LieAlgebra, x, module: Subspace | None):
-    """For each dual coordinate, the linear polynomial h -> h([x, e_nu])."""
+def _dual_names(g: LieAlgebra, module: Subspace | None):
+    """Names of the dual coordinates; a module must be an ideal."""
+    if module is None:
+        return g.basis_names
+    if not g.is_ideal(module):
+        raise NotIdeal("the coordinate space must be an invariant subspace")
+    return g.subspace_names(module)
+
+
+def _action(g: LieAlgebra, x, module: Subspace | None) -> Matrix:
+    """A = ad(x) on g, or on the ideal module in its canonical basis.
+
+    The derivation of x sends the coordinate e_nu to sum_mu A[mu][nu] e_mu.
+    """
     if isinstance(x, str):
         x = g.basis_vector(x)
-    if module is None:
-        names = g.basis_names
-        coords = [g.bracket(x, unit_vector(g.dim, j)) for j in range(g.dim)]
-    else:
-        if not g.is_ideal(module):
-            raise NotIdeal("the coordinate space must be an invariant subspace")
-        names = g.subspace_names(module)
-        coords = []
-        for b in module.basis:
-            w = g.bracket(x, b)
-            c = module.coordinates_of(w)
-            if c is None:
-                raise NotIdeal("bracket leaves the coordinate subspace")
-            coords.append(c)
-    out = {}
-    for name, c in zip(names, coords):
-        lin = ExpPoly()
-        for val, other in zip(c, names):
-            if val:
-                lin = lin + ExpPoly.variable(other) * val
-        out[name] = lin
-    return names, out
+    a = g.ad_matrix(x)
+    return a if module is None else _restrict_to(a, module)
 
 
 def derivation(m: LieAlgebra, x, q: ExpPoly, module: Subspace | None = None) -> ExpPoly:
     """The derivation with (X . e_nu) = (h -> h([X, e_nu])), extended by Leibniz."""
-    names, images = _coordinate_images(m, x, module)
-    name_set = set(names)
+    names = _dual_names(m, module)
+    a = _action(m, x, module)
+    present = q.poly_variables()
     out = ExpPoly()
-    for var in q.poly_variables():
-        if var in name_set:
-            out = out + q.d_dvar(var) * images[var]
+    for nu, var in enumerate(names):
+        if var not in present:
+            continue
+        image = ExpPoly()
+        for mu, other in enumerate(names):
+            if a[mu, nu]:
+                image = image + ExpPoly.variable(other) * a[mu, nu]
+        out = out + q.d_dvar(var) * image
     return out
 
 
@@ -101,14 +99,6 @@ def _monomials(names, degree_bound):
                 expo[i] += 1
             out.append(tuple(expo))
     return out
-
-
-def _monomial_poly(names, expo):
-    p = ExpPoly.constant(1)
-    for name, k in zip(names, expo):
-        if k:
-            p = p * ExpPoly.variable(name) ** k
-    return p
 
 
 def _poly_to_vector(q: ExpPoly, names, monomials):
@@ -132,26 +122,43 @@ def _vector_to_poly(v, names, monomials):
     q = ExpPoly()
     for c, expo in zip(v, monomials):
         if c:
-            q = q + _monomial_poly(names, expo) * c
+            p = ExpPoly.constant(c)
+            for name, k in zip(names, expo):
+                if k:
+                    p = p * ExpPoly.variable(name) ** k
+            q = q + p
     return q
 
 
-def _derivation_matrix(g: LieAlgebra, x, names, monomials, module):
-    """Matrix of the derivation of x on the span of the given monomials."""
-    cols = []
-    for expo in monomials:
-        image = derivation(g, x, _monomial_poly(names, expo), module)
-        cols.append(_poly_to_vector(image, names, monomials))
-    return Matrix.from_columns(cols)
+def _derivation_matrix(a: Matrix, monomials) -> Matrix:
+    """Matrix of the derivation with action matrix a on the monomial span.
+
+    x^alpha goes to sum over nu, mu of alpha_nu * a[mu][nu] * x^(alpha - e_nu + e_mu).
+    """
+    index = {m: i for i, m in enumerate(monomials)}
+    n = len(monomials)
+    rows = [[Q0] * n for _ in range(n)]
+    for col, alpha in enumerate(monomials):
+        for nu, k in enumerate(alpha):
+            if not k:
+                continue
+            for mu in range(a.rows):
+                c = a[mu, nu]
+                if c:
+                    beta = list(alpha)
+                    beta[nu] -= 1
+                    beta[mu] += 1
+                    rows[index[tuple(beta)]][col] += k * c
+    return Matrix(rows)
 
 
 def invariant_space(m: LieAlgebra, degree_bound: int, module: Subspace | None = None):
     """Basis of the nonconstant polynomial invariants up to the degree bound."""
-    names = m.basis_names if module is None else m.subspace_names(module)
+    names = _dual_names(m, module)
     monomials = _monomials(names, degree_bound)
     space = Subspace.full(len(monomials))
     for i in range(m.dim):
-        mat = _derivation_matrix(m, unit_vector(m.dim, i), names, monomials, module)
+        mat = _derivation_matrix(_action(m, unit_vector(m.dim, i), module), monomials)
         space = space.intersect(kernel(mat))
     return [_vector_to_poly(v, names, monomials) for v in space.basis]
 
@@ -162,15 +169,15 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
     Returns a list of (polynomial, weight covector on g's basis); the weight
     vanishes on the commutator ideal, and weight zero means invariant.
     """
-    names = g.basis_names if module is None else g.subspace_names(module)
+    names = _dual_names(g, module)
     monomials = _monomials(names, degree_bound)
-    basis_vecs = [unit_vector(g.dim, i) for i in range(g.dim)]
-    mats = [_derivation_matrix(g, x, names, monomials, module) for x in basis_vecs]
+    mats = [_derivation_matrix(_action(g, unit_vector(g.dim, i), module), monomials)
+            for i in range(g.dim)]
 
     comm = g.commutator_ideal()
     space = Subspace.full(len(monomials))
     for b in comm.basis:
-        mat = _derivation_matrix(g, b, names, monomials, module)
+        mat = _derivation_matrix(_action(g, b, module), monomials)
         space = space.intersect(kernel(mat))
 
     pieces = [space]
@@ -192,34 +199,20 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
     results = []
     for piece in pieces:
         for v in piece.basis:
-            q = _vector_to_poly(v, names, monomials)
+            # D_x is linear in x and vanishes on the commutator ideal, so v is
+            # an eigenvector of every D_{e_i}; read each weight off one entry
+            lead = next(j for j, c in enumerate(v) if c)
             weight = []
-            for i in range(g.dim):
-                image = derivation(g, basis_vecs[i], q, module)
-                lam = _scalar_ratio(image, q)
-                if lam is None:
-                    break
+            for mat in mats:
+                image = mat.apply(v)
+                lam = image[lead] / v[lead]
+                if image != tuple(lam * c for c in v):
+                    raise PreconditionFailed(
+                        "semi-invariant candidate is not a joint eigenvector")
                 weight.append(lam)
-            else:
-                results.append((q, tuple(weight)))
+            results.append((_vector_to_poly(v, names, monomials), tuple(weight)))
     results.sort(key=lambda t: (t[1], sorted(t[0].terms().keys())))
     return results
-
-
-def _scalar_ratio(image: ExpPoly, q: ExpPoly):
-    """lambda with image = lambda * q, or None."""
-    if image.is_zero():
-        return Fraction(0)
-    qt = q.terms()
-    it = image.terms()
-    key = next(iter(qt))
-    if key not in it:
-        return None
-    lam = it[key] / qt[key]
-    if not lam.is_real:
-        return None
-    lam = lam.rational()
-    return lam if q * lam == image else None
 
 
 def vanish_on_orbit(q: ExpPoly, om: OrbitMap) -> bool:
@@ -251,32 +244,29 @@ class ClosureVerdict:
     exp_atoms: dict | None = None
     squared_distance: Fraction | None = None
 
-    @property
-    def distance_estimate(self) -> float:
-        # for display only; verdicts compare exact squared distances
-        if self.squared_distance is None:
-            return float("nan")
-        return float(self.squared_distance) ** 0.5
 
+def _compile_components(components):
+    """Flatten exponential polynomials for fast exact evaluation.
 
-def _compile_component(comp: ExpPoly):
-    """Flatten an exponential polynomial for fast exact evaluation.
-
-    Returns [(coeff, ((var, power), ...), ((var, int_exp), ...))] with
-    Fraction coefficients; only real coefficients and integer exponent
-    coefficients qualify (always the case for rational algebras).
+    Returns (compiled, scales).  Each compiled component is a list
+    [(coeff, ((var, power), ...), ((var, int_exp), ...))] with Fraction
+    coefficients, where exp(a*v) is written u_v^(a*L_v) with L_v = scales[v],
+    the lcm of the denominators of v's exponent coefficients, so that the
+    atom u_v stands for exp(v / L_v) and every power is an integer.
     """
-    compiled = []
-    for (mono, (const, lin)), c in comp.terms().items():
-        if not c.is_real or const:
-            return None
-        exps = []
-        for v, a in lin:
-            if not a.is_real or a.re.denominator != 1:
-                return None
-            exps.append((v, int(a.re)))
-        compiled.append((c.rational(), mono, tuple(exps)))
-    return compiled
+    scales = {}
+    for comp in components:
+        for (_, (const, lin)), c in comp.terms().items():
+            if not c.is_real or const or any(not a.is_real for _, a in lin):
+                raise PreconditionFailed(
+                    "the closure search needs an orbit with real coefficients "
+                    "and real exponents without a constant part")
+            for v, a in lin:
+                scales[v] = lcm(scales.get(v, 1), a.re.denominator)
+    compiled = [[(c.rational(), mono, tuple((v, int(a.re * scales[v])) for v, a in lin))
+                 for (mono, (_, lin)), c in comp.terms().items()]
+                for comp in components]
+    return compiled, scales
 
 
 def _compiled_value(compiled, assignment, atoms):
@@ -346,34 +336,25 @@ def _best_value_for(compiled_components, targets, var, assignment, atoms, curren
 
 class _Search:
     def __init__(self, om, targets, tol, budget, seed):
-        self.om = om
         self.targets = targets
         self.tol2 = tol * tol
         self.budget = budget
         self.evaluations = 0
         self.rng = random.Random(seed)
         self.poly_vars = sorted({v for c in om.components for v in c.poly_variables()})
-        self.exp_vars = sorted({v for c in om.components for v in c.exp_variables()})
-        self.compiled = [_compile_component(c) for c in om.components]
-        self.fast = all(c is not None for c in self.compiled)
+        self.compiled, self.scales = _compile_components(om.components)
+        self.exp_vars = sorted(self.scales)
 
     def dist2(self, assignment, atoms):
         self.evaluations += 1
         total = Fraction(0)
-        if self.fast:
-            for compiled, tgt in zip(self.compiled, self.targets):
-                total += (_compiled_value(compiled, assignment, atoms) - tgt) ** 2
-            return total
-        for comp, tgt in zip(self.om.components, self.targets):
-            val = comp.evaluate(assignment, atoms)
-            total += (val.rational() - tgt) ** 2
+        for compiled, tgt in zip(self.compiled, self.targets):
+            total += (_compiled_value(compiled, assignment, atoms) - tgt) ** 2
         return total
 
     def descend(self, assignment, atoms, sweeps=3):
         assignment = dict(assignment)
         best = self.dist2(assignment, atoms)
-        if not self.fast:
-            return best, assignment
         for _ in range(sweeps):
             improved = False
             for var in self.poly_vars:
@@ -450,9 +431,6 @@ class _Search:
         return {v: pinned.get(v, Fraction(0)) for v in self.poly_vars}
 
     def _pin_starts(self, atoms):
-        if not self.fast:
-            # pinning reads the compiled components
-            return []
         starts = [self._multipass_pin(atoms)]
         for ci in range(len(self.compiled)):
             starts.append(self._multipass_pin(atoms, skip=ci))
@@ -474,8 +452,6 @@ class _Search:
     def _attempt(self, atoms, extra_starts=()):
         best = None
         starts = list(extra_starts) + self._pin_starts(atoms)
-        if not starts:
-            starts = [{v: Fraction(0) for v in self.poly_vars}]
         for start in starts:
             if best is not None and self.evaluations >= self.budget:
                 break
@@ -490,8 +466,6 @@ class _Search:
         """Atoms solved exactly from components that are pure single-atom
         monomials, e.g. exp(-s) against a positive rational target."""
         atoms = {v: Fraction(1) for v in self.exp_vars}
-        if not self.fast:
-            return atoms
         for compiled, tgt in zip(self.compiled, self.targets):
             if len(compiled) != 1:
                 continue
@@ -581,6 +555,12 @@ def closure_membership(om: OrbitMap, target, invariants=(),
     search over parameter values and positive rational exp-atom values
     looks for orbit points near the target: exact hit, distance below tol,
     or an inconclusive budget report.
+
+    The search atom u_v stands for exp(v / L_v), where L_v is the lcm of the
+    denominators of v's exponent coefficients, so every power it takes is an
+    integer; the reported exp_atoms are u_v^L_v = exp(v).  An orbit with a
+    complex coefficient or exponent raises PreconditionFailed before any
+    evaluation, unless a certificate decides first.
     """
     target = tuple(Fraction(x) for x in target)
     if len(target) != len(om.components):
@@ -597,7 +577,8 @@ def closure_membership(om: OrbitMap, target, invariants=(),
                                   evaluations=0, invariant=q, invariant_value=val)
 
     search = _Search(om, target, tol, budget, seed)
-    best_d, best_a, best_atoms = search.run()
+    best_d, best_a, best_u = search.run()
+    best_atoms = {v: u ** search.scales[v] for v, u in best_u.items()}
     mixed = set(search.poly_vars) & set(search.exp_vars)
     if best_d == 0:
         consistent = all(best_a[v] == 0 and best_atoms[v] == 1 for v in mixed)

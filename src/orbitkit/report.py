@@ -13,13 +13,12 @@ from fractions import Fraction
 from math import isqrt
 
 from .coadjoint import (
-    CenterRemarkReport,
     ConditionRCertificate,
     PolarizationReport,
     RegularityReport,
 )
 from .exactlin import GaussianRational, Subspace
-from .invariants import ClosureVerdict, CriticalVerdict
+from .invariants import ClosureVerdict
 from .liealg import ExponentialVerdict, Root
 from .symflow import OrbitMap
 
@@ -102,18 +101,6 @@ def polarization_json(p: PolarizationReport, names):
     }
 
 
-def remark_json(r: CenterRemarkReport, names):
-    return {
-        "general_position": r.general_position,
-        "stabilizer_ideal": subspace_json(r.m, names),
-        "nilradical_center": subspace_json(r.zn, names),
-        "stabilizer_center": subspace_json(r.zm, names),
-        "m_zn_commutes": r.m_zn_commutes,
-        "zn_in_zm": r.zn_in_zm,
-        "passed": r.passed,
-    }
-
-
 def orbit_json(om: OrbitMap):
     return {
         "parameters": list(om.params),
@@ -146,14 +133,6 @@ def decimal_str_sqrt(squared: Fraction, places: int = DISTANCE_DECIMALS) -> str:
     root = isqrt(scaled.numerator // scaled.denominator)
     whole, frac = divmod(root, 10 ** places)
     return f"{whole}.{frac:0{places}d}"
-
-
-def critical_json(v: CriticalVerdict):
-    out = {"label": v.label, "restricted": closure_json(v.restricted),
-           "notes": list(v.notes)}
-    if v.full is not None:
-        out["full"] = closure_json(v.full)
-    return out
 
 
 def envelope(command: str, payload: dict) -> str:

@@ -35,7 +35,7 @@ from .exactlin import (
     solve,
     unit_vector,
 )
-from .liealg import LieAlgebra, _gaussian_eigenvalues
+from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
 
 GR0 = GaussianRational(0)
 GR1 = GaussianRational(1)
@@ -112,16 +112,6 @@ class ExpPoly:
     def is_zero(self):
         return not self._terms
 
-    def is_constant(self):
-        return all(not mono and expo == (GR0, ()) for mono, expo in self._terms)
-
-    def constant_value(self):
-        if self.is_zero():
-            return GR0
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return next(iter(self._terms.values()))
-
     def variables(self):
         out = set()
         for mono, (_, lin) in self._terms:
@@ -134,14 +124,6 @@ class ExpPoly:
 
     def exp_variables(self):
         return {v for _, (_, lin) in self._terms for v, _ in lin}
-
-    def degree_in(self, var):
-        deg = 0
-        for mono, _ in self._terms:
-            for v, k in mono:
-                if v == var:
-                    deg = max(deg, k)
-        return deg
 
     # -- ring operations -----------------------------------------------------
 
@@ -486,22 +468,6 @@ class FlowMatrix:
             ", ".join(str(e) for e in row) for row in self.entries) + ")"
 
 
-def _coadjoint_generator(g: LieAlgebra, x) -> Matrix:
-    """Infinitesimal coadjoint action on dual coordinates: -ad(x)^T."""
-    return (-g.ad_matrix(x)).transpose()
-
-
-def _restricted_generator(g: LieAlgebra, x, space: Subspace) -> Matrix:
-    cols = []
-    for b in space.basis:
-        coords = space.coordinates_of(g.bracket(x, b))
-        if coords is None:
-            raise NotIdeal("restriction space is not invariant under the algebra")
-        cols.append(coords)
-    ad_restricted = Matrix.from_columns(cols)
-    return (-ad_restricted).transpose()
-
-
 def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
     """Exact exp(t*A) for rational A with spectrum in Q(i).
 
@@ -563,11 +529,13 @@ def one_param_flow(g: LieAlgebra, x, param: str, restrict_to: Subspace | None = 
     """coAd(exp(t*x)) on g* (or on the dual of an invariant subspace)."""
     if isinstance(x, str):
         x = g.basis_vector(x)
-    if restrict_to is None:
-        a = _coadjoint_generator(g, x)
-    else:
-        a = _restricted_generator(g, x, restrict_to)
-    return exp_matrix(a, param)
+    a = g.ad_matrix(x)
+    if restrict_to is not None:
+        if not g.is_ideal(restrict_to):
+            raise NotIdeal("orbit restriction needs an ideal")
+        a = _restrict_to(a, restrict_to)
+    # the infinitesimal coadjoint action on dual coordinates is -A^T
+    return exp_matrix((-a).transpose(), param)
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +614,12 @@ def orbit_map(g: LieAlgebra, start, steps, restrict_to: Subspace | None = None) 
         else:
             raise DimensionMismatch("starting functional has the wrong length")
 
-    normal = _normalize_steps(g, steps)
-    total = FlowMatrix.identity(dim)
-    params = []
-    for group in normal:
-        for x, param in group:
-            params.append(param)
-            total = total * one_param_flow(g, x, param, restrict_to=restrict_to)
-    components = total.apply([ExpPoly.lift(x) for x in start_list])
+    factors = [(x, param) for group in _normalize_steps(g, steps) for x, param in group]
+    # coAd(exp(x_1) ... exp(x_k)) f = F_1(F_2(... F_k(f))): last factor first
+    components = tuple(ExpPoly.lift(x) for x in start_list)
+    for x, param in reversed(factors):
+        components = one_param_flow(g, x, param, restrict_to=restrict_to).apply(components)
+    params = [param for _, param in factors]
     return OrbitMap(algebra=g, component_names=names, params=tuple(params),
                     components=components, start=tuple(start_list),
                     restricted_to=restrict_to)

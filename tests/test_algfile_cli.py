@@ -1,15 +1,21 @@
 """Definition-file grammar, round trips, and the command line surface."""
 
+import contextlib
+import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitkit import cli
 from orbitkit.algfile import emit_algebra, parse_algebra, parse_functional
 from orbitkit.catalog import get_entry
 from orbitkit.errors import AntisymmetryViolation, ParseError
-from orbitkit.liealg import b5
+from orbitkit.exactlin import Matrix, solve
+from orbitkit.liealg import LieAlgebra, b5
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -25,6 +31,31 @@ def test_roundtrip_whole_catalog():
     for name in CATALOG_NAMES:
         g = get_entry(name).algebra
         assert parse_algebra(emit_algebra(g)) == g
+
+
+_SMALL_Q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_NONZERO_Q = st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3))
+
+
+def _change_basis(g, p):
+    """g in the basis of the columns of p: [p e_i, p e_j] in p-coordinates."""
+    n = g.dim
+    cols = [p.column(j) for j in range(n)]
+    table = [[solve(p, g.bracket(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    return LieAlgebra(g.basis_names, table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES), st.data())
+def test_roundtrip_after_a_rational_basis_change(name, data):
+    g = get_entry(name).algebra
+    n = g.dim
+    lower = [[Fraction(int(i == j)) if i <= j else data.draw(_SMALL_Q) for j in range(n)]
+             for i in range(n)]
+    upper = [[data.draw(_NONZERO_Q) if i == j else Fraction(0) if i > j
+              else data.draw(_SMALL_Q) for j in range(n)] for i in range(n)]
+    h = _change_basis(g, Matrix(lower) * Matrix(upper))
+    assert parse_algebra(emit_algebra(h)) == h
 
 
 def test_empty_file_is_a_parse_error():
@@ -227,9 +258,57 @@ def test_cli_non_integer_seed_environment_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_cli_closure_test_on_orbit_target_without_compiled_search(capsys):
-    # the e2-motion orbit has complex exponents, so the search cannot pin
-    # starting values; it reports a computation error instead of crashing
+    # the e2-motion orbit has complex exponents, which the closure search
+    # rejects before any evaluation: a computation error, not a crash
     code, out, err = run_cli(capsys, "closure-test", "--catalog", "e2-motion",
                              "--g", "a=0,x=1,y=0")
     assert code == 2 and out == ""
     assert err.startswith("orbitkit: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["b=2", "b=9/4"])
+def test_cli_closure_test_with_fractional_exponents(tmp_path, capsys, target):
+    # the orbit component exp(-s/2) is searched through the atom exp(s/2)
+    path = tmp_path / "half.alg"
+    path.write_text("basis a b\nbracket a b = 1/2*b\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "closure-test", "--file", str(path), "--f", "b=1",
+                             "--g", target, "--json")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["kind"] == "exact-point"
+    # exp_atoms reports exp(s) itself
+    b = Fraction(target.partition("=")[2])
+    assert [Fraction(x) for x in result["exp_atoms"].values()] == [1 / b ** 2]
+
+
+_FUNCTIONALS = st.sampled_from(["", "x", "0", "1/0", "=", ",", "zz=1", "e1=1,e1=2",
+                                "e3=1", "e1=1/2,e2=-1", "e1=0", "a=1,b=1/2", "b=-1",
+                                "a=0", "a=0,x=1,y=0", "x=1/3,y=1", "b=1.5"])
+_VALUES = {"--f": _FUNCTIONALS, "--g": _FUNCTIONALS,
+           "--degree": st.sampled_from(["1", "2", "0", "-1", "x"]),
+           "--budget": st.sampled_from(["1", "40", "0", "x"])}
+_OPTIONS = {"analyze": (), "stabilizer": ("--f",), "condition-r": ("--f",),
+            "polarize": ("--f",), "orbit": ("--f",), "invariants": ("--degree",),
+            "closure-test": ("--f", "--g", "--degree", "--budget"),
+            "regularity-report": ("--f",)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cli_argv_fuzz_never_tracebacks(data):
+    command = data.draw(st.sampled_from(sorted(_OPTIONS)), label="command")
+    argv = [command, "--catalog",
+            data.draw(st.sampled_from(["axb", "heisenberg3", "e2-motion", "abelian2",
+                                       "nope"]), label="catalog")]
+    # mostly the command's own options, sometimes one it does not take
+    flags = _OPTIONS[command] + data.draw(st.sampled_from(((),) * 4 + (("--g",),)))
+    for flag in flags:
+        if data.draw(st.booleans(), label=flag):
+            argv += [flag, data.draw(_VALUES[flag], label=flag + " value")]
+    if data.draw(st.booleans(), label="--json"):
+        argv.append("--json")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitkit.catalog import get_entry
 from orbitkit.envelop import (
@@ -91,6 +95,25 @@ def test_symmetrize_matches_displayed_central_element():
     half_i = ExpPoly.constant(GaussianRational(0, F(1, 2)))
     w_other = ed["e3"] * ed["e0"] - ed["e2"] * ed["e1"] - ed["e3"] * (f0 - half_i)
     assert w_sym == w_other
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(("e0", "e1", "e2", "e3")), min_size=1, max_size=4),
+       st.integers(-3, 3).filter(bool))
+def test_symmetrize_repeated_letters_matches_all_orderings(letters, c):
+    # reference: (1/k!) times the sum over all k! orderings, repeats included
+    m = g49_zero()
+    ed = dotted(m)
+    q = ExpPoly.constant(c)
+    for name in letters:
+        q = q * var(name)
+    expected = UEAElement(m, {})
+    for perm in permutations(letters):
+        prod = UEAElement.scalar(m, 1)
+        for name in perm:
+            prod = prod * ed[name]
+        expected = expected + prod
+    assert symmetrize(q, m) == expected * F(c, factorial(len(letters)))
 
 
 def test_is_central():

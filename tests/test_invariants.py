@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import functional, stabilizer_ideal
-from orbitkit.errors import DimensionMismatch, InvariantNotVanishing
+from orbitkit.errors import DimensionMismatch, InvariantNotVanishing, NotIdeal
 from orbitkit.exactlin import Matrix, Subspace, kernel
 from orbitkit.invariants import (
     CRITICAL,
@@ -123,6 +124,27 @@ def test_semi_invariants_b5_on_stabilizer_dual():
             assert sum((c * x for c, x in zip(w, b)), F(0)) == 0
         for i, name in enumerate(g.basis_names):
             assert derivation(g, name, q, module=mm) == q * w[i]
+
+
+def test_semi_invariant_weights_agree_with_derivation():
+    # the weights are read off the derivation matrices; derivation builds
+    # the same action by Leibniz on ExpPolys and is the reference
+    for name in ("axb", "g49_0", "heisenberg3", "b5"):
+        g = get_entry(name).algebra
+        for q, w in semi_invariants(g, 2):
+            for i, x in enumerate(g.basis_names):
+                assert derivation(g, x, q) == q * w[i]
+
+
+def test_dual_of_a_non_ideal_is_rejected():
+    g = b5()
+    line = Subspace.span_of_coordinates(5, [1])
+    with pytest.raises(NotIdeal):
+        derivation(g, "d", var("e0"), module=line)
+    with pytest.raises(NotIdeal):
+        invariant_space(g, 1, module=line)
+    with pytest.raises(NotIdeal):
+        semi_invariants(g, 1, module=line)
 
 
 def test_semi_invariants_h3():

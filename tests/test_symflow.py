@@ -168,6 +168,24 @@ def test_orbit_map_restriction_requires_ideal():
         orbit_map(g, f, B5_STEPS, restrict_to=Subspace.span_of_coordinates(5, [0]))
 
 
+def test_one_param_flow_restriction_requires_ideal():
+    with pytest.raises(NotIdeal):
+        one_param_flow(b5(), "e0", "t", restrict_to=Subspace.span_of_coordinates(5, [0]))
+
+
+def test_orbit_map_is_the_product_of_its_flows():
+    g = b5()
+    f = functional(g, {"e0": F(1, 3), "e3": 1})
+    nilrad = g.nilradical()
+    steps = [("d", "s"), ("e0", "t"), ("e1", "x1"), ("e2", "x2"), ("e3", "x3")]
+    for space in (None, nilrad):
+        om = orbit_map(g, f, steps, restrict_to=space)
+        total = FlowMatrix.identity(len(om.start))
+        for name, param in steps:
+            total = total * one_param_flow(g, name, param, restrict_to=space)
+        assert om.components == total.apply(om.start)
+
+
 def test_orbit_evaluation():
     g = b5()
     f = functional(g, {"e0": F(1, 3), "e3": 1})

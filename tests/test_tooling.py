@@ -1,26 +1,17 @@
-"""Source checks: exact arithmetic on every path that can decide a verdict."""
+"""Source checks: exact arithmetic on every path that can decide a verdict,
+and no definition that nothing refers to."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "orbitkit"
-
-# display only: a float rendering of an exact squared distance
-ALLOWED = {"ClosureVerdict.distance_estimate"}
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "orbitkit"
 
 
 def _float_uses(name, source):
-    """'file:line: what' for each float literal, float( or round( outside ALLOWED."""
-    tree = ast.parse(source)
-    allowed = set()
-    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-        for fn in cls.body:
-            if isinstance(fn, ast.FunctionDef) and f"{cls.name}.{fn.name}" in ALLOWED:
-                allowed.update(id(n) for n in ast.walk(fn))
+    """'file:line: what' for each float literal, float( or round(."""
     out = []
-    for node in ast.walk(tree):
-        if id(node) in allowed:
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             out.append(f"{name}:{node.lineno}: float literal {node.value!r}")
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -35,11 +26,61 @@ def test_no_floats_outside_display_code():
     assert found == []
 
 
-def test_the_scan_flags_floats_and_spares_the_display_method():
+def test_the_scan_flags_floats_in_methods_too():
     source = ("def f(x):\n"
               "    return round(float(x) * 0.5)\n"
               "class ClosureVerdict:\n"
               "    def distance_estimate(self):\n"
               "        return float(self.d) ** 0.5\n")
-    assert _float_uses("m.py", source) == [
-        "m.py:2: round(", "m.py:2: float(", "m.py:2: float literal 0.5"]
+    assert sorted(_float_uses("m.py", source)) == [
+        "m.py:2: float literal 0.5", "m.py:2: float(", "m.py:2: round(",
+        "m.py:5: float literal 0.5", "m.py:5: float("]
+
+
+def _definitions(tree):
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _references(tree):
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _unreferenced(definition_sources, reference_sources):
+    defined = set().union(*(_definitions(ast.parse(s)) for s in definition_sources))
+    used = set().union(*(_references(ast.parse(s)) for s in reference_sources))
+    return sorted(defined - used)
+
+
+def test_every_definition_is_referenced():
+    src = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    others = [p.read_text(encoding="utf-8")
+              for d in ("tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    assert _unreferenced(src, src + others) == []
+
+
+def test_the_reference_scan_flags_a_dead_definition():
+    source = ("import os.path\n"
+              "class Used:\n"
+              "    def method(self):\n"
+              "        return helper()\n"
+              "    def dead(self):\n"
+              "        return os.path\n"
+              "def helper():\n"
+              "    return Used().method, 'named'\n"
+              "def named():\n"
+              "    pass\n"
+              "def __getattr__(name):\n"
+              "    pass\n")
+    assert _unreferenced([source], [source]) == ["dead"]
