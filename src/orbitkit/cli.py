@@ -147,19 +147,21 @@ def _cmd_analyze(args):
     g, entry = _load(args)
     names = g.basis_names
     exp = g.is_exponential()
+    comm, center = g.commutator_ideal(), g.center()
     payload = {
         "dim": g.dim,
         "basis": list(names),
         "solvable": g.is_solvable(),
         "nilpotent": g.is_nilpotent(),
-        "commutator_ideal": report.subspace_json(g.commutator_ideal(), names),
-        "center": report.subspace_json(g.center(), names),
+        "commutator_ideal": report.subspace_json(comm, names),
+        "center": report.subspace_json(center, names),
         "exponential": report.exponential_json(exp),
     }
     try:
         roots = g.adjoint_weights()
         payload["roots"] = [report.root_json(r) for r in roots]
-        payload["nilradical"] = report.subspace_json(g.nilradical(), names)
+        nilrad = g.nilradical()
+        payload["nilradical"] = report.subspace_json(nilrad, names)
     except OrbitkitError as exc:
         payload["roots_error"] = str(exc)
     if args.json:
@@ -167,10 +169,10 @@ def _cmd_analyze(args):
         return 0
     print(f"dimension: {g.dim}  basis: {' '.join(names)}")
     print(f"solvable: {payload['solvable']}  nilpotent: {payload['nilpotent']}")
-    _print_subspace("commutator ideal", g.commutator_ideal(), names)
-    _print_subspace("center", g.center(), names)
+    _print_subspace("commutator ideal", comm, names)
+    _print_subspace("center", center, names)
     if "nilradical" in payload:
-        _print_subspace("nilradical", g.nilradical(), names)
+        _print_subspace("nilradical", nilrad, names)
         print("roots (re; im as covectors):")
         for r in roots:
             print(f"  re={tuple(map(str, r.re))} im={tuple(map(str, r.im))} "

@@ -144,10 +144,6 @@ class GaussianRational:
 I = GaussianRational(0, 1)
 
 
-def _is_zero(x):
-    return not x if isinstance(x, GaussianRational) else x == 0
-
-
 # ---------------------------------------------------------------------------
 # vectors (plain tuples)
 # ---------------------------------------------------------------------------
@@ -169,9 +165,11 @@ def vec_scale(c, u):
 
 
 def vec_dot(u, v):
+    # zero entries are skipped: ad-matrices are mostly zeros
     total = Q0
     for a, b in zip(u, v):
-        total = total + a * b
+        if a and b:
+            total = total + a * b
     return total
 
 
@@ -274,7 +272,7 @@ class Matrix:
         return out
 
     def is_zero(self):
-        return all(_is_zero(x) for row in self.entries for x in row)
+        return not any(x for row in self.entries for x in row)
 
     def __repr__(self):
         return "Matrix(" + ", ".join(str(list(r)) for r in self.entries) + ")"
@@ -290,7 +288,7 @@ def rref(rows):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if not _is_zero(work[i][c]):
+            if work[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -299,9 +297,9 @@ def rref(rows):
         pv = work[r][c]
         work[r] = [x / pv for x in work[r]]
         for i in range(nrows):
-            if i != r and not _is_zero(work[i][c]):
+            if i != r and work[i][c]:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                work[i] = [a - f * b if b else a for a, b in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -401,32 +399,26 @@ class Subspace:
             raise DimensionMismatch("vector length differs from ambient dimension")
         residual = list(v)
         for row in self.basis:
-            pc = next(i for i, x in enumerate(row) if not _is_zero(x))
-            f = residual[pc]
-            if not _is_zero(f):
-                residual = [a - f * b for a, b in zip(residual, row)]
+            f = residual[next(i for i, x in enumerate(row) if x)]
+            if f:
+                residual = [a - f * b if b else a for a, b in zip(residual, row)]
         return tuple(residual)
 
     def contains(self, v):
-        return all(_is_zero(x) for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.basis)
 
     def coordinates_of(self, v):
-        """Coefficients of v in the canonical basis, or None if v is outside."""
-        v = vec(v)
-        residual = list(v)
-        coeffs = []
-        for row in self.basis:
-            pc = next(i for i, x in enumerate(row) if not _is_zero(x))
-            f = residual[pc]
-            coeffs.append(f)
-            if not _is_zero(f):
-                residual = [a - f * b for a, b in zip(residual, row)]
-        if any(not _is_zero(x) for x in residual):
+        """Coefficients of v in the canonical basis, or None if v is outside.
+
+        The basis is reduced, so the coefficient of a row is v at its pivot.
+        """
+        if any(self.reduce(v)):
             return None
-        return tuple(coeffs)
+        return tuple(scalar(v[next(i for i, x in enumerate(row) if x)])
+                     for row in self.basis)
 
     def _check_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -453,7 +445,7 @@ class Subspace:
         for coeffs in rows:
             v = [Q0] * self.ambient_dim
             for c, row in zip(coeffs, self.basis):
-                if not _is_zero(c):
+                if c:
                     v = [a + c * b for a, b in zip(v, row)]
             out.append(tuple(v))
         return out

@@ -5,10 +5,16 @@ an exact composition series, and the exponentiality test.  The work is
 rational; Gaussian rationals enter only where a non-real eigenvalue is
 chosen.  All spectra are kept exact: algebras whose adjoint maps have
 eigenvalues outside Q(i) are rejected with NonRationalSpectrum.
+
+A LieAlgebra is immutable, so its structure is computed once, in a private
+per-algebra memo.  The nilradical is the Killing-form radical when that
+certifies itself as a nilpotent ideal, else the common kernel of the roots
+(de Graaf, Lie Algebras: Theory and Algorithms, 2000).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,6 +87,17 @@ class ExponentialVerdict:
         return self.kind == "exponential"
 
 
+def _memoized(method):
+    """Keep method(self, *args) in self._memo; safe because self is immutable."""
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__,) + args
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return cached
+
+
 class LieAlgebra:
     """A finite-dimensional Lie algebra with named ordered basis.
 
@@ -88,7 +105,7 @@ class LieAlgebra:
     Antisymmetry and the Jacobi identity are checked at construction.
     """
 
-    __slots__ = ("dim", "basis_names", "table")
+    __slots__ = ("dim", "basis_names", "table", "_memo")
 
     def __init__(self, basis_names, table, _validated=False):
         names = tuple(basis_names)
@@ -101,6 +118,7 @@ class LieAlgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "basis_names", names)
         object.__setattr__(self, "table", tbl)
+        object.__setattr__(self, "_memo", {})
         if not _validated:
             self._validate()
 
@@ -215,6 +233,7 @@ class LieAlgebra:
         vectors = [self.bracket(u, v) for u in a.basis for v in b.basis]
         return Subspace.from_vectors(self.dim, vectors)
 
+    @_memoized
     def commutator_ideal(self) -> Subspace:
         full = Subspace.full(self.dim)
         return self.bracket_span(full, full)
@@ -266,6 +285,7 @@ class LieAlgebra:
         _, stable = self.lower_central_series()
         return stable.dim == 0
 
+    @_memoized
     def is_solvable(self) -> bool:
         current = self.commutator_ideal()
         while True:
@@ -309,10 +329,11 @@ class LieAlgebra:
 
     # -- spectra -------------------------------------------------------------
 
+    @_memoized
     def _triangularize(self, allow_complex):
         """Composition series of the adjoint module with its diagonal weights.
 
-        Returns (flag vectors in order, list of weight covectors); each weight
+        Returns (flag vectors in order, weight covectors) as tuples; each weight
         is a tuple of GaussianRational values on the basis.  The ad-matrices
         and flag vectors stay rational: a real eigenvalue enters A - lambda*I
         as a Fraction, so Gaussian rationals appear only when a non-real
@@ -375,11 +396,11 @@ class LieAlgebra:
             flag_vectors.append(lifted)
             flag = flag + Subspace.from_vectors(n, [lifted])
             weights.append(tuple(weight))
-        return flag_vectors, weights
+        return tuple(flag_vectors), tuple(weights)
 
     def adjoint_weights(self):
         """Roots of the adjoint representation, one per value with multiplicity."""
-        _, weights = self._triangularize(allow_complex=True)
+        _, weights = self._triangularize(True)
         grouped = {}
         order = []
         for w in weights:
@@ -400,22 +421,34 @@ class LieAlgebra:
     def composition_flag(self):
         """A complete chain of ideals 0 = g_0 < g_1 < ... < g_n = g over Q."""
         # only real eigenvalues are chosen here, so the flag vectors are rational
-        vectors, _ = self._triangularize(allow_complex=False)
+        vectors, _ = self._triangularize(False)
         return [Subspace.from_vectors(self.dim, vectors[:k]) for k in range(self.dim + 1)]
 
+    @_memoized
     def nilradical(self) -> Subspace:
-        """Maximal nilpotent ideal: common kernel of all adjoint roots."""
-        result = Subspace.full(self.dim)
-        for root in self.adjoint_weights():
-            result = result.intersect(root.kernel())
-        if not result.contains_subspace(self.commutator_ideal()):
-            raise PreconditionFailed("nilradical must contain the commutator ideal")
-        if not self.is_ideal(result):
-            raise PreconditionFailed("computed nilradical is not an ideal")
-        sub, _ = self.subalgebra(result)
-        if not sub.is_nilpotent():
-            raise PreconditionFailed("computed nilradical is not nilpotent")
+        """Maximal nilpotent ideal of a solvable algebra.
+
+        The radical of the Killing form k_ij = sum_{k,l} c_ik^l c_jl^k is an
+        ideal containing it, and is it when nilpotent; else (roots (1 +- i)*t
+        have k(x, x) = 0) it is the common kernel of the roots (de Graaf 2000).
+        """
+        n, c = self.dim, self.table
+        terms = [[(k, l, x) for k in range(n) for l, x in enumerate(c[i][k]) if x]
+                 for i in range(n)]
+        result = kernel(Matrix([[sum((x * c[j][l][k] for k, l, x in terms[i]), Q0)
+                                 for j in range(n)] for i in range(n)]))
+        if not self._is_nilpotent_ideal_over_commutator(result):
+            result = Subspace.full(n)
+            for root in self.adjoint_weights():
+                result = result.intersect(root.kernel())
+            if not self._is_nilpotent_ideal_over_commutator(result):
+                raise PreconditionFailed("computed nilradical is not a nilpotent ideal "
+                                         "containing the commutator ideal")
         return result
+
+    def _is_nilpotent_ideal_over_commutator(self, v: Subspace) -> bool:
+        return (v.contains_subspace(self.commutator_ideal()) and self.is_ideal(v)
+                and self.subalgebra(v)[0].is_nilpotent())
 
     def is_exponential(self) -> ExponentialVerdict:
         """No adjoint root may be purely imaginary and nonzero."""

@@ -615,10 +615,12 @@ def orbit_map(g: LieAlgebra, start, steps, restrict_to: Subspace | None = None) 
             raise DimensionMismatch("starting functional has the wrong length")
 
     factors = [(x, param) for group in _normalize_steps(g, steps) for x, param in group]
-    # coAd(exp(x_1) ... exp(x_k)) f = F_1(F_2(... F_k(f))): last factor first
+    # coAd(exp(x_1) ... exp(x_k)) f = F_1(F_2(... F_k(f))): last factor first;
+    # the ideal was checked above, so each flow is built as in one_param_flow
     components = tuple(ExpPoly.lift(x) for x in start_list)
     for x, param in reversed(factors):
-        components = one_param_flow(g, x, param, restrict_to=restrict_to).apply(components)
+        a = g.ad_matrix(x) if restrict_to is None else _restrict_to(g.ad_matrix(x), restrict_to)
+        components = exp_matrix((-a).transpose(), param).apply(components)
     params = [param for _, param in factors]
     return OrbitMap(algebra=g, component_names=names, params=tuple(params),
                     components=components, start=tuple(start_list),

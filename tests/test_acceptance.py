@@ -5,19 +5,15 @@ per criterion.
 """
 
 import functools
-import json
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from orbitkit import cli
 from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import (
     condition_R_at,
     functional,
-    random_functional,
     regularity_report,
     stabilizer,
     stabilizer_ideal,

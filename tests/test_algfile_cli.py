@@ -45,16 +45,20 @@ def _change_basis(g, p):
     return LieAlgebra(g.basis_names, table)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(CATALOG_NAMES), st.data())
-def test_roundtrip_after_a_rational_basis_change(name, data):
-    g = get_entry(name).algebra
+def draw_basis_change(data, g):
+    """g in a drawn rational basis P = L*U (L unit lower, U invertible upper)."""
     n = g.dim
     lower = [[Fraction(int(i == j)) if i <= j else data.draw(_SMALL_Q) for j in range(n)]
              for i in range(n)]
     upper = [[data.draw(_NONZERO_Q) if i == j else Fraction(0) if i > j
               else data.draw(_SMALL_Q) for j in range(n)] for i in range(n)]
-    h = _change_basis(g, Matrix(lower) * Matrix(upper))
+    return _change_basis(g, Matrix(lower) * Matrix(upper))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES), st.data())
+def test_roundtrip_after_a_rational_basis_change(name, data):
+    h = draw_basis_change(data, get_entry(name).algebra)
     assert parse_algebra(emit_algebra(h)) == h
 
 

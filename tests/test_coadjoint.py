@@ -32,7 +32,7 @@ from orbitkit.errors import (
     NotGeneralPosition,
     PreconditionFailed,
 )
-from orbitkit.exactlin import Matrix, Subspace, rank
+from orbitkit.exactlin import Subspace, rank
 from orbitkit.liealg import LieAlgebra, ax_b, b5, g49_zero, heisenberg3, motion_e2
 
 F = Fraction

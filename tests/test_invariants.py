@@ -8,7 +8,7 @@ import pytest
 from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import functional, stabilizer_ideal
 from orbitkit.errors import DimensionMismatch, InvariantNotVanishing, NotIdeal
-from orbitkit.exactlin import Matrix, Subspace, kernel
+from orbitkit.exactlin import Matrix, Subspace
 from orbitkit.invariants import (
     CRITICAL,
     EXACT_POINT,
@@ -21,7 +21,6 @@ from orbitkit.invariants import (
     closure_membership,
     critical_test,
     derivation,
-    evaluate_polynomial,
     invariant_space,
     orbit_certificates,
     semi_invariants,

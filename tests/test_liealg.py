@@ -7,10 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_algfile_cli import CATALOG_NAMES, draw_basis_change
 
+from orbitkit.catalog import get_entry
+from orbitkit.coadjoint import mtilde
 from orbitkit.errors import (
     AntisymmetryViolation,
     JacobiViolation,
+    NonRationalSpectrum,
     NotIdeal,
     NotSubalgebra,
 )
@@ -18,6 +22,7 @@ from orbitkit.exactlin import GaussianRational, Matrix, Subspace, solve, unit_ve
 from orbitkit.liealg import (
     LieAlgebra,
     _gaussian_eigenvalues,
+    _memoized,
     ax_b,
     b5,
     g49_zero,
@@ -203,6 +208,96 @@ def test_nilradical_maximality_probe():
             continue
         sub, _ = g.subalgebra(bigger)
         assert not sub.is_nilpotent()
+
+
+def _borel3():
+    # upper-triangular 3x3 matrices: [E_ij, E_kl] = d_jk E_il - d_li E_kj
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    brackets = {}
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[a + 1:]:
+            terms = {f"E{i}{l}": 1} if j == k else {}
+            if l == i:
+                terms[f"E{k}{j}"] = -1
+            brackets[(f"E{i}{j}", f"E{k}{l}")] = terms
+    return LieAlgebra.construct([f"E{i}{j}" for i, j in pairs], brackets)
+
+
+def _root_kernels(g):
+    result = Subspace.full(g.dim)
+    for root in g.adjoint_weights():
+        result = result.intersect(root.kernel())
+    return result
+
+
+def _killing_blind():
+    # roots (1 +- i)*a: k(a, a) = (1+i)^2 + (1-i)^2 = 0, so Rad k is all of g
+    return LieAlgebra.construct(("a", "x", "y"), {("a", "x"): {"x": 1, "y": 1},
+                                                  ("a", "y"): {"x": -1, "y": 1}})
+
+
+def _triangularized(g):
+    return {key[1:] for key in g._memo if key[0] == "_triangularize"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES + ["b3"]), st.data())
+def test_killing_nilradical_equals_the_root_kernels_after_a_basis_change(name, data):
+    g = draw_basis_change(data, _borel3() if name == "b3" else get_entry(name).algebra)
+    nilrad = g.nilradical()
+    # the Killing radical certified itself: no triangularization ran
+    assert _triangularized(g) == set()
+    assert nilrad == _root_kernels(g)
+
+
+def test_nilradical_falls_back_to_root_kernels_when_the_killing_form_is_blind():
+    g = _killing_blind()
+    assert g.nilradical() == span(3, [1, 2])
+    assert _triangularized(g) == {(True,)}
+
+
+def test_nilradical_outside_gaussian_spectrum():
+    # ad(a) squares to 2 on span{x, y}: roots +-sqrt(2)*a leave Q(i)
+    g = LieAlgebra.construct(("a", "x", "y"), {("a", "x"): {"y": 1}, ("a", "y"): {"x": 2}})
+    assert g.nilradical() == span(3, [1, 2])
+    with pytest.raises(NonRationalSpectrum):
+        g.adjoint_weights()
+
+
+def test_memo_keeps_equality_hash_and_immutability():
+    g = b5()
+    g.nilradical(), g.composition_flag(), g.is_exponential()
+    assert g._memo
+    fresh = b5()
+    assert g == fresh and hash(g) == hash(fresh) and not fresh._memo
+    for attr in ("dim", "_memo"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, None)
+
+
+def test_triangularization_runs_once_per_algebra_and_flag(monkeypatch):
+    body = LieAlgebra._triangularize.__wrapped__
+    calls = Counter()
+
+    def counting(self, allow_complex):
+        calls[allow_complex] += 1
+        return body(self, allow_complex)
+
+    monkeypatch.setattr(LieAlgebra, "_triangularize", _memoized(counting))
+
+    def chain(g):
+        g.is_exponential()
+        g.adjoint_weights()
+        return mtilde(g, g.nilradical())
+
+    g = b5()  # takes the Killing path
+    chain(g), g.composition_flag(), chain(g), g.composition_flag()
+    assert calls == {True: 1, False: 1}
+    # the nilradical of the blind algebra needs its roots; it has no rational flag
+    calls.clear()
+    blind = _killing_blind()
+    chain(blind), chain(blind)
+    assert calls == {True: 1}
 
 
 def test_is_exponential():

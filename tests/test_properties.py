@@ -9,8 +9,8 @@ from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import condition_R_at, functional, stabilizer_ideal
 from orbitkit.envelop import UEAElement, evaluate_uea, uea_commutator
 from orbitkit.exactlin import Subspace
-from orbitkit.invariants import invariant_space, vanish_on_orbit
-from orbitkit.liealg import b5, g49_zero, heisenberg3
+from orbitkit.invariants import invariant_space
+from orbitkit.liealg import b5, g49_zero
 from orbitkit.symflow import ExpPoly, orbit_map
 
 F = Fraction
@@ -164,8 +164,6 @@ def test_mtilde_quotients_stay_nilpotent_across_catalog():
             mt = mtilde(g, m)
             assert mt.contains_subspace(m)
             sub, _ = g.subalgebra(mt)
-            coords = [sub.coordinates_of if False else None]
-            inf_coords = [sub.basis_names.index(n) if False else None]
             # express the stable term inside the subalgebra and quotient by it
             sub_space = Subspace.from_vectors(
                 sub.dim, [_coords_in(mt, row) for row in m_inf.basis])

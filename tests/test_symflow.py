@@ -1,6 +1,5 @@
 """Exponential polynomials, one-parameter flows, orbit parametrizations."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,7 @@ from orbitkit.errors import (
     NonlinearExponentSubstitution,
     NotIdeal,
 )
-from orbitkit.exactlin import GaussianRational, Subspace
+from orbitkit.exactlin import Subspace
 from orbitkit.liealg import LieAlgebra, b5, heisenberg3
 from orbitkit.symflow import (
     ExpPoly,

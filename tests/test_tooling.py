@@ -1,5 +1,5 @@
 """Source checks: exact arithmetic on every path that can decide a verdict,
-and no definition that nothing refers to."""
+no definition that nothing refers to, and no import that nothing uses."""
 
 import ast
 from pathlib import Path
@@ -84,3 +84,40 @@ def test_the_reference_scan_flags_a_dead_definition():
               "def __getattr__(name):\n"
               "    pass\n")
     assert _unreferenced([source], [source]) == ["dead"]
+
+
+def _unused_imports(name, source):
+    """'file:line: name' for each imported name that the module never uses;
+    a listing in __all__ counts as a use, any other string does not."""
+    imported, used = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported += [(alias.asname or alias.name.split(".")[0], node.lineno)
+                         for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in {
+                t.id for t in node.targets if isinstance(t, ast.Name)}:
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{name}:{line}: {alias}" for alias, line in imported if alias not in used]
+
+
+def test_no_unused_imports():
+    found = [use for d in (SRC, ROOT / "tests") for path in sorted(d.glob("*.py"))
+             for use in _unused_imports(path.name, path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_import_scan_flags_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import json\n"
+              "import os.path\n"
+              "from fractions import Fraction as F, gcd\n"
+              "from .errors import Exported\n"
+              "__all__ = ['Exported']\n"
+              "from .catalog import named\n"
+              "def f():\n"
+              "    return os.path.join(F(1), 'named')\n")
+    assert _unused_imports("m.py", source) == [
+        "m.py:2: json", "m.py:4: gcd", "m.py:7: named"]
