@@ -17,7 +17,7 @@ Q1 = Fraction(1)
 
 def scalar(x):
     """Coerce ints, strings and Fractions to Fraction; pass GaussianRational through."""
-    if isinstance(x, GaussianRational):
+    if type(x) is Fraction or isinstance(x, GaussianRational):
         return x
     return Fraction(x)
 

@@ -10,7 +10,9 @@ monomial exponent tuples, and a solution becomes an ExpPoly only at output.
 
 Closure membership returns certificates: a semi-invariant with a nonzero
 value is an exact disproof of membership, while a sufficiently close orbit
-point found by the seeded search is numeric evidence for membership.
+point found by the seeded search is numeric evidence for membership.  The
+search runs on integer numerators over one denominator per component, and
+builds one Fraction per distance.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     InvariantNotVanishing,
     NotIdeal,
+    OrbitkitError,
     PreconditionFailed,
 )
 from .exactlin import GaussianRational, Matrix, Q0, Subspace, kernel, unit_vector, vec_dot
@@ -269,34 +272,63 @@ def _compile_components(components):
     return compiled, scales
 
 
-def _compiled_value(compiled, assignment, atoms):
-    total = Fraction(0)
+def _fold(compiled, target, atoms):
+    """component - target as (den, degrees, terms): integer numerators over den.
+
+    degrees lists (var, top power) per polynomial variable; a term is
+    (numerator, powers aligned with degrees), with the atom powers folded in.
+    Terms whose numerator is 0 stay, since the search reads the monomials.
+    """
+    coeffs = [(-target, {})]
     for coeff, mono, exps in compiled:
-        value = coeff
-        for v, k in mono:
-            value = value * assignment[v] ** k
         for v, e in exps:
-            value = value * atoms[v] ** e
-        total += value
-    return total
+            coeff = coeff * atoms[v] ** e
+        coeffs.append((coeff, dict(mono)))
+    names = sorted({v for _, powers in coeffs for v in powers})
+    degrees = tuple((v, max(powers.get(v, 0) for _, powers in coeffs)) for v in names)
+    den = lcm(*(c.denominator for c, _ in coeffs))
+    return den, degrees, tuple((c.numerator * (den // c.denominator),
+                                tuple(powers.get(v, 0) for v in names))
+                               for c, powers in coeffs)
 
 
-def _univariate_restriction(compiled, var, assignment, atoms):
-    """Coefficients {power: value} of a compiled component as a polynomial
-    in var, all other variables fixed."""
-    coeffs = {}
-    for c, mono, exps in compiled:
-        power = 0
-        value = c
-        for v, k in mono:
-            if v == var:
-                power += k
-            else:
-                value = value * assignment[v] ** k
-        for v, e in exps:
-            value = value * atoms[v] ** e
-        coeffs[power] = coeffs.get(power, Fraction(0)) + value
-    return coeffs
+def _substitute(folded, values):
+    """(den, [(numerator, free (var, power) pairs)]) with values {var: p/q} put in.
+
+    A known p/q turns x^k into p^k * q^(top - k) and multiplies den by q^top.
+    """
+    den, degrees, terms = folded
+    known, unknown = [], []
+    for i, (v, top) in enumerate(degrees):
+        if v in values:
+            p, q = values[v].as_integer_ratio()
+            known.append((i, p, q, top))
+            den *= q ** top
+        else:
+            unknown.append((i, v))
+    out = []
+    for n, powers in terms:
+        for i, p, q, top in known:
+            n *= p ** powers[i] * q ** (top - powers[i])
+        out.append((n, [(v, powers[i]) for i, v in unknown if powers[i]]))
+    return den, out
+
+
+def _dist2(pairs):
+    """Sum of (numerator / den)^2 over (numerator, den) pairs, as one Fraction."""
+    common = lcm(*(den for _, den in pairs))
+    return Fraction(sum((n * (common // den)) ** 2 for n, den in pairs), common * common)
+
+
+def _restricted_dist2(restrictions, x):
+    """Squared distance at var = x from the restrictions [(den, {power: numerator})]."""
+    p, q = x.as_integer_ratio()
+    pairs = []
+    for den, coeffs in restrictions:
+        top = max(coeffs)
+        pairs.append((sum(n * p ** k * q ** (top - k) for k, n in coeffs.items()),
+                      den * q ** top))
+    return _dist2(pairs)
 
 
 # minimizers are rounded to this denominator bound: unbounded exact
@@ -304,34 +336,33 @@ def _univariate_restriction(compiled, var, assignment, atoms):
 _DENOMINATOR_CAP = 10 ** 24
 
 
-def _best_value_for(compiled_components, targets, var, assignment, atoms, current):
-    """Near-exact minimizer of the squared distance along one coordinate."""
-    restrictions = [_univariate_restriction(c, var, assignment, atoms)
-                    for c in compiled_components]
-    max_deg = max((max(r) for r in restrictions if r), default=0)
-    if max_deg <= 1:
-        # quadratic in var: closed-form minimizer
-        alpha = Fraction(0)
-        beta = Fraction(0)
-        for r, tgt in zip(restrictions, targets):
-            a = r.get(1, Fraction(0))
-            b = r.get(0, Fraction(0)) - tgt
-            alpha += a * a
-            beta += 2 * a * b
+def _best_value_for(folded, var, assignment):
+    """Near-exact minimizer of the squared distance along one coordinate, with
+    the restrictions [(den, {power: numerator})] of the folded residuals to var."""
+    others = {v: x for v, x in assignment.items() if v != var}
+    restrictions = []
+    for f in folded:
+        den, terms = _substitute(f, others)
+        coeffs = {}
+        for n, free in terms:
+            power = free[0][1] if free else 0
+            coeffs[power] = coeffs.get(power, 0) + n
+        restrictions.append((den, coeffs))
+    if max((max(c) for _, c in restrictions), default=0) <= 1:
+        # quadratic in var: closed-form minimizer -sum(a*b*w) / sum(a*a*w)
+        # over the common denominator D, with weights w = (D / den)^2
+        common = lcm(*(den for den, _ in restrictions))
+        alpha = beta = 0
+        for den, coeffs in restrictions:
+            a, w = coeffs.get(1, 0), (common // den) ** 2
+            alpha += a * a * w
+            beta += a * coeffs.get(0, 0) * w
         if alpha == 0:
-            return current
-        return (-beta / (2 * alpha)).limit_denominator(_DENOMINATOR_CAP)
+            return assignment[var], restrictions
+        return Fraction(-beta, alpha).limit_denominator(_DENOMINATOR_CAP), restrictions
     # heuristic candidate set for higher degree
-    candidates = {current, Fraction(0), Fraction(1), Fraction(-1)}
-
-    def dist2_at(x):
-        total = Fraction(0)
-        for r, tgt in zip(restrictions, targets):
-            val = sum((cv * x ** p for p, cv in r.items()), Fraction(0))
-            total += (val - tgt) ** 2
-        return total
-
-    return min(sorted(candidates), key=dist2_at)
+    candidates = sorted({assignment[var], Fraction(0), Fraction(1), Fraction(-1)})
+    return min(candidates, key=lambda x: _restricted_dist2(restrictions, x)), restrictions
 
 
 class _Search:
@@ -345,32 +376,31 @@ class _Search:
         self.compiled, self.scales = _compile_components(om.components)
         self.exp_vars = sorted(self.scales)
 
-    def dist2(self, assignment, atoms):
+    def dist2(self, assignment, folded):
         self.evaluations += 1
-        total = Fraction(0)
-        for compiled, tgt in zip(self.compiled, self.targets):
-            total += (_compiled_value(compiled, assignment, atoms) - tgt) ** 2
-        return total
+        pairs = []
+        for f in folded:
+            den, terms = _substitute(f, assignment)
+            pairs.append((sum(n for n, _ in terms), den))
+        return _dist2(pairs)
 
-    def descend(self, assignment, atoms, sweeps=3):
+    def descend(self, assignment, folded, sweeps=3):
         assignment = dict(assignment)
-        best = self.dist2(assignment, atoms)
+        best = self.dist2(assignment, folded)
         for _ in range(sweeps):
             improved = False
             for var in self.poly_vars:
                 if self.evaluations >= self.budget:
                     return best, assignment
-                cand = _best_value_for(self.compiled, self.targets, var,
-                                       assignment, atoms, assignment[var])
+                cand, restrictions = _best_value_for(folded, var, assignment)
                 if cand != assignment[var]:
-                    old = assignment[var]
-                    assignment[var] = cand
-                    d = self.dist2(assignment, atoms)
+                    # one evaluation: the distance at cand, from the restrictions
+                    self.evaluations += 1
+                    d = _restricted_dist2(restrictions, cand)
                     if d < best:
                         best = d
+                        assignment[var] = cand
                         improved = True
-                    else:
-                        assignment[var] = old
             if not improved:
                 break
         return best, assignment
@@ -380,23 +410,13 @@ class _Search:
                             self.rng.randint(1, 3))
                 for v in self.poly_vars}
 
-    def _linear_pin(self, compiled, target, pinned, atoms):
-        """(var, value) when the component is linear in one unpinned variable."""
+    def _linear_pin(self, folded, pinned):
+        """(var, value) when the residual is linear in one unpinned variable."""
         the_var = None
-        slope = Fraction(0)
-        offset = Fraction(0)
-        for coeff, mono, exps in compiled:
-            value = coeff
-            free = []
-            for v, k in mono:
-                if v in pinned:
-                    value = value * pinned[v] ** k
-                else:
-                    free.append((v, k))
-            for v, e in exps:
-                value = value * atoms[v] ** e
+        slope = offset = 0
+        for n, free in _substitute(folded, pinned)[1]:
             if not free:
-                offset += value
+                offset += n
                 continue
             if len(free) > 1 or free[0][1] > 1:
                 return None
@@ -405,12 +425,12 @@ class _Search:
                 the_var = v
             elif the_var != v:
                 return None
-            slope += value
+            slope += n
         if the_var is None or slope == 0:
             return None
-        return the_var, ((target - offset) / slope).limit_denominator(_DENOMINATOR_CAP)
+        return the_var, Fraction(-offset, slope).limit_denominator(_DENOMINATOR_CAP)
 
-    def _multipass_pin(self, atoms, skip=None, preset=None):
+    def _multipass_pin(self, folded, skip=None, preset=None):
         """Solve components exactly one variable at a time, in passes.
 
         Mirrors how witness sequences are built by hand: components that are
@@ -421,19 +441,19 @@ class _Search:
         progress = True
         while progress:
             progress = False
-            for ci, compiled in enumerate(self.compiled):
+            for ci, f in enumerate(folded):
                 if ci == skip:
                     continue
-                got = self._linear_pin(compiled, self.targets[ci], pinned, atoms)
+                got = self._linear_pin(f, pinned)
                 if got is not None and got[0] not in pinned:
                     pinned[got[0]] = got[1]
                     progress = True
         return {v: pinned.get(v, Fraction(0)) for v in self.poly_vars}
 
-    def _pin_starts(self, atoms):
-        starts = [self._multipass_pin(atoms)]
-        for ci in range(len(self.compiled)):
-            starts.append(self._multipass_pin(atoms, skip=ci))
+    def _pin_starts(self, atoms, folded):
+        starts = [self._multipass_pin(folded)]
+        for ci in range(len(folded)):
+            starts.append(self._multipass_pin(folded, skip=ci))
         # product breaker: a large dyadic value for the first variable,
         # sized against the smallest atom, unlocks x*y-coupled components
         if self.poly_vars:
@@ -442,7 +462,7 @@ class _Search:
             first = self.poly_vars[0]
             for sign in (1, -1):
                 starts.append(self._multipass_pin(
-                    atoms, preset={first: Fraction(sign * 2 ** h)}))
+                    folded, preset={first: Fraction(sign * 2 ** h)}))
         unique = []
         for s in starts:
             if s not in unique:
@@ -450,12 +470,14 @@ class _Search:
         return unique
 
     def _attempt(self, atoms, extra_starts=()):
+        # atoms are fixed within an attempt: fold them in once
+        folded = [_fold(c, t, atoms) for c, t in zip(self.compiled, self.targets)]
         best = None
-        starts = list(extra_starts) + self._pin_starts(atoms)
+        starts = list(extra_starts) + self._pin_starts(atoms, folded)
         for start in starts:
             if best is not None and self.evaluations >= self.budget:
                 break
-            d, a = self.descend(dict(start), atoms, sweeps=2)
+            d, a = self.descend(dict(start), folded, sweeps=2)
             if best is None or d < best[0]:
                 best = (d, a)
             if d == 0:
@@ -561,6 +583,13 @@ def closure_membership(om: OrbitMap, target, invariants=(),
     integer; the reported exp_atoms are u_v^L_v = exp(v).  An orbit with a
     complex coefficient or exponent raises PreconditionFailed before any
     evaluation, unless a certificate decides first.
+
+    For each choice of atoms, every component minus its target is folded
+    once into integer numerators over one denominator; this is the exact
+    arithmetic of evaluating on Fractions, so the search visits the same
+    points with the same evaluation count.  A search verdict's witness is
+    evaluated again through the orbit map, and a distance other than
+    squared_distance raises OrbitkitError.
     """
     target = tuple(Fraction(x) for x in target)
     if len(target) != len(om.components):
@@ -579,6 +608,10 @@ def closure_membership(om: OrbitMap, target, invariants=(),
     search = _Search(om, target, tol, budget, seed)
     best_d, best_a, best_u = search.run()
     best_atoms = {v: u ** search.scales[v] for v, u in best_u.items()}
+    point = om.evaluate(best_a, best_atoms)
+    if sum(((x - t) ** 2 for x, t in zip(point, target)), Fraction(0)) != best_d:
+        raise OrbitkitError("closure search witness does not re-evaluate "
+                            "to its squared distance")
     mixed = set(search.poly_vars) & set(search.exp_vars)
     if best_d == 0:
         consistent = all(best_a[v] == 0 and best_atoms[v] == 1 for v in mixed)

@@ -28,6 +28,7 @@ from .errors import (
     NonRationalSpectrum,
     NotIdeal,
     NotSubalgebra,
+    OrbitkitError,
     PreconditionFailed,
 )
 from .exactlin import (
@@ -88,13 +89,21 @@ class ExponentialVerdict:
 
 
 def _memoized(method):
-    """Keep method(self, *args) in self._memo; safe because self is immutable."""
+    """Keep method(self, *args), or the OrbitkitError it raised, in self._memo;
+    safe because self is immutable."""
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__,) + args
         if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
+            try:
+                self._memo[key] = method(self, *args)
+            except OrbitkitError as exc:
+                self._memo[key] = exc
+                raise
+        got = self._memo[key]
+        if isinstance(got, OrbitkitError):
+            raise got.with_traceback(None)
+        return got
     return cached
 
 

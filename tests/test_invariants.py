@@ -1,13 +1,18 @@
 """Derivations, (semi-)invariants, vanishing on orbits, closure certificates."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitkit import cli
+from orbitkit.algfile import parse_algebra
 from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import functional, stabilizer_ideal
-from orbitkit.errors import DimensionMismatch, InvariantNotVanishing, NotIdeal
+from orbitkit.errors import DimensionMismatch, InvariantNotVanishing, NotIdeal, OrbitkitError
 from orbitkit.exactlin import Matrix, Subspace
 from orbitkit.invariants import (
     CRITICAL,
@@ -24,6 +29,10 @@ from orbitkit.invariants import (
     invariant_space,
     orbit_certificates,
     semi_invariants,
+    _best_value_for,
+    _fold,
+    _restricted_dist2,
+    _Search,
     vanish_on_orbit,
 )
 from orbitkit.liealg import LieAlgebra, b5, g49_zero, heisenberg3
@@ -252,3 +261,142 @@ def test_critical_test_agrees_with_catalog_description():
         expected = entry.critical_label_oracle(target)
         got = critical_test(g, f, target, steps=B5_STEPS, seed=4, budget=2500)
         assert got.label == expected, (target, expected, got.label)
+
+
+# -- the closure-search kernel -------------------------------------------------
+
+# closure-test --file inputs with their --f: exp(-s/2), and s^2 in a component
+_ALG_FILES = {
+    "half": ("basis a b\nbracket a b = 1/2*b\n", (F(0), F(1))),
+    "filiform4": ("basis x y z w\nbracket x y = z\nbracket x z = w\n", (F(0),) * 3 + (F(1),)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_orbit(name):
+    """Orbit map and degree-2 certificates as closure-test builds them."""
+    if name in _ALG_FILES:
+        g, f = parse_algebra(_ALG_FILES[name][0]), _ALG_FILES[name][1]
+        steps = [(g.basis_vector(n), f"s{i+1}") for i, n in enumerate(g.basis_names)]
+        module = None
+    else:
+        entry = get_entry(name)
+        g, f, steps = entry.algebra, entry.reference_functional, entry.orbit_steps
+        module = stabilizer_ideal(g, f) if entry.stabilizer_names else None
+    om = orbit_map(g, f, steps, restrict_to=module)
+    return om, tuple(orbit_certificates(g, f, om, 2))
+
+
+# (orbit, target, use certificates, search keywords) -> the verdict recorded from
+# the search evaluated on Fractions, which the integer kernel must reproduce
+# exactly; the off-orbit b5 target reaches the random restarts, and the
+# filiform one the candidate set for a coordinate of degree 2
+GOLDEN_CALLS = {
+    'b5 e1-axis': ("b5", (F(2), F(3, 2), F(0), F(0)), True, {"seed": 3}),
+    'b5 e2-axis': ("b5", (F(-1), F(0), F(5, 3), F(0)), True, {"seed": 5}),
+    'b5 e0-line': ("b5", (F(4, 7), F(0), F(0), F(0)), True, {"seed": 7}),
+    'axb orbit point': ("axb", (F(3, 2), F(5, 2)), True, {"seed": 0}),
+    'half b=9/4': ("half", (F(0), F(9, 4)), True, {"seed": 0}),
+    'b5 off-orbit': ("b5", (F(-1), F(1), F(0), F(2)), False, {"seed": 11, "budget": 400}),
+    'filiform4 off-orbit': ("filiform4", (F(1), F(2), F(1), F(1)), False,
+                            {"seed": 1, "budget": 300}),
+}
+GOLDEN_VERDICTS = {
+    'b5 e1-axis': (
+        'in-closure-numeric', 1010,
+        {'x1': F("-40264027848226940795/37107328064926039599744"),
+         'x2': F("1298960286035839515797035335/845677269554581872764704")},
+        {'s': F("16777216"), 't': F("1/1024")},
+        F("1311602823668942923520741147230637757134629456906271079752374169793986"
+          "98510549470402217/1652146591928928609270140192722879949361447725093702"
+          "1945098207540446202758208203488500465485549142016")),
+    'b5 e2-axis': (
+        'in-closure-numeric', 975,
+        {'x1': F("-295436135555505145856/86553555338526855"),
+         'x2': F("-342607823215001873/877076027430406354400")},
+        {'s': F("16777216"), 't': F("1/8192")},
+        F("1025523667528208174583229263890061550374424617399753818630563375216353"
+          "929/176011738069347039617776074486786576120504464695746328537827222506"
+          "685444552392704000000")),
+    'b5 e0-line': (
+        'in-closure-numeric', 1059,
+        {'x1': F("11255933111384823310112115/87936977432790305859404"),
+         'x2': F("-1790284631449327075305/962457017866978789024493")},
+        {'s': F("4398046511104"), 't': F("1/8192")},
+        F("4139821300684172529493468349638488757393573102609179701643102661924203"
+          "77780903751679746349696979804229227209/3818950222581931648344853455966"
+          "7539678072029597636985704505096966461657458571892803979794779690720430"
+          "50971201671207583744")),
+    'axb orbit point': (
+        'exact-point', 8,
+        {'x1': F("3/2")},
+        {'s': F("2/5")},
+        F("0")),
+    'half b=9/4': (
+        'exact-point', 6,
+        {'s2': F("0")},
+        {'s1': F("16/81")},
+        F("0")),
+    'b5 off-orbit': (
+        'inconclusive', 400,
+        {'x1': F("216006362604181861919429/711913579902012060468172"),
+         'x2': F("685750799687045647394604/533180903591398671171199")},
+        {'s': F("1/2"), 't': F("1")},
+        F("4342568979305155589514193980945935794292913465816837241826815305610544"
+          "40731395498588511294776393/3241800204489230849413061587596212192880460"
+          "36376809085131322678009137054868778380548783334144964")),
+    'filiform4 off-orbit': (
+        'inconclusive', 64,
+        {'s1': F("-1"), 's3': F("1")},
+        {},
+        F("9/4")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_CALLS))
+def test_closure_search_trajectory_is_pinned(label):
+    name, target, with_certs, kwargs = GOLDEN_CALLS[label]
+    om, certs = _closure_orbit(name)
+    v = closure_membership(om, target, certs if with_certs else (), **kwargs)
+    got = (v.kind, v.evaluations, v.assignment, v.exp_atoms, v.squared_distance)
+    assert got == GOLDEN_VERDICTS[label]
+
+
+_Q = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["b5", "axb", "g49_0", "half", "filiform4"]), st.booleans(), st.data())
+def test_folded_distance_is_the_fraction_distance(name, integral, data):
+    values = st.integers(-9, 9).map(F) if integral else _Q
+    atom = st.integers(1, 9).map(F) if integral else st.builds(F, st.integers(1, 9),
+                                                               st.integers(1, 9))
+    om, _ = _closure_orbit(name)
+    target = tuple(data.draw(values) for _ in om.components)
+    search = _Search(om, target, F(0), 1, 0)
+    assignment = {v: data.draw(values, label=v) for v in search.poly_vars}
+    atoms = {v: data.draw(atom, label=v) for v in search.exp_vars}
+    folded = [_fold(c, t, atoms) for c, t in zip(search.compiled, target)]
+    point = om.evaluate(assignment, {v: u ** search.scales[v] for v, u in atoms.items()})
+    d = search.dist2(assignment, folded)
+    assert type(d) is F and d == sum((x - t) ** 2 for x, t in zip(point, target))
+    for var in search.poly_vars:
+        x = data.draw(values, label=f"new {var}")
+        _, restrictions = _best_value_for(folded, var, assignment)
+        d = _restricted_dist2(restrictions, x)
+        assert type(d) is F and d == search.dist2({**assignment, var: x}, folded)
+
+
+def test_a_search_verdict_rechecks_its_witness(monkeypatch, capsys):
+    run = _Search.run
+
+    def off_by_one(self):
+        d, a, u = run(self)
+        return d + 1, a, u
+
+    monkeypatch.setattr(_Search, "run", off_by_one)
+    om, certs = _closure_orbit("axb")
+    with pytest.raises(OrbitkitError, match="re-evaluate"):
+        closure_membership(om, (F(3, 2), F(5, 2)), certs)
+    assert cli.main(["closure-test", "--catalog", "axb", "--g", "a=3/2,b=5/2"]) == 2
+    assert capsys.readouterr().err.startswith("orbitkit: closure search witness")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_algfile_cli import CATALOG_NAMES, draw_basis_change
 
+from orbitkit import cli, liealg
 from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import mtilde
 from orbitkit.errors import (
@@ -262,6 +263,30 @@ def test_nilradical_outside_gaussian_spectrum():
     assert g.nilradical() == span(3, [1, 2])
     with pytest.raises(NonRationalSpectrum):
         g.adjoint_weights()
+
+
+def test_memo_keeps_a_raised_error(monkeypatch, tmp_path, capsys):
+    # analyze asks is_exponential, then adjoint_weights: both need the flag
+    # that the sqrt(2) spectrum makes impossible, and the memo answers the second
+    calls = Counter()
+
+    def counting(m):
+        calls["eigen"] += 1
+        return _gaussian_eigenvalues(m)
+
+    monkeypatch.setattr(liealg, "_gaussian_eigenvalues", counting)
+    path = tmp_path / "sqrt2.alg"
+    path.write_text("basis a x y\nbracket a x = y\nbracket a y = 2*x\n", encoding="utf-8")
+    assert cli.main(["analyze", "--file", str(path), "--json"]) == 0
+    assert "roots_error" in capsys.readouterr().out
+    assert calls == {"eigen": 1}
+    g = LieAlgebra.construct(("a", "x", "y"), {("a", "x"): {"y": 1}, ("a", "y"): {"x": 2}})
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NonRationalSpectrum) as err:
+            g.adjoint_weights()
+        raised.append((type(err.value), str(err.value)))
+    assert raised[0] == raised[1] and calls == {"eigen": 2}
 
 
 def test_memo_keeps_equality_hash_and_immutability():
