@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from sympy import QQ, QQ_I
+from sympy.polys.densearith import dup_add, dup_sqr
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 
 from .errors import (
@@ -479,7 +481,7 @@ class LieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue extraction over Q(i)
+# eigenvalues in Q(i) from the norm polynomial over Q
 # ---------------------------------------------------------------------------
 
 def _to_gaussian_matrix(m: Matrix) -> Matrix:
@@ -529,25 +531,67 @@ def _eigen_ratio(image, v, name, allow_complex):
     return lam
 
 
+def _fraction(q) -> Fraction:
+    return Fraction(q.numerator, q.denominator)
+
+
+def _qi_roots(factor):
+    """Roots in Q(i), as (re, im), of an irreducible factor over QQ: -b/a of
+    ax + b, and (-b +- k*i)/2 of the monic x^2 + bx + c when 4c - b^2 = k^2,
+    k rational."""
+    if len(factor) == 2:
+        return [(-factor[1] / factor[0], QQ(0))]
+    if len(factor) == 3:
+        b, c = factor[1] / factor[0], factor[2] / factor[0]
+        k = QQ.exsqrt(4 * c - b * b)  # None unless a rational square
+        if k:
+            return [(-b / 2, k / 2), (-b / 2, -k / 2)]
+    return []
+
+
+def _multiplicity(p, lam):
+    """How many times x - lam divides the dense polynomial p (synthetic division)."""
+    mult = 0
+    while len(p) > 1:
+        quotient = [p[0]]
+        for c in p[1:-1]:
+            quotient.append(c + lam * quotient[-1])
+        if p[-1] + lam * quotient[-1]:
+            break
+        p, mult = quotient, mult + 1
+    return mult
+
+
 def _gaussian_eigenvalues(m: Matrix):
     """Eigenvalues of m lying in Q(i), with multiplicities, sorted by (re, im).
 
-    sympy factors the characteristic polynomial over QQ_I (the charpoly
-    itself is division-free Berkowitz); the monic linear factors x - lambda
-    give the roots, and the other irreducible factors are left out.
+    A root in Q(i) of a polynomial over Q has degree <= 2 over Q.  The roots
+    of the characteristic polynomial p (sympy's division-free Berkowitz) are
+    roots of its norm N = p * conj(p), which is rational (N = p for rational
+    m), so N is factored once over QQ and only its linear and quadratic
+    factors give candidates (_qi_roots).  A candidate's multiplicity is the
+    number of times x - lambda divides p exactly: this checks every
+    candidate and drops those that are roots of conj(p) only.
     """
     n = m.rows
     if n == 0:
         return []
-    entries = [[QQ_I(_qq(x.re), _qq(x.im)) for x in row]
-               for row in _to_gaussian_matrix(m).entries]
+    if all(x.is_real for row in m.entries for x in row if isinstance(x, GaussianRational)):
+        entries = [[_qq(x.re if isinstance(x, GaussianRational) else x) for x in row]
+                   for row in m.entries]
+        p = norm = DomainMatrix(entries, (n, n), QQ).charpoly()
+    else:
+        entries = [[QQ_I(_qq(x.re), _qq(x.im)) for x in row]
+                   for row in _to_gaussian_matrix(m).entries]
+        p = DomainMatrix(entries, (n, n), QQ_I).charpoly()
+        # p = A + iB with A, B over Q, so p * conj(p) = A^2 + B^2
+        norm = dup_add(dup_sqr([c.x for c in p], QQ), dup_sqr([c.y for c in p], QQ), QQ)
     eigs = []
-    for factor, mult in DomainMatrix(entries, (n, n), QQ_I).charpoly_factor_list():
-        if len(factor) == 2:
-            root = -factor[1] / factor[0]
-            eigs.append((GaussianRational(Fraction(root.x.numerator, root.x.denominator),
-                                          Fraction(root.y.numerator, root.y.denominator)),
-                         mult))
+    for factor, _ in dup_factor_list(norm, QQ)[1]:
+        for re, im in _qi_roots(factor):
+            mult = _multiplicity(p, QQ_I(re, im) if im else re)
+            if mult:
+                eigs.append((GaussianRational(_fraction(re), _fraction(im)), mult))
     eigs.sort(key=lambda t: (t[0].re, t[0].im))
     return eigs
 

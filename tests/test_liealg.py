@@ -3,10 +3,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ_I
+from sympy.polys.matrices import DomainMatrix
 from test_algfile_cli import CATALOG_NAMES, draw_basis_change
 
 from orbitkit import cli, liealg
@@ -32,6 +35,7 @@ from orbitkit.liealg import (
 )
 
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def span(n, coords):
@@ -371,3 +375,94 @@ def test_gaussian_eigenvalues_recover_a_conjugated_triangular_diagonal(data):
     m = p * Matrix(t) * p_inv
     expected = sorted(Counter(diag).items(), key=lambda t: (t[0].re, t[0].im))
     assert _gaussian_eigenvalues(m) == expected
+
+
+def _qq_i_eigenvalues(m):
+    # the reference: the charpoly factored over QQ_I, its linear factors read off
+    n = m.rows
+    entries = [[QQ_I(liealg._qq(x.re), liealg._qq(x.im)) for x in row]
+               for row in liealg._to_gaussian_matrix(m).entries]
+    eigs = []
+    for factor, mult in DomainMatrix(entries, (n, n), QQ_I).charpoly_factor_list():
+        if len(factor) == 2:
+            root = -factor[1] / factor[0]
+            eigs.append((GaussianRational(liealg._fraction(root.x), liealg._fraction(root.y)),
+                         mult))
+    eigs.sort(key=lambda t: (t[0].re, t[0].im))
+    return eigs
+
+
+def _companion(coeffs):
+    # the monic x^k + c_{k-1} x^{k-1} + ... + c_0, coeffs = [c_0, ..., c_{k-1}]
+    k = len(coeffs)
+    return [[Fraction(int(i == j + 1)) if j < k - 1 else Fraction(-coeffs[i])
+             for j in range(k)] for i in range(k)]
+
+
+# (x^2 + 1)^2, x^2 + 4x + 13 (roots -2 +- 3i), x^2 + 2 (+-sqrt(2) i, whose
+# 4c - b^2 = 8 is not a square), x^2 + x + 1 and x^2 - 2: only the first two
+# have roots in Q(i)
+_PLANTED = ((1, 0, 2, 0), (13, 4), (2, 0), (1, 1), (-2, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gaussian_eigenvalues_match_the_qq_i_factorization(data):
+    # M = P T P^-1, T block upper triangular: scalars and planted companion
+    # blocks on the diagonal, noise above them; P and the scalars are
+    # Gaussian or rational
+    scalars = data.draw(st.sampled_from((_SMALL_Q, _SMALL_QI)), label="field")
+    blocks, n = [], 0
+    for block in data.draw(st.lists(st.one_of(scalars.map(lambda z: [[z]]),
+                                              st.sampled_from(_PLANTED).map(_companion)),
+                                    min_size=1, max_size=5), label="blocks"):
+        if n + len(block) <= 5:
+            blocks.append((n, block))
+            n += len(block)
+    t = [[Fraction(0)] * n for _ in range(n)]
+    for start, block in blocks:
+        for i, row in enumerate(block):
+            t[start + i][start:start + len(row)] = row
+            for j in range(start + len(row), n):
+                t[start + i][j] = data.draw(_SMALL_Q)
+    lower = [[Fraction(int(i == j)) if i <= j else data.draw(scalars) for j in range(n)]
+             for i in range(n)]
+    upper = [[Fraction(int(i == j)) if i >= j else data.draw(scalars) for j in range(n)]
+             for i in range(n)]
+    p = Matrix(lower) * Matrix(upper)
+    p_inv = Matrix.from_columns([solve(p, unit_vector(n, j)) for j in range(n)])
+    m = p * Matrix(t) * p_inv
+    assert _gaussian_eigenvalues(m) == _qq_i_eigenvalues(m)
+
+
+GAUSSIAN_WEIGHTS_ALG = """\
+basis a b x y u v
+bracket a x = y
+bracket a y = -x
+bracket a u = v
+bracket a v = -u
+bracket b x = u + v
+bracket b y = -u + v
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "regularity-report"])
+def test_gaussian_entry_triangularization_keeps_its_output(command, monkeypatch, tmp_path,
+                                                           capsys):
+    # ad(b) acts by 1 - i on the -i eigenspace of ad(a), so the flag search
+    # hands _gaussian_eigenvalues matrices with non-real entries
+    gaussian_calls = Counter()
+
+    def counting(m):
+        gaussian_calls[any(isinstance(x, GaussianRational) and x.im
+                           for row in m.entries for x in row)] += 1
+        return _gaussian_eigenvalues(m)
+
+    monkeypatch.setattr(liealg, "_gaussian_eigenvalues", counting)
+    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+    path = tmp_path / "gaussian-weights.alg"
+    path.write_text(GAUSSIAN_WEIGHTS_ALG, encoding="utf-8")
+    assert cli.main([command, "--file", str(path), "--json"]) == 0
+    golden = GOLDEN / f"gaussian-weights.{command}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert gaussian_calls[True] >= 1

@@ -1,8 +1,12 @@
 """Source checks: exact arithmetic on every path that can decide a verdict,
-no definition that nothing refers to, and no import that nothing uses."""
+no definition that nothing refers to, no import that nothing uses, and every
+name that the benchmark's tracer wraps still there."""
 
 import ast
+import types
 from pathlib import Path
+
+from orbitkit import liealg
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "orbitkit"
@@ -121,3 +125,22 @@ def test_the_import_scan_flags_an_unused_import():
               "    return os.path.join(F(1), 'named')\n")
     assert _unused_imports("m.py", source) == [
         "m.py:2: json", "m.py:4: gcd", "m.py:7: named"]
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py wraps orbitkit functions and methods by name and
+    # raises LookupError for one that was renamed or deleted; it is run from
+    # its source, so no bytecode is written under perfbench/
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    function = liealg._gaussian_eigenvalues
+    method = liealg.LieAlgebra.__dict__["nilradical"]
+    undo = tracer.install(tracer.Recorder())
+    try:
+        assert liealg._gaussian_eigenvalues is not function
+        assert liealg.LieAlgebra.__dict__["nilradical"] is not method
+    finally:
+        undo()
+    assert liealg._gaussian_eigenvalues is function
+    assert liealg.LieAlgebra.__dict__["nilradical"] is method
