@@ -7,6 +7,14 @@ e_j e_i = e_i e_j - [e_i, e_j] for j > i until normal-ordered.  Symbolic
 rational constants (and the dotted generators -i*e_nu) live in ExpPoly
 coefficients.
 
+Symmetrization and the centrality test work on rational word sums
+{normal word: Fraction}: the structure constants are rational, so the normal
+form of any generator word is one, and ExpPoly coefficients are multiplied in
+once per output word.  The sum over the distinct orderings of a multiset M of
+letters follows D(M) = sum over distinct letters a in M of e_a * D(M - a),
+which visits the prod(m_a + 1) sub-multisets of M rather than its
+k!/prod(m_a!) orderings (Dixmier, Enveloping Algebras, 2.4).
+
 A DiffOp is a finite sum a_k(xi, params) D^k with D = -i d/dxi; composition
 uses the exact rule D o a = a o D + (-i) da/dxi.
 """
@@ -15,9 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-
-from sympy.utilities.iterables import multiset_permutations
+from math import comb, factorial, prod
 
 from .errors import DimensionMismatch, RepCheckFailed
 from .exactlin import GaussianRational
@@ -35,8 +41,11 @@ def _normalize_word(g: LieAlgebra, word: tuple, strategy: str):
     """Normal ordering of a generator word: {ordered word: rational coeff}.
 
     strategy picks which inversion to rewrite first; any choice yields the
-    same normal form (checked by the property suite).
+    same normal form (checked by the property suite).  A letter outside
+    range(dim) raises DimensionMismatch.
     """
+    if not all(isinstance(i, int) and 0 <= i < g.dim for i in word):
+        raise DimensionMismatch(f"word {word} has a letter outside range({g.dim})")
     inversions = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
     if not inversions:
         return {word: Fraction(1)}
@@ -62,10 +71,11 @@ class UEAElement:
     def __init__(self, algebra: LieAlgebra, terms=None, _strategy="left"):
         normal = {}
         for word, coeff in (terms or {}).items():
+            normal_form = _normalize_word(algebra, tuple(word), _strategy)
             coeff = coeff if isinstance(coeff, ExpPoly) else ExpPoly.constant(coeff)
             if coeff.is_zero():
                 continue
-            for w, c in _normalize_word(algebra, tuple(word), _strategy).items():
+            for w, c in normal_form.items():
                 cur = normal.get(w)
                 cur = coeff * c if cur is None else cur + coeff * c
                 if cur.is_zero():
@@ -110,6 +120,9 @@ class UEAElement:
         if not isinstance(other, UEAElement):
             other = UEAElement.scalar(self.algebra, other)
         return self + (-other)
+
+    def __rsub__(self, other):
+        return UEAElement.scalar(self.algebra, other) + (-self)
 
     def __neg__(self):
         return UEAElement(self.algebra, {w: -c for w, c in self.terms.items()})
@@ -157,50 +170,86 @@ def uea_commutator(u: UEAElement, v: UEAElement) -> UEAElement:
     return u * v - v * u
 
 
-def symmetrize(q: ExpPoly, algebra: LieAlgebra, generators=None) -> UEAElement:
+def _add_into(acc, word_sum, scale=1):
+    for w, c in word_sum.items():
+        acc[w] = acc.get(w, 0) + scale * c
+
+
+def _combine(algebra, scaled_sums):
+    """The UEAElement sum of coeff * word_sum over (ExpPoly coeff, rational
+    word sum) pairs: one ExpPoly product per pair and nonzero word."""
+    terms = {}
+    for coeff, word_sum in scaled_sums:
+        for w, r in word_sum.items():
+            if r:
+                terms[w] = terms[w] + coeff * r if w in terms else coeff * r
+    return UEAElement(algebra, terms)
+
+
+def _ordering_sum(algebra, counts, memo):
+    """{normal word: Fraction}: the sum of the normal forms of the distinct
+    orderings of the multiset with letter counts `counts` (a dim-tuple)."""
+    if counts not in memo:
+        acc = {}
+        for a, m in enumerate(counts):
+            if m:
+                rest = counts[:a] + (m - 1,) + counts[a + 1:]
+                for w, c in _ordering_sum(algebra, rest, memo).items():
+                    _add_into(acc, _normalize_word(algebra, (a,) + w, "left"), c)
+        memo[counts] = {w: c for w, c in acc.items() if c}
+    return memo[counts]
+
+
+def symmetrize(q: ExpPoly, algebra: LieAlgebra) -> UEAElement:
     """Symmetrization of a polynomial in the basis coordinate functions.
 
     A monomial x_1...x_k goes to (1/k!) times the sum of its k! ordered
-    products, computed as the mean over its distinct orderings; variables
-    that are not basis names stay in the coefficient as symbolic constants.
-    By default the coordinate e_nu maps to the dotted generator -i * e_nu.
+    products of dotted generators -i * e_nu, that is (-i)^k times the mean
+    over its distinct orderings; variables that are not basis names stay in
+    the coefficient as symbolic constants.  The ordering sums are rational
+    word sums from the sub-multiset recursion of _ordering_sum, memoized for
+    this call only, and each monomial's coefficient is multiplied in once
+    per output word.
     """
-    if generators is None:
-        generators = {name: UEAElement.dotted_generator(algebra, name)
-                      for name in algebra.basis_names}
-    basis_names = set(algebra.basis_names)
-    total = UEAElement(algebra, {})
+    index = {name: i for i, name in enumerate(algebra.basis_names)}
+    memo = {(0,) * algebra.dim: {(): Fraction(1)}}
+    scaled_sums = []
     for (mono, expo), c in q.terms().items():
         const, lin = expo
         if lin or const:
             raise DimensionMismatch("cannot symmetrize exponential terms")
-        letters = []
+        counts = [0] * algebra.dim
         coeff = ExpPoly.constant(c)
         for var, k in mono:
-            if var in basis_names:
-                letters.extend([var] * k)
+            if var in index:
+                counts[index[var]] += k
             else:
                 coeff = coeff * ExpPoly.variable(var) ** k
-        if not letters:
-            total = total + UEAElement.scalar(algebra, coeff)
-            continue
-        acc = UEAElement(algebra, {})
-        orderings = 0
-        for perm in multiset_permutations(letters):
-            prod = UEAElement.scalar(algebra, 1)
-            for name in perm:
-                prod = prod * generators[name]
-            acc = acc + prod
-            orderings += 1
-        total = total + acc * (coeff * Fraction(1, orderings))
-    return total
+        degree = sum(counts)
+        orderings = factorial(degree) // prod(factorial(m) for m in counts)
+        scaled_sums.append((coeff * (MINUS_I ** degree / orderings),
+                            _ordering_sum(algebra, tuple(counts), memo)))
+    return _combine(algebra, scaled_sums)
+
+
+def _commutator_sum(algebra, word, i):
+    """{normal word: Fraction}: the normal form of [e_word, e_i]."""
+    acc = {}
+    _add_into(acc, _normalize_word(algebra, word + (i,), "left"))
+    _add_into(acc, _normalize_word(algebra, (i,) + word, "left"), -1)
+    return acc
 
 
 def is_central(u: UEAElement):
-    """(True, None) or (False, (generator name, nonzero commutator))."""
-    for name in u.algebra.basis_names:
-        gen = UEAElement.generator(u.algebra, name)
-        defect = uea_commutator(u, gen)
+    """(True, None) or (False, (generator name, nonzero commutator)).
+
+    The witness is uea_commutator(u, e_name), built from rational word sums
+    with each coefficient of u multiplied in once per output word.
+    """
+    m = u.algebra
+    for i, name in enumerate(m.basis_names):
+        defect = _combine(m, ((coeff, _commutator_sum(m, word, i))
+                              for word, coeff in u.terms.items()))
         if not defect.is_zero():
             return False, (name, defect)
     return True, None

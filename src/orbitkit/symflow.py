@@ -39,6 +39,7 @@ from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
 
 GR0 = GaussianRational(0)
 GR1 = GaussianRational(1)
+_SCALARS = (int, Fraction, GaussianRational)
 
 
 def _coeff(x):
@@ -104,6 +105,15 @@ class ExpPoly:
             return x
         return cls.constant(x)
 
+    @classmethod
+    def _operand(cls, x):
+        """x lifted, or None for a non-scalar such as a UEAElement or DiffOp."""
+        if isinstance(x, ExpPoly):
+            return x
+        if isinstance(x, _SCALARS):
+            return cls.constant(x)
+        return None
+
     # -- inspection ----------------------------------------------------------
 
     def terms(self):
@@ -128,7 +138,9 @@ class ExpPoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
-        other = ExpPoly.lift(other)
+        other = ExpPoly._operand(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self._terms)
         for key, c in other._terms.items():
             terms[key] = terms.get(key, GR0) + c
@@ -137,16 +149,24 @@ class ExpPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-ExpPoly.lift(other))
+        other = ExpPoly._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return ExpPoly.lift(other) + (-self)
+        other = ExpPoly._operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __neg__(self):
         return ExpPoly({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other):
-        other = ExpPoly.lift(other)
+        other = ExpPoly._operand(other)
+        if other is None:
+            return NotImplemented
         terms = {}
         for (m1, (c1, l1)), a in self._terms.items():
             for (m2, (c2, l2)), b in other._terms.items():
@@ -167,7 +187,7 @@ class ExpPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             other = ExpPoly.constant(other)
         if not isinstance(other, ExpPoly):
             return NotImplemented

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitkit.algfile import parse_algebra
 from orbitkit.catalog import get_entry
 from orbitkit.envelop import (
     DiffOp,
@@ -19,12 +20,21 @@ from orbitkit.envelop import (
     symmetrize,
     uea_commutator,
 )
-from orbitkit.errors import RepCheckFailed
+from orbitkit.errors import DimensionMismatch, RepCheckFailed
 from orbitkit.exactlin import GaussianRational
 from orbitkit.liealg import g49_zero, heisenberg3
 from orbitkit.symflow import ExpPoly
 
 F = Fraction
+
+# solvable, with the non-integer constants that make word sums carry real
+# Fractions: [a,x] = x, [a,y] = -y/2, [a,z] = z/2, [x,y] = z/2
+HALF_BRACKETS = parse_algebra("basis a x y z\n"
+                              "bracket a x = x\n"
+                              "bracket a y = -1/2*y\n"
+                              "bracket a z = 1/2*z\n"
+                              "bracket x y = 1/2*z\n")
+ALGEBRAS = (g49_zero(), heisenberg3(), HALF_BRACKETS)
 
 
 def var(name):
@@ -80,8 +90,8 @@ def test_symmetrize_degree_one():
 def test_symmetrize_heisenberg_quadratic():
     h3 = heisenberg3()
     g = gens(h3)
-    w = symmetrize(var("e1") * var("e2"), h3, generators=gens(h3))
-    assert w == g["e1"] * g["e2"] - g["e3"] * F(1, 2)
+    w = symmetrize(var("e1") * var("e2"), h3)
+    assert w == -(g["e1"] * g["e2"] - g["e3"] * F(1, 2))
 
 
 def test_symmetrize_matches_displayed_central_element():
@@ -98,11 +108,11 @@ def test_symmetrize_matches_displayed_central_element():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.sampled_from(("e0", "e1", "e2", "e3")), min_size=1, max_size=4),
-       st.integers(-3, 3).filter(bool))
-def test_symmetrize_repeated_letters_matches_all_orderings(letters, c):
+@given(st.data(), st.integers(-3, 3).filter(bool))
+def test_symmetrize_repeated_letters_matches_all_orderings(data, c):
     # reference: (1/k!) times the sum over all k! orderings, repeats included
-    m = g49_zero()
+    m = data.draw(st.sampled_from(ALGEBRAS))
+    letters = data.draw(st.lists(st.sampled_from(m.basis_names), min_size=1, max_size=4))
     ed = dotted(m)
     q = ExpPoly.constant(c)
     for name in letters:
@@ -125,6 +135,66 @@ def test_is_central():
     assert not ok
     assert witness[0] == "e1"
     assert not witness[1].is_zero()
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2)),
+    st.builds(lambda k, c: var("f0") ** k * c, st.integers(1, 2), st.integers(-2, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_is_central_witness_is_the_commutator(data):
+    m = data.draw(st.sampled_from(ALGEBRAS[:2]))
+    words = st.lists(st.integers(0, m.dim - 1), max_size=4).map(tuple)
+    u = UEAElement(m, data.draw(st.dictionaries(words, coefficients, min_size=1,
+                                                max_size=4)))
+    expected = (True, None)
+    for name in m.basis_names:
+        commutator = uea_commutator(u, UEAElement.generator(m, name))
+        if not commutator.is_zero():
+            expected = (False, (name, commutator))
+            break
+    assert is_central(u) == expected
+
+
+def test_words_with_letters_outside_the_basis_are_rejected():
+    m = g49_zero()
+    for word in ((-1,), (3, -1), (9,)):
+        for coeff in (1, 0):
+            with pytest.raises(DimensionMismatch):
+                UEAElement(m, {word: coeff})
+
+
+def test_mixed_operands_defer_to_the_element_or_operator():
+    m = g49_zero()
+    t = var("f0") * F(1, 2) + GaussianRational(0, 1)
+    u = UEAElement.generator(m, "e1") * UEAElement.generator(m, "e0") + 3
+    d = DiffOp.D(2) + DiffOp.multiplication(var("xi"))
+    assert t * u == u * t
+    assert t + u == u + t
+    assert t + d == d + t
+    assert t * DiffOp.D() == DiffOp({1: t})
+    assert 1 - u == -(u - 1)
+    assert F(1, 2) - u == -(u - F(1, 2))
+
+
+def test_symmetrized_casimir_polynomial_acts_by_the_same_polynomial_of_its_scalar():
+    # q = a*C^3 + b*C^2 + c*C with C the g4,9,0 Casimir; symmetrize(q) is
+    # central and drho sends it to a*s^3 + b*s^2 + c*s with s = -g1*g2
+    entry = get_entry("g49_0")
+    m = entry.algebra
+    e0, e1, e2, e3 = (var(n) for n in m.basis_names)
+    casimir = e0 * e3 - e1 * e2 - var("f0") * e3
+    a, b, c = F(-3, 2), F(5, 4), F(7)
+    w = symmetrize(casimir ** 3 * a + casimir ** 2 * b + casimir * c, m)
+    assert is_central(w) == (True, None)
+    s = -(var("g1") * var("g2"))
+    value = evaluate_uea(entry.representations["drho"], w)
+    assert value.is_scalar()
+    assert value.scalar_value() == s ** 3 * a + s ** 2 * b + s * c
 
 
 def test_diffop_canonical_commutator():

@@ -6,7 +6,8 @@ import ast
 import types
 from pathlib import Path
 
-from orbitkit import liealg
+from orbitkit import envelop, liealg
+from orbitkit.symflow import ExpPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "orbitkit"
@@ -127,13 +128,19 @@ def test_the_import_scan_flags_an_unused_import():
         "m.py:2: json", "m.py:4: gcd", "m.py:7: named"]
 
 
-def test_the_benchmark_tracer_finds_every_name_it_wraps():
-    # perfbench/tracer.py wraps orbitkit functions and methods by name and
-    # raises LookupError for one that was renamed or deleted; it is run from
-    # its source, so no bytecode is written under perfbench/
+def _benchmark_tracer():
+    # perfbench/tracer.py is run from its source, so no bytecode is written
+    # under perfbench/
     path = ROOT / "perfbench" / "tracer.py"
     tracer = types.ModuleType("perfbench_tracer")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    return tracer
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py wraps orbitkit functions and methods by name and
+    # raises LookupError for one that was renamed or deleted
+    tracer = _benchmark_tracer()
     function = liealg._gaussian_eigenvalues
     method = liealg.LieAlgebra.__dict__["nilradical"]
     undo = tracer.install(tracer.Recorder())
@@ -144,3 +151,12 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
         undo()
     assert liealg._gaussian_eigenvalues is function
     assert liealg.LieAlgebra.__dict__["nilradical"] is method
+
+
+def test_the_benchmark_cache_probe_sees_symmetrize_use_the_word_cache():
+    # the traced benchmark reads envelop._normalize_word's lru_cache counters
+    m = liealg.g49_zero()
+    e0, e3 = ExpPoly.variable("e0"), ExpPoly.variable("e3")
+    with _benchmark_tracer().CacheProbe() as probe:
+        envelop.symmetrize(e0 ** 2 * e3, m)
+    assert probe.hits + probe.misses > 0
