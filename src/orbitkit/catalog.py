@@ -45,7 +45,6 @@ class CatalogEntry:
     expected_polarization: Subspace | None = None
     representations: dict = field(default_factory=dict)
     expected_verdict: str | None = None
-    invariant_constant: str | None = None
     critical_label_oracle: object = None
 
 
@@ -139,7 +138,6 @@ def _build_entries():
         expected_polarization=Subspace.span_of_coordinates(4, [0, 2, 3]),
         representations=_g49_representations(),
         expected_verdict="primitive-star-regular",
-        invariant_constant="f0",
     )
 
     gb5 = b5()
@@ -159,7 +157,6 @@ def _build_entries():
         stabilizer_names=("e0", "e1", "e2", "e3"),
         expected_polarization=Subspace.span_of_coordinates(5, [1, 3, 4]),
         expected_verdict="condition-R-fails",
-        invariant_constant="f0",
         critical_label_oracle=_b5_critical_label,
     )
 

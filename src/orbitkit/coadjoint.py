@@ -23,6 +23,8 @@ from .liealg import LieAlgebra
 
 # numerators and denominators of seeded random functionals are bounded by this
 RANDOM_COEFF_BOUND = 9
+# regularity_report tests condition (R) on this many seeded random functionals
+RANDOM_SAMPLES = 24
 
 STAR_REGULAR = "star-regular"
 PRIMITIVE_STAR_REGULAR = "primitive-star-regular"
@@ -102,13 +104,7 @@ class ConditionRCertificate:
 
     def verify(self, g: LieAlgebra) -> bool:
         """Recompute every cited object and compare with the stored ones."""
-        n = g.commutator_ideal()
-        m = stabilizer_ideal(g, self.f, n)
-        _, m_inf = g.descending_central_series(m)
-        values = tuple(pairing(self.f, b) for b in m_inf.basis)
-        return (n == self.n and m == self.m and m_inf == self.m_infinity
-                and values == self.values_on_m_infinity
-                and self.holds == all(x == 0 for x in values))
+        return condition_R_at(g, self.f)[1] == self
 
 
 def condition_R_at(g: LieAlgebra, f):
@@ -292,8 +288,8 @@ class RegularityReport:
         return self.certificate.verify(g) and not self.certificate.holds
 
 
-def regularity_report(g: LieAlgebra, sample_functionals=(), seed: int = 0,
-                      num_random: int = 24) -> RegularityReport:
+def regularity_report(g: LieAlgebra, sample_functionals=(),
+                      seed: int = 0) -> RegularityReport:
     """Decision cascade for (primitive) star-regularity of exp(g).
 
     Branches, in order: nilpotent algebras are star-regular (polynomial
@@ -340,7 +336,7 @@ def regularity_report(g: LieAlgebra, sample_functionals=(), seed: int = 0,
 
     rng = random.Random(seed)
     samples = [vec(f) for f in sample_functionals]
-    samples += [random_functional(g, rng) for _ in range(num_random)]
+    samples += [random_functional(g, rng) for _ in range(RANDOM_SAMPLES)]
     for f in samples:
         holds, cert = condition_R_at(g, f)
         if not holds:

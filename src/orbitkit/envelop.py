@@ -68,10 +68,10 @@ class UEAElement:
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: LieAlgebra, terms=None, _strategy="left"):
+    def __init__(self, algebra: LieAlgebra, terms=None):
         normal = {}
         for word, coeff in (terms or {}).items():
-            normal_form = _normalize_word(algebra, tuple(word), _strategy)
+            normal_form = _normalize_word(algebra, tuple(word), "left")
             coeff = coeff if isinstance(coeff, ExpPoly) else ExpPoly.constant(coeff)
             if coeff.is_zero():
                 continue

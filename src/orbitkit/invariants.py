@@ -366,6 +366,19 @@ def _best_value_for(folded, var, assignment):
 
 
 class _Search:
+    """Seeded search for an orbit point near the targets.
+
+    _offer runs one attempt at fixed atoms and alone replaces the record
+    self.best = (distance, assignment, atoms).  run() offers, in order:
+    1. pin starts at unit atoms; 2. solved atoms, unless the record is exact;
+    3. for a polynomial orbit up to 6 seeded restarts, else rounds scaling
+    one atom of the record by each factor, with up to 12 random atom
+    restarts in all after rounds that do not improve.  The stop predicate is
+    _stopped: evaluations >= budget or distance <= tol^2.  Phase 3 checks the
+    budget before each offer and _stopped after each improvement and each
+    atom's factors, so a round begun within tolerance tries the first atom.
+    """
+
     def __init__(self, om, targets, tol, budget, seed):
         self.targets = targets
         self.tol2 = tol * tol
@@ -375,6 +388,10 @@ class _Search:
         self.poly_vars = sorted({v for c in om.components for v in c.poly_variables()})
         self.compiled, self.scales = _compile_components(om.components)
         self.exp_vars = sorted(self.scales)
+        self.best = None
+
+    def _stopped(self):
+        return self.evaluations >= self.budget or self.best[0] <= self.tol2
 
     def dist2(self, assignment, folded):
         self.evaluations += 1
@@ -384,11 +401,12 @@ class _Search:
             pairs.append((sum(n for n, _ in terms), den))
         return _dist2(pairs)
 
-    def descend(self, assignment, folded, sweeps=3):
+    def descend(self, assignment, folded):
+        """Two sweeps of exact coordinate descent from a copy of assignment."""
         assignment = dict(assignment)
         best = self.dist2(assignment, folded)
-        for _ in range(sweeps):
-            improved = False
+        for _ in range(2):
+            sweep_start = best
             for var in self.poly_vars:
                 if self.evaluations >= self.budget:
                     return best, assignment
@@ -400,8 +418,7 @@ class _Search:
                     if d < best:
                         best = d
                         assignment[var] = cand
-                        improved = True
-            if not improved:
+            if best == sweep_start:
                 break
         return best, assignment
 
@@ -435,7 +452,8 @@ class _Search:
 
         Mirrors how witness sequences are built by hand: components that are
         linear in a single remaining unknown get solved exactly; everything
-        still unpinned afterwards is set to zero.
+        still unpinned afterwards is set to zero.  _linear_pin sees pinned
+        variables substituted, so it returns an unpinned one.
         """
         pinned = dict(preset or {})
         progress = True
@@ -445,7 +463,7 @@ class _Search:
                 if ci == skip:
                     continue
                 got = self._linear_pin(f, pinned)
-                if got is not None and got[0] not in pinned:
+                if got is not None:
                     pinned[got[0]] = got[1]
                     progress = True
         return {v: pinned.get(v, Fraction(0)) for v in self.poly_vars}
@@ -469,20 +487,20 @@ class _Search:
                 unique.append(s)
         return unique
 
-    def _attempt(self, atoms, extra_starts=()):
+    def _offer(self, atoms, extra_starts=()):
+        """Descend from extra_starts, then the pin starts, keeping any better
+        record; the first start always runs, the others stop at the budget or
+        after an exact hit.  Returns whether the record improved."""
         # atoms are fixed within an attempt: fold them in once
         folded = [_fold(c, t, atoms) for c, t in zip(self.compiled, self.targets)]
-        best = None
-        starts = list(extra_starts) + self._pin_starts(atoms, folded)
-        for start in starts:
-            if best is not None and self.evaluations >= self.budget:
+        record = self.best
+        for start in (*extra_starts, *self._pin_starts(atoms, folded)):
+            d, a = self.descend(start, folded)
+            if self.best is None or d < self.best[0]:
+                self.best = (d, a, atoms)
+            if d == 0 or self.evaluations >= self.budget:
                 break
-            d, a = self.descend(dict(start), folded, sweeps=2)
-            if best is None or d < best[0]:
-                best = (d, a)
-            if d == 0:
-                break
-        return best
+        return self.best is not record
 
     def _solved_atoms(self):
         """Atoms solved exactly from components that are pure single-atom
@@ -505,65 +523,46 @@ class _Search:
                 atoms[v] = root
         return atoms
 
-    def run(self):
-        atoms = {v: Fraction(1) for v in self.exp_vars}
-        best_d, best_a = self._attempt(atoms)
-        best_atoms = dict(atoms)
-        if best_d == 0:
-            return best_d, best_a, best_atoms
-        solved = self._solved_atoms()
-        if solved != atoms:
-            got = self._attempt(solved, extra_starts=(best_a,))
-            if got is not None and got[0] < best_d:
-                best_d, best_a = got
-                best_atoms = dict(solved)
-            if best_d == 0:
-                return best_d, best_a, best_atoms
-        if not self.exp_vars:
-            # polynomial orbit: pin starts plus a few seeded restarts
-            for _ in range(6):
-                if self.evaluations >= self.budget or best_d <= self.tol2:
-                    break
-                got = self._attempt(atoms, extra_starts=(self._random_start(),))
-                if got is not None and got[0] < best_d:
-                    best_d, best_a = got
-            return best_d, best_a, best_atoms
+    def _scale_atoms(self):
+        """Phase 3 for an orbit with exp atoms."""
         factors = (Fraction(1, 16), Fraction(16), Fraction(1, 2), Fraction(2))
-        failed_restarts = 0
+        restarts = 12
         while self.evaluations < self.budget:
-            improved = False
+            round_start = self.best
             for var in self.exp_vars:
                 for factor in factors:
                     if self.evaluations >= self.budget:
-                        break
-                    trial_atoms = dict(best_atoms)
-                    trial_atoms[var] = trial_atoms[var] * factor
-                    got = self._attempt(trial_atoms, extra_starts=(best_a,))
-                    if got is not None and got[0] < best_d:
-                        best_d, best_a = got
-                        best_atoms = trial_atoms
-                        improved = True
-                        if best_d == 0 or best_d <= self.tol2:
-                            break
-                if best_d == 0 or best_d <= self.tol2:
+                        return
+                    _, a, atoms = self.best
+                    improved = self._offer({**atoms, var: atoms[var] * factor}, (a,))
+                    if improved and self._stopped():
+                        return
+                if self._stopped():
+                    return
+            if self.best is not round_start:
+                continue
+            while restarts and self.evaluations < self.budget:
+                restarts -= 1
+                atoms = {v: Fraction(2) ** self.rng.randint(-24, 8) for v in self.exp_vars}
+                if self._offer(atoms, (self._random_start(),)):
                     break
-            if best_d == 0 or best_d <= self.tol2:
-                break
-            if not improved:
-                progress = False
-                while failed_restarts < 12 and self.evaluations < self.budget:
-                    trial_atoms = {v: Fraction(2) ** self.rng.randint(-24, 8)
-                                   for v in self.exp_vars}
-                    got = self._attempt(trial_atoms, extra_starts=(self._random_start(),))
-                    failed_restarts += 1
-                    if got is not None and got[0] < best_d:
-                        best_d, best_a = got
-                        best_atoms = trial_atoms
-                        progress = True
-                        break
-                if not progress:
+            else:
+                return
+
+    def run(self):
+        unit = {v: Fraction(1) for v in self.exp_vars}
+        self._offer(unit)
+        solved = self._solved_atoms()
+        if self.best[0] and solved != unit:
+            self._offer(solved, (self.best[1],))
+        if not self.exp_vars:
+            for _ in range(6):
+                if self._stopped():
                     break
-        return best_d, best_a, best_atoms
+                self._offer(unit, (self._random_start(),))
+        elif self.best[0]:
+            self._scale_atoms()
+        return self.best
 
 
 def closure_membership(om: OrbitMap, target, invariants=(),
@@ -682,7 +681,7 @@ class CriticalVerdict:
     notes: tuple = ()
 
 
-def critical_test(g: LieAlgebra, f, target, steps=None, degree: int = 2,
+def critical_test(g: LieAlgebra, f, target, steps, degree: int = 2,
                   tol: Fraction = Fraction(1, 10 ** 6), budget: int = 10 ** 4,
                   seed: int = 0) -> CriticalVerdict:
     """Is target critical for the orbit of f?
@@ -692,13 +691,10 @@ def critical_test(g: LieAlgebra, f, target, steps=None, degree: int = 2,
     region Omega); an exact hit there means the two functionals share the
     restricted orbit.  Inside Omega, the full-orbit closure is tested with
     semi-invariant certificates: an exact nonvanishing certificate makes
-    the target critical.
+    the target critical.  steps are the orbit_map steps for both orbits.
     """
     f = tuple(Fraction(x) for x in f)
     target = tuple(Fraction(x) for x in target)
-    if steps is None:
-        steps = [(g.basis_vector(name), f"s{i+1}")
-                 for i, name in enumerate(g.basis_names)]
     nilrad = g.nilradical()
     om_n = orbit_map(g, f, steps, restrict_to=nilrad)
     target_n = tuple(vec_dot(target, b) for b in nilrad.basis)

@@ -116,7 +116,7 @@ class LieAlgebra:
     Antisymmetry and the Jacobi identity are checked at construction.
     """
 
-    __slots__ = ("dim", "basis_names", "table", "_memo")
+    __slots__ = ("dim", "basis_names", "table", "_memo", "_hash")
 
     def __init__(self, basis_names, table, _validated=False):
         names = tuple(basis_names)
@@ -130,6 +130,7 @@ class LieAlgebra:
         object.__setattr__(self, "basis_names", names)
         object.__setattr__(self, "table", tbl)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_hash", None)
         if not _validated:
             self._validate()
 
@@ -142,7 +143,9 @@ class LieAlgebra:
                 and self.table == other.table)
 
     def __hash__(self):
-        return hash((self.basis_names, self.table))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.basis_names, self.table)))
+        return self._hash
 
     def _validate(self):
         n = self.dim

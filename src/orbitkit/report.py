@@ -126,13 +126,12 @@ def closure_json(v: ClosureVerdict):
     return out
 
 
-def decimal_str_sqrt(squared: Fraction, places: int = DISTANCE_DECIMALS) -> str:
+def decimal_str_sqrt(squared: Fraction) -> str:
     """Decimal string of sqrt(squared) by integer square root; display only."""
-    squared = Fraction(squared)
-    scaled = squared * 10 ** (2 * places)
+    scaled = Fraction(squared) * 10 ** (2 * DISTANCE_DECIMALS)
     root = isqrt(scaled.numerator // scaled.denominator)
-    whole, frac = divmod(root, 10 ** places)
-    return f"{whole}.{frac:0{places}d}"
+    whole, frac = divmod(root, 10 ** DISTANCE_DECIMALS)
+    return f"{whole}.{frac:0{DISTANCE_DECIMALS}d}"
 
 
 def envelope(command: str, payload: dict) -> str:

@@ -1,10 +1,14 @@
 """Stabilizers, condition (R), polarizations, and the decision cascade."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from orbitkit import cli
+from orbitkit.algfile import parse_algebra
 from orbitkit.coadjoint import (
     CONDITION_R_FAILS,
     PRIMITIVE_STAR_REGULAR,
@@ -267,3 +271,54 @@ def test_regularity_report_deterministic():
     r1 = regularity_report(g, [f], seed=3)
     r2 = regularity_report(g, [f], seed=3)
     assert r1 == r2
+
+
+# R^2 acting on the filiform f4 with weights a = (-1,-1,-2,-3), b = (-1,0,-1,-2):
+# no branch of the cascade applies, so the verdict comes from the sample
+R2_F4 = """basis a b x1 x2 x3 x4
+bracket x1 x2 = x3
+bracket x1 x3 = x4
+bracket a x1 = -1*x1
+bracket a x2 = -1*x2
+bracket a x3 = -2*x3
+bracket a x4 = -3*x4
+bracket b x1 = -1*x1
+bracket b x3 = -1*x3
+bracket b x4 = -2*x4
+"""
+# a functional whose stabilizer ideal's stable term is not in its kernel
+R2_F4_VIOLATION = (F(1, 2), F(-1, 4), F(0), F(4, 9), F(-2), F(0))
+
+
+def test_a_sample_without_violations_is_undetermined(tmp_path, capsys):
+    rep = regularity_report(parse_algebra(R2_F4))
+    assert (rep.verdict, rep.samples_checked, rep.certificate) == (UNDETERMINED, 24, None)
+    path = tmp_path / "r2f4.alg"
+    path.write_text(R2_F4, encoding="utf-8")
+    assert cli.main(["regularity-report", "--file", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["verdict"], result["samples_checked"]) == (UNDETERMINED, 24)
+    assert "certificate" not in result
+
+
+def test_a_sampled_violation_certifies_condition_r_fails():
+    g = parse_algebra(R2_F4)
+    rep = regularity_report(g, sample_functionals=[R2_F4_VIOLATION])
+    assert rep.verdict == CONDITION_R_FAILS and rep.verify(g)
+    cert = rep.certificate
+    assert cert.f == R2_F4_VIOLATION and cert.verify(g)
+    assert cert.values_on_m_infinity == (0, F(4, 9), -2, 0)
+
+
+def test_a_certificate_with_any_field_replaced_fails_verify():
+    g = parse_algebra(R2_F4)
+    rep = regularity_report(g, sample_functionals=[R2_F4_VIOLATION])
+    cert = rep.certificate
+    wrong = {"f": cert.f[:3] + (F(5, 9),) + cert.f[4:], "n": cert.m, "m": cert.n,
+             "m_infinity": cert.m, "values_on_m_infinity": (0, 0, 0, 0), "holds": True}
+    assert set(wrong) == {field.name for field in dataclasses.fields(cert)}
+    for name, value in wrong.items():
+        assert value != getattr(cert, name)
+        bad = dataclasses.replace(cert, **{name: value})
+        assert not bad.verify(g), name
+        assert not dataclasses.replace(rep, certificate=bad).verify(g), name

@@ -290,7 +290,14 @@ def _closure_orbit(name):
 # (orbit, target, use certificates, search keywords) -> the verdict recorded from
 # the search evaluated on Fractions, which the integer kernel must reproduce
 # exactly; the off-orbit b5 target reaches the random restarts, and the
-# filiform one the candidate set for a coordinate of degree 2
+# filiform one the candidate set for a coordinate of degree 2.  The seed-0
+# calls pin the other exits: a polynomial restart that improves, polynomial
+# restarts and an attempt's starts stopped by the budget, atom scaling stopped
+# by the budget, a random atom restart that improves; the near-orbit g49_0
+# target ends phase 2 within tolerance, and the round after it still scales
+# the first atom by every factor before the search stops; the half target
+# reaches phase 2 after phase 1 spent the budget, and the last g49_0 target
+# spends all twelve random atom restarts well inside its budget
 GOLDEN_CALLS = {
     'b5 e1-axis': ("b5", (F(2), F(3, 2), F(0), F(0)), True, {"seed": 3}),
     'b5 e2-axis': ("b5", (F(-1), F(0), F(5, 3), F(0)), True, {"seed": 5}),
@@ -300,6 +307,19 @@ GOLDEN_CALLS = {
     'b5 off-orbit': ("b5", (F(-1), F(1), F(0), F(2)), False, {"seed": 11, "budget": 400}),
     'filiform4 off-orbit': ("filiform4", (F(1), F(2), F(1), F(1)), False,
                             {"seed": 1, "budget": 300}),
+    'filiform4 restart improves': ("filiform4", (F(0), F(0), F(1), F(1)), False,
+                                   {"seed": 0, "budget": 200}),
+    'filiform4 budget 20': ("filiform4", (F(-2), F(-1), F(0), F(0)), False,
+                            {"seed": 0, "budget": 20}),
+    'b5 scaling budget': ("b5", (F(1), F(-1), F(0), F(-3, 2)), False,
+                          {"seed": 0, "budget": 200}),
+    'g49_0 atom restart improves': ("g49_0", (F(-2), F(3), F(-1), F(-2)), False,
+                                    {"seed": 0, "budget": 200}),
+    'g49_0 within tolerance': ("g49_0", (F(1000003, 3000000), F(0), F(0), F(1)), False,
+                               {"seed": 2, "budget": 200}),
+    'half phase 2 past budget': ("half", (F(0), F(3, 2)), False, {"seed": 1, "budget": 5}),
+    'g49_0 restarts spent': ("g49_0", (F(1, 2), F(-2), F(1), F(1, 2)), False,
+                             {"seed": 9, "budget": 1500}),
 }
 GOLDEN_VERDICTS = {
     'b5 e1-axis': (
@@ -350,6 +370,47 @@ GOLDEN_VERDICTS = {
         {'s1': F("-1"), 's3': F("1")},
         {},
         F("9/4")),
+    'filiform4 restart improves': (
+        'inconclusive', 52,
+        {'s1': F("-2/3"), 's3': F("0")},
+        {},
+        F("13/81")),
+    'filiform4 budget 20': (
+        'inconclusive', 20,
+        {'s1': F("0"), 's3': F("-2")},
+        {},
+        F("2")),
+    'b5 scaling budget': (
+        'inconclusive', 200,
+        {'x1': F("23856188392220800/573279290493435123"),
+         'x2': F("-10153057099866817468920939/634317398502559253050238")},
+        {'s': F("32"), 't': F("1/16")},
+        F("3969430468793455611543977053401483784510957970087258490020506245818359"
+          "5657728812995637/16926054062352184871665807177175510776264270399330601"
+          "003418821483979360305413837705728")),
+    'g49_0 atom restart improves': (
+        'inconclusive', 200,
+        {'x1': F("1850307592541596405272640/35726248295498170313833"),
+         'x2': F("39751290515042924202646/861277828343368722651133")},
+        {'t': F("64")},
+        F("7704730659979349119158195474549414440670628581868064298208552213962539"
+          "5999425745706041849966939/852126102180995384339462156777527543340924293"
+          "2031836661313532103582293833623304603036040046689")),
+    'g49_0 within tolerance': (
+        'in-closure-numeric', 59,
+        {'x1': F("0"), 'x2': F("0")},
+        {'t': F("1")},
+        F("1/1000000000000")),
+    'half phase 2 past budget': (
+        'exact-point', 6,
+        {'s2': F("0")},
+        {'s1': F("4/9")},
+        F("0")),
+    'g49_0 restarts spent': (
+        'inconclusive', 478,
+        {'x1': F("-212741/1502796"), 'x2': F("-4463507247926/2303654550697")},
+        {'t': F("1")},
+        F("6166353302993749061147677/5202563802526170437678352")),
 }
 
 

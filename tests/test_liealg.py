@@ -304,6 +304,15 @@ def test_memo_keeps_equality_hash_and_immutability():
             setattr(g, attr, None)
 
 
+def test_the_hash_is_computed_once_and_kept():
+    g = g49_zero()
+    assert g._hash is None
+    h = hash(g)
+    assert g._hash == h == hash((g.basis_names, g.table)) == hash(g49_zero())
+    with pytest.raises(AttributeError):
+        g._hash = None
+
+
 def test_triangularization_runs_once_per_algebra_and_flag(monkeypatch):
     body = LieAlgebra._triangularize.__wrapped__
     calls = Counter()
