@@ -385,7 +385,9 @@ def build_parser() -> _Parser:
     p.add_argument("--degree", type=_int_at_least(1), default=2)
     p.add_argument("--tol-exponent", type=_int_at_least(0), default=6,
                    help="tolerance 10^-k on the distance (default k=6)")
-    p.add_argument("--budget", type=_int_at_least(1), default=10 ** 4)
+    p.add_argument("--budget", type=_int_at_least(1), default=10 ** 4,
+                   help="soft bound on search evaluations; the search can "
+                        "spend one more (default 10000)")
     _add_seed_argument(p)
     p.set_defaults(func=_cmd_closure_test)
 

@@ -78,14 +78,10 @@ def stabilizer_ideal(g: LieAlgebra, f, n: Subspace | None = None) -> Subspace:
 
 
 def mtilde(g: LieAlgebra, m: Subspace) -> Subspace:
-    """Intersection of the root kernels containing m; full space if none do."""
-    result = Subspace.full(g.dim)
-    for root in g.adjoint_weights():
-        if root.is_zero():
-            continue
-        ker = root.kernel()
-        if ker.contains_subspace(m):
-            result = result.intersect(ker)
+    """Common kernel of the roots that vanish on m; full space if none do."""
+    result = Subspace.common_kernel(g.dim, [Matrix([root.re, root.im])
+                                            for root in g.adjoint_weights()
+                                            if root.vanishes_on(m)])
     if not result.contains_subspace(m):
         raise PreconditionFailed("mtilde must contain m")
     return result
@@ -130,14 +126,10 @@ def largest_ideal_in_kernel(g: LieAlgebra, f) -> Subspace:
     """
     f = vec(f)
     current = kernel(Matrix([f]))
+    ads = [g.ad_matrix(unit_vector(g.dim, i)) for i in range(g.dim)]
     while True:
         ann = current.annihilator_matrix()
-        rows = list(ann.entries)
-        for i in range(g.dim):
-            ad = g.ad_matrix(unit_vector(g.dim, i))
-            for c in ann.entries:
-                rows.append(tuple(vec_dot(c, ad.column(j)) for j in range(g.dim)))
-        nxt = kernel(Matrix(rows)) if rows else Subspace.full(g.dim)
+        nxt = Subspace.common_kernel(g.dim, [ann] + [ann * ad for ad in ads])
         if nxt == current:
             return current
         current = nxt

@@ -401,18 +401,17 @@ def check_rep(m: LieAlgebra, assign: dict):
     return True, None
 
 
-def evaluate_uea(assign: dict, u: UEAElement, checked: bool = True) -> DiffOp:
+def evaluate_uea(assign: dict, u: UEAElement) -> DiffOp:
     """Apply a differential-operator representation to a normal-form element.
 
     assign is as in check_rep.  For central u in an irreducible catalog
     representation the result is a scalar operator.
     """
     m = u.algebra
-    if checked:
-        ok, defect = check_rep(m, assign)
-        if not ok:
-            raise RepCheckFailed(
-                f"assignment is not a representation; defect at {defect[0]},{defect[1]}")
+    ok, defect = check_rep(m, assign)
+    if not ok:
+        raise RepCheckFailed(
+            f"assignment is not a representation; defect at {defect[0]},{defect[1]}")
     t = [PLUS_I * assign[name] for name in m.basis_names]
     total = DiffOp()
     for word, coeff in u.terms.items():

@@ -182,15 +182,15 @@ def zero_vector(n):
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Immutable dense matrix with exact entries; cols is the width of one without rows."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries):
+    def __init__(self, entries, cols=0):
         rows = tuple(tuple(scalar(x) for x in row) for row in entries)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(self, "cols", len(rows[0]) if rows else cols)
         if any(len(r) != self.cols for r in rows):
             raise DimensionMismatch("ragged matrix rows")
 
@@ -203,11 +203,11 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([zero_vector(cols) for _ in range(rows)])
+        return cls([zero_vector(cols) for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, columns):
-        return cls(list(zip(*columns))) if columns else cls([])
+        return cls(list(zip(*columns)), len(columns))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -220,7 +220,7 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self):
-        return Matrix(list(zip(*self.entries))) if self.rows else Matrix([])
+        return Matrix(list(zip(*self.entries)) if self.rows else [()] * self.cols, self.rows)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
@@ -231,26 +231,27 @@ class Matrix:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Matrix([vec_add(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix([vec_add(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Matrix([vec_sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return Matrix([vec_sub(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
 
     def __neg__(self):
-        return Matrix([vec_scale(-Q1, r) for r in self.entries])
+        return Matrix([vec_scale(-Q1, r) for r in self.entries], self.cols)
 
     def scale(self, c):
         c = scalar(c)
-        return Matrix([vec_scale(c, r) for r in self.entries])
+        return Matrix([vec_scale(c, r) for r in self.entries], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch("inner dimensions differ")
             ot = other.transpose()
-            return Matrix([[vec_dot(r, c) for c in ot.entries] for r in self.entries])
+            return Matrix([[vec_dot(r, c) for c in ot.entries] for r in self.entries],
+                          other.cols)
         return NotImplemented
 
     def apply(self, v):
@@ -314,17 +315,7 @@ def rank(m: Matrix) -> int:
 
 def kernel(m: Matrix) -> "Subspace":
     """Null space {v : Mv = 0} with canonical basis."""
-    reduced, pivots = rref(m.entries)
-    n = m.cols
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Q0] * n
-        v[fc] = Q1
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(tuple(v))
-    return Subspace.from_vectors(n, basis)
+    return Subspace.common_kernel(m.cols, [m])
 
 
 def solve(m: Matrix, b):
@@ -375,6 +366,29 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim):
         return cls(ambient_dim, Matrix.identity(ambient_dim).entries)
+
+    @classmethod
+    def common_kernel(cls, ambient_dim, matrices):
+        """{v : Mv = 0 for every M in matrices}, from one rref of their stacked
+        rows; the full space when there are no rows."""
+        rows = []
+        for m in matrices:
+            if m.cols != ambient_dim:
+                raise DimensionMismatch("matrix width differs from ambient dimension")
+            rows.extend(m.entries)
+        if not rows:
+            return cls.full(ambient_dim)
+        reduced, pivots = rref(rows)
+        basis = []
+        for fc in range(ambient_dim):
+            if fc in pivots:
+                continue
+            v = [Q0] * ambient_dim
+            v[fc] = Q1
+            for r, pc in enumerate(pivots):
+                v[pc] = -reduced[r][fc]
+            basis.append(tuple(v))
+        return cls.from_vectors(ambient_dim, basis)
 
     @classmethod
     def span_of_coordinates(cls, ambient_dim, coords):
@@ -430,14 +444,8 @@ class Subspace:
 
     def intersect(self, other):
         self._check_ambient(other)
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.ambient_dim)
-        # kernel of [A^T | B^T] gives the coefficient pairs with a.A = -b.B
-        cols = [list(r) for r in self.basis] + [list(r) for r in other.basis]
-        rel = kernel(Matrix.from_columns(cols))
-        # combinations() zips each relation with self.basis, so it reads only
-        # the leading a-coefficients
-        return Subspace.from_vectors(self.ambient_dim, self.combinations(rel.basis))
+        return Subspace.common_kernel(self.ambient_dim, [self.annihilator_matrix(),
+                                                         other.annihilator_matrix()])
 
     def combinations(self, rows):
         """Ambient vectors sum_k c_k * basis_k, one per coefficient row c."""
@@ -467,13 +475,7 @@ class Subspace:
 
     def annihilator_matrix(self):
         """Matrix whose kernel (as row covectors acting by the dot product) is self."""
-        if not self.basis:
-            return Matrix.identity(self.ambient_dim)
-        m = Matrix(self.basis)
-        ann = kernel(m)
-        if not ann.basis:
-            return Matrix.zero(0, self.ambient_dim)
-        return Matrix(ann.basis)
+        return Matrix(kernel(Matrix(self.basis, self.ambient_dim)).basis, self.ambient_dim)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

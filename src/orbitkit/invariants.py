@@ -159,10 +159,9 @@ def invariant_space(m: LieAlgebra, degree_bound: int, module: Subspace | None = 
     """Basis of the nonconstant polynomial invariants up to the degree bound."""
     names = _dual_names(m, module)
     monomials = _monomials(names, degree_bound)
-    space = Subspace.full(len(monomials))
-    for i in range(m.dim):
-        mat = _derivation_matrix(_action(m, unit_vector(m.dim, i), module), monomials)
-        space = space.intersect(kernel(mat))
+    mats = [_derivation_matrix(_action(m, unit_vector(m.dim, i), module), monomials)
+            for i in range(m.dim)]
+    space = Subspace.common_kernel(len(monomials), mats)
     return [_vector_to_poly(v, names, monomials) for v in space.basis]
 
 
@@ -178,25 +177,20 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
             for i in range(g.dim)]
 
     comm = g.commutator_ideal()
-    space = Subspace.full(len(monomials))
-    for b in comm.basis:
-        mat = _derivation_matrix(_action(g, b, module), monomials)
-        space = space.intersect(kernel(mat))
+    space = Subspace.common_kernel(len(monomials), [
+        _derivation_matrix(_action(g, b, module), monomials) for b in comm.basis])
 
     pieces = [space]
     for c in comm.complement_coordinates():
         refined = []
         for piece in pieces:
-            if piece.dim == 0:
-                continue
             az = _restrict_to(mats[c], piece)
             for lam, _ in _gaussian_eigenvalues(az):
                 if not lam.is_real:
                     continue
                 eig = kernel(az - Matrix.identity(az.rows).scale(lam.re))
-                sub = Subspace.from_vectors(len(monomials), piece.combinations(eig.basis))
-                if sub.dim:
-                    refined.append(sub)
+                refined.append(Subspace.from_vectors(len(monomials),
+                                                     piece.combinations(eig.basis)))
         pieces = refined
 
     results = []
@@ -235,7 +229,9 @@ def vanish_on_orbit(q: ExpPoly, om: OrbitMap) -> bool:
 
 @dataclass(frozen=True)
 class ClosureVerdict:
-    """Outcome of an orbit-closure test, with recomputable witness data."""
+    """Outcome of an orbit-closure test, with recomputable witness data;
+    budget is a soft bound: a search can spend one more evaluation (see
+    closure_membership)."""
 
     kind: str
     tolerance: Fraction
@@ -576,6 +572,12 @@ def closure_membership(om: OrbitMap, target, invariants=(),
     search over parameter values and positive rational exp-atom values
     looks for orbit points near the target: exact hit, distance below tol,
     or an inconclusive budget report.
+
+    The budget is a soft bound on the evaluations.  The first pin start
+    always runs, and phase 2 (atoms solved from single-atom components)
+    runs whenever the record is not exact, so a search whose phase 1 spent
+    a budget of at least 1 can spend one more evaluation (6 at budget 5,
+    for example).  Every later step checks the budget first.
 
     The search atom u_v stands for exp(v / L_v), where L_v is the lcm of the
     denominators of v's exponent coefficients, so every power it takes is an

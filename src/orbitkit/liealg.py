@@ -66,15 +66,7 @@ class Root:
         return GaussianRational(re, im)
 
     def kernel(self) -> Subspace:
-        n = len(self.re)
-        rows = []
-        if any(x != 0 for x in self.re):
-            rows.append(self.re)
-        if any(x != 0 for x in self.im):
-            rows.append(self.im)
-        if not rows:
-            return Subspace.full(n)
-        return kernel(Matrix(rows))
+        return kernel(Matrix([self.re, self.im]))
 
     def vanishes_on(self, space: Subspace) -> bool:
         return all(not self.value(b) for b in space.basis)
@@ -260,8 +252,7 @@ class LieAlgebra:
 
     def centralizer(self, v: Subspace) -> Subspace:
         """{x : [x, v] = 0}, the common kernel of ad(b) over the basis of v."""
-        rows = [row for b in v.basis for row in self.ad_matrix(b).entries]
-        return kernel(Matrix(rows)) if rows else Subspace.full(self.dim)
+        return Subspace.common_kernel(self.dim, [self.ad_matrix(b) for b in v.basis])
 
     def center(self) -> Subspace:
         return self.centralizer(Subspace.full(self.dim))
@@ -376,9 +367,7 @@ class LieAlgebra:
                     cols.append(tuple(w[p] for p in np_coords))
                 return Matrix.from_columns(cols)
 
-            w_space = Subspace.full(q)
-            for mat in comm_mats:
-                w_space = w_space.intersect(kernel(induce(mat)))
+            w_space = Subspace.common_kernel(q, [induce(mat) for mat in comm_mats])
             if w_space.dim == 0:
                 raise PreconditionFailed("no common null vector for the commutator action")
             for c in comp_coords:
@@ -452,9 +441,8 @@ class LieAlgebra:
         result = kernel(Matrix([[sum((x * c[j][l][k] for k, l, x in terms[i]), Q0)
                                  for j in range(n)] for i in range(n)]))
         if not self._is_nilpotent_ideal_over_commutator(result):
-            result = Subspace.full(n)
-            for root in self.adjoint_weights():
-                result = result.intersect(root.kernel())
+            result = Subspace.common_kernel(
+                n, [Matrix([root.re, root.im]) for root in self.adjoint_weights()])
             if not self._is_nilpotent_ideal_over_commutator(result):
                 raise PreconditionFailed("computed nilradical is not a nilpotent ideal "
                                          "containing the commutator ideal")

@@ -263,9 +263,8 @@ def test_evaluate_is_homomorphism():
                            F(rng.randint(-2, 2))})
         v = UEAElement(m, {tuple(rng.choices(range(4), k=rng.randint(0, 2))):
                            F(rng.randint(-2, 2))})
-        left = evaluate_uea(dpi, u * v, checked=False)
-        right = evaluate_uea(dpi, u, checked=False) * evaluate_uea(dpi, v,
-                                                                   checked=False)
+        left = evaluate_uea(dpi, u * v)
+        right = evaluate_uea(dpi, u) * evaluate_uea(dpi, v)
         assert left == right
 
 

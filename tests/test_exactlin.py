@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitkit.errors import DimensionMismatch
 from orbitkit.exactlin import (
@@ -134,3 +136,61 @@ def test_contains_and_coordinates():
     assert tuple(rebuilt) == tuple(map(F, v))
     assert not s.contains(unit_vector(4, 3))
     assert s.coordinates_of(unit_vector(4, 3)) is None
+
+
+def test_zero_row_matrices_keep_their_width():
+    z = Matrix.zero(0, 3)
+    assert (z.rows, z.cols) == (0, 3)
+    assert (z.transpose().rows, z.transpose().cols) == (3, 0)
+    assert (z * Matrix.identity(3)).cols == 3
+    assert Matrix.from_columns([(), ()]).cols == 2
+    assert kernel(z) == Subspace.full(3)
+    for s in (Subspace.zero(3), Subspace.full(3)):
+        assert kernel(s.annihilator_matrix()) == s
+
+
+# mostly zero entries, so that families of matrices are often rank deficient
+_Q = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+
+
+def _matrices(n):
+    """Lists of 0-4 matrices with n columns, 0-4 rows each, some all zero."""
+    random_matrix = st.integers(0, 4).flatmap(
+        lambda rows: st.lists(st.lists(_Q, min_size=n, max_size=n),
+                              min_size=rows, max_size=rows).map(lambda e: Matrix(e, n)))
+    zero_matrix = st.integers(0, 4).map(lambda rows: Matrix.zero(rows, n))
+    return st.lists(st.one_of(random_matrix, zero_matrix), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), _matrices(n))))
+def test_common_kernel_is_killed_by_every_matrix(case):
+    n, mats = case
+    space = Subspace.common_kernel(n, mats)
+    assert space.ambient_dim == n
+    for m in mats:
+        assert all(not any(m.apply(v)) for v in space.basis)
+    stacked = Matrix([row for m in mats for row in m.entries], n)
+    assert space.dim == n - rank(stacked)
+    if len(mats) == 1:
+        assert space == kernel(mats[0])
+
+
+def _subspaces(n):
+    return st.lists(st.lists(_Q, min_size=n, max_size=n), max_size=n).map(
+        lambda vectors: Subspace.from_vectors(n, vectors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_subspaces(n), _subspaces(n))))
+def test_intersection_lies_in_both_and_has_the_dimension_formula(pair):
+    a, b = pair
+    both = a.intersect(b)
+    assert a.contains_subspace(both) and b.contains_subspace(both)
+    assert a.dim + b.dim == (a + b).dim + both.dim
+    assert kernel(a.annihilator_matrix()) == a
+
+
+def test_common_kernel_rejects_a_matrix_of_another_width():
+    with pytest.raises(DimensionMismatch):
+        Subspace.common_kernel(3, [Matrix.identity(3), Matrix.zero(0, 2)])

@@ -64,7 +64,7 @@ def test_central_elements_act_by_scalars_in_catalog_reps():
     for name, assign in entry.representations.items():
         for u in candidates:
             assert is_central(u)[0]
-            op = evaluate_uea(assign, u, checked=False)
+            op = evaluate_uea(assign, u)
             assert op.is_scalar(), (name, u)
 
 
