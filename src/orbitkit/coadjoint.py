@@ -79,12 +79,9 @@ def stabilizer_ideal(g: LieAlgebra, f, n: Subspace | None = None) -> Subspace:
 
 def mtilde(g: LieAlgebra, m: Subspace) -> Subspace:
     """Common kernel of the roots that vanish on m; full space if none do."""
-    result = Subspace.common_kernel(g.dim, [Matrix([root.re, root.im])
-                                            for root in g.adjoint_weights()
-                                            if root.vanishes_on(m)])
-    if not result.contains_subspace(m):
-        raise PreconditionFailed("mtilde must contain m")
-    return result
+    return Subspace.common_kernel(g.dim, [Matrix([root.re, root.im])
+                                          for root in g.adjoint_weights()
+                                          if root.vanishes_on(m)])
 
 
 @dataclass(frozen=True)

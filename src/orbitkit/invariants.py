@@ -30,9 +30,9 @@ from .errors import (
     OrbitkitError,
     PreconditionFailed,
 )
-from .exactlin import GaussianRational, Matrix, Q0, Subspace, kernel, unit_vector, vec_dot
+from .exactlin import Matrix, Q0, Subspace, kernel, unit_vector, vec_dot
 from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
-from .symflow import ExpPoly, OrbitMap, orbit_map, _exact_root
+from .symflow import GR0, ExpPoly, OrbitMap, orbit_map, _exact_root
 
 NOT_IN_CLOSURE = "not-in-closure"
 IN_CLOSURE_NUMERIC = "in-closure-numeric"
@@ -109,7 +109,7 @@ def _poly_to_vector(q: ExpPoly, names, monomials):
     pos = {n: i for i, n in enumerate(names)}
     out = [Q0] * len(monomials)
     for (mono, expo), c in q.terms().items():
-        if expo != (GaussianRational(0), ()):
+        if expo != (GR0, ()):
             raise DimensionMismatch("polynomial has exponential terms")
         key = [0] * len(names)
         for v, k in mono:
@@ -122,15 +122,8 @@ def _poly_to_vector(q: ExpPoly, names, monomials):
 
 
 def _vector_to_poly(v, names, monomials):
-    q = ExpPoly()
-    for c, expo in zip(v, monomials):
-        if c:
-            p = ExpPoly.constant(c)
-            for name, k in zip(names, expo):
-                if k:
-                    p = p * ExpPoly.variable(name) ** k
-            q = q + p
-    return q
+    return ExpPoly({(tuple(sorted((name, k) for name, k in zip(names, expo) if k)), (GR0, ())): c
+                    for c, expo in zip(v, monomials) if c})
 
 
 def _derivation_matrix(a: Matrix, monomials) -> Matrix:

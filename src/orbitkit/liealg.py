@@ -57,9 +57,6 @@ class Root:
     im: tuple
     multiplicity: int = 1
 
-    def is_zero(self):
-        return all(x == 0 for x in self.re) and all(x == 0 for x in self.im)
-
     def value(self, v):
         re = sum((a * b for a, b in zip(self.re, v)), Q0)
         im = sum((a * b for a, b in zip(self.im, v)), Q0)
@@ -404,18 +401,13 @@ class LieAlgebra:
     def adjoint_weights(self):
         """Roots of the adjoint representation, one per value with multiplicity."""
         _, weights = self._triangularize(True)
-        grouped = {}
-        order = []
+        grouped = {}  # in order of first occurrence
         for w in weights:
-            if w not in grouped:
-                grouped[w] = 0
-                order.append(w)
-            grouped[w] += 1
+            grouped[w] = grouped.get(w, 0) + 1
         roots = []
-        for w in order:
-            re = tuple(z.re for z in w)
-            im = tuple(z.im for z in w)
-            root = Root(re=re, im=im, multiplicity=grouped[w])
+        for w, multiplicity in grouped.items():
+            root = Root(re=tuple(z.re for z in w), im=tuple(z.im for z in w),
+                        multiplicity=multiplicity)
             if not root.vanishes_on(self.commutator_ideal()):
                 raise PreconditionFailed("weight does not vanish on the commutator ideal")
             roots.append(root)
@@ -450,7 +442,7 @@ class LieAlgebra:
 
     def _is_nilpotent_ideal_over_commutator(self, v: Subspace) -> bool:
         return (v.contains_subspace(self.commutator_ideal()) and self.is_ideal(v)
-                and self.subalgebra(v)[0].is_nilpotent())
+                and self.descending_central_series(v)[1].dim == 0)
 
     def is_exponential(self) -> ExponentialVerdict:
         """No adjoint root may be purely imaginary and nonzero."""
@@ -504,19 +496,13 @@ def _restrict_to(mat: Matrix, space: Subspace) -> Matrix:
 
 
 def _eigen_ratio(image, v, name, allow_complex):
-    """lambda with image = lambda * v, for an exact eigenvector v."""
-    lam = None
-    for a, b in zip(image, v):
-        if b:
-            lam = a / b
-            break
-    if lam is None:
-        lam = GaussianRational(0)
+    """lambda with image = lambda * v, for an exact nonzero eigenvector v."""
+    lead = next(j for j, b in enumerate(v) if b)
+    lam = image[lead] / v[lead]
+    if image != vec_scale(lam, v):
+        raise PreconditionFailed(f"vector is not an eigenvector of ad({name})")
     if not isinstance(lam, GaussianRational):
         lam = GaussianRational(lam)
-    expected = vec_scale(lam, v)
-    if tuple(expected) != tuple(image):
-        raise PreconditionFailed(f"vector is not an eigenvector of ad({name})")
     if not allow_complex and not lam.is_real:
         raise NonRationalSpectrum(f"ad({name}) needs a complex eigenvalue", witness=name)
     return lam

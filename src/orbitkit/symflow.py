@@ -34,6 +34,7 @@ from .exactlin import (
     kernel,
     solve,
     unit_vector,
+    vec_scale,
 )
 from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
 
@@ -491,8 +492,14 @@ class FlowMatrix:
 def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
     """Exact exp(t*A) for rational A with spectrum in Q(i).
 
-    Computed blockwise on generalized eigenspaces: the factor exp(lambda*t)
-    stays a formal exponential, the nilpotent part gives polynomial entries.
+    On the generalized eigenspace of lambda, with N = A - lambda*I,
+    exp(t*A) = exp(lambda*t) * sum_k t^k/k! * N^k, and the sum stops at the
+    first k with N^k u = 0.  With U the matrix whose columns are a basis u_b
+    of the generalized eigenspaces, exp(t*A) = E * U^-1, so entry (i, j) has
+    the coefficient sum_b (N^k u_b)[i] * U^-1[b][j] / k! at the term
+    t^k * exp(lambda*t).  Each entry is built from that table of terms; the
+    functions t^k * exp(lambda*t) are linearly independent, so the table is
+    the entry's normal form.
     """
     n = a.rows
     if n == 0:
@@ -503,26 +510,19 @@ def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
             "matrix spectrum is not contained in the Gaussian rationals")
     ident = Matrix.identity(n)
     basis_vectors = []
-    image_columns = []
+    chains = []  # per basis vector u: (exponent form of lambda, [N^k u / k!])
     for lam, mult in eigs:
         # a real eigenvalue keeps A - lambda*I, and so the eigenbasis, rational
         shifted = a - ident.scale(lam.re if lam.is_real else lam)
         gen_space = kernel(shifted ** mult)
-        exp_lam = ExpPoly.exp({param: lam})
+        expo = (GR0, ((param, lam),) if lam else ())
         for u in gen_space.basis:
             basis_vectors.append(u)
-            column = [ExpPoly() for _ in range(n)]
-            power = list(u)
-            k = 0
-            while any(x for x in power):
-                c = Fraction(1, factorial(k))
-                tk = ExpPoly.variable(param) ** k if k else ExpPoly.constant(1)
-                for i in range(n):
-                    if power[i]:
-                        column[i] = column[i] + exp_lam * tk * (c * power[i])
-                power = list(shifted.apply(power))
-                k += 1
-            image_columns.append(column)
+            chain = []
+            while any(u):
+                chain.append(vec_scale(Fraction(1, factorial(len(chain))), u))
+                u = shifted.apply(u)
+            chains.append((expo, chain))
     if len(basis_vectors) != n:
         raise NonRationalSpectrum("generalized eigenspaces do not fill the space")
     u_mat = Matrix.from_columns(basis_vectors)
@@ -532,15 +532,19 @@ def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
         if col is None:
             raise NonRationalSpectrum("eigenbasis is singular")
         u_inv_cols.append(col)
-    # exp(tA) = E . U^{-1} with E the columns over the generalized eigenbasis
     rows = []
     for i in range(n):
         row = []
-        for j in range(n):
-            acc = ExpPoly()
-            for k in range(n):
-                acc = acc + image_columns[k][i] * u_inv_cols[j][k]
-            row.append(acc)
+        for u_inv in u_inv_cols:
+            table = {}
+            for (expo, chain), w in zip(chains, u_inv):
+                if not w:
+                    continue
+                for k, v in enumerate(chain):
+                    if v[i]:
+                        key = (((param, k),) if k else (), expo)
+                        table[key] = table.get(key, 0) + v[i] * w
+            row.append(ExpPoly(table))
         rows.append(row)
     return FlowMatrix(rows)
 

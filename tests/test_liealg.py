@@ -174,7 +174,8 @@ def test_subalgebra_extraction_matches_catalog_table():
 
 def test_adjoint_weights_abelian_and_axb():
     roots = LieAlgebra.abelian(("x", "y", "z")).adjoint_weights()
-    assert len(roots) == 1 and roots[0].is_zero() and roots[0].multiplicity == 3
+    assert len(roots) == 1 and roots[0].multiplicity == 3
+    assert roots[0].vanishes_on(Subspace.full(3))
     roots = ax_b().adjoint_weights()
     values = sorted((r.re, r.im, r.multiplicity) for r in roots)
     assert values == [((F(0), F(0)), (F(0), F(0)), 1),

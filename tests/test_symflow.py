@@ -12,12 +12,13 @@ from orbitkit.errors import (
     NonlinearExponentSubstitution,
     NotIdeal,
 )
-from orbitkit.exactlin import Subspace
+from orbitkit.exactlin import Matrix, Subspace, solve, unit_vector
 from orbitkit.liealg import LieAlgebra, b5, heisenberg3
 from orbitkit.symflow import (
     ExpPoly,
     FlowMatrix,
     _int_root,
+    exp_matrix,
     one_param_flow,
     orbit_map,
 )
@@ -228,6 +229,54 @@ def test_flow_rejects_irrational_spectrum():
     # sanity: the hyperbolic one works and stays exact
     flow = one_param_flow(weird, "a", "t")
     assert flow.substitute({"t": 0}) == FlowMatrix.identity(3)
+
+
+_SMALL_Q = st.builds(F, st.integers(-2, 2), st.integers(1, 2))
+_NONZERO_Q = st.builds(F, st.sampled_from((-2, -1, 1, 2)), st.integers(1, 2))
+
+
+@st.composite
+def conjugated_block_triangular(draw):
+    """A = P T P^-1 with n <= 5 and T block upper triangular: rational scalars
+    and rotation blocks [[a, -b], [b, a]] (eigenvalues a +- bi) on the
+    diagonal, rational couplings above the blocks.  A block is drawn with a
+    repeat count, so repeated values give Jordan chains up to length 4."""
+    scalar = st.builds(lambda z, m: [[[z]]] * m, _SMALL_Q, st.integers(1, 4))
+    rotation = st.builds(lambda a, b, m: [[[a, -b], [b, a]]] * m,
+                         _SMALL_Q, _NONZERO_Q, st.integers(1, 2))
+    blocks, n = [], 0
+    for group in draw(st.lists(scalar | rotation, min_size=1, max_size=4), label="blocks"):
+        for block in group:
+            if n + len(block) <= 5:
+                blocks.append((n, block))
+                n += len(block)
+    t = [[F(0)] * n for _ in range(n)]
+    for start, block in blocks:
+        for i, row in enumerate(block):
+            t[start + i][start:start + len(row)] = row
+            for j in range(start + len(row), n):
+                t[start + i][j] = draw(_SMALL_Q)
+    lower = [[F(int(i == j)) if i <= j else draw(_SMALL_Q) for j in range(n)]
+             for i in range(n)]
+    upper = [[F(int(i == j)) if i >= j else draw(_SMALL_Q) for j in range(n)]
+             for i in range(n)]
+    p = Matrix(lower) * Matrix(upper)
+    p_inv = Matrix.from_columns([solve(p, unit_vector(n, j)) for j in range(n)])
+    return p * Matrix(t) * p_inv
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugated_block_triangular())
+def test_exp_matrix_solves_the_flow_equation(a):
+    # F(0) = I and F' = A F have exactly one solution, exp(tA), so these two
+    # pin every entry
+    n = a.rows
+    flow = exp_matrix(a, "t")
+    assert flow.substitute({"t": 0}) == FlowMatrix.identity(n)
+    for i in range(n):
+        for j in range(n):
+            expected = sum((flow.entries[k][j] * a[i, k] for k in range(n)), ExpPoly())
+            assert flow.entries[i][j].d_dvar("t") == expected
 
 
 def test_int_root_is_exact_beyond_float_range():

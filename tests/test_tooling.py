@@ -1,8 +1,12 @@
 """Source checks: exact arithmetic on every path that can decide a verdict,
-no definition that nothing refers to, no import that nothing uses, and every
-name that the benchmark's tracer wraps still there."""
+no definition that nothing refers to, no import that nothing uses, no import
+of a package that pyproject.toml does not declare, and every name that the
+benchmark's tracer wraps still there."""
 
 import ast
+import re
+import sys
+import tomllib
 import types
 from pathlib import Path
 
@@ -126,6 +130,54 @@ def test_the_import_scan_flags_an_unused_import():
               "    return os.path.join(F(1), 'named')\n")
     assert _unused_imports("m.py", source) == [
         "m.py:2: json", "m.py:4: gcd", "m.py:7: named"]
+
+
+def _undeclared_imports(name, source, allowed):
+    """'file:line: module' for each absolute import whose top-level module is
+    not in allowed."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        out += [f"{name}:{node.lineno}: {m}" for m in modules if m.split(".")[0] not in allowed]
+    return out
+
+
+def _importable_modules():
+    """The standard library, orbitkit, the test modules and every package
+    that pyproject.toml declares, as a dependency or in an extra."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    requirements = project["dependencies"] + [
+        r for extra in project["optional-dependencies"].values() for r in extra]
+    declared = {re.match(r"[\w.-]+", r).group(0).lower().replace("-", "_")
+                for r in requirements}
+    siblings = {path.stem for path in (ROOT / "tests").glob("*.py")}
+    return set(sys.stdlib_module_names) | {"orbitkit"} | siblings | declared
+
+
+def test_every_imported_package_is_declared():
+    allowed = _importable_modules()
+    found = [use for d in (SRC, ROOT / "tests") for path in sorted(d.glob("*.py"))
+             for use in _undeclared_imports(path.name, path.read_text(encoding="utf-8"),
+                                            allowed)]
+    assert found == []
+
+
+def test_the_dependency_scan_flags_an_undeclared_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy\n"
+              "from fractions import Fraction\n"
+              "from .errors import ParseError\n"
+              "def f():\n"
+              "    from scipy.linalg import lu\n"
+              "    import sympy\n")
+    allowed = {"__future__", "os", "fractions", "sympy"}
+    assert _undeclared_imports("m.py", source, allowed) == [
+        "m.py:2: numpy", "m.py:6: scipy.linalg"]
 
 
 def _benchmark_tracer():
