@@ -14,6 +14,7 @@ message on stderr, never in a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -59,10 +60,10 @@ def _int_at_least(low):
     return convert
 
 
-def _add_seed_argument(sub):
+def _add_seed_argument(sub, seed_default):
     # argparse converts a string default with type=int, so a bad ORBITKIT_SEED
     # is a usage error, reported only by the commands that use the seed
-    sub.add_argument("--seed", type=int, default=os.environ.get("ORBITKIT_SEED", "0"),
+    sub.add_argument("--seed", type=int, default=seed_default,
                      help="search seed (default: ORBITKIT_SEED, else 0)")
 
 
@@ -351,6 +352,12 @@ def _cmd_regularity_report(args):
 
 
 def build_parser() -> _Parser:
+    """The command line parser, built once and reused while ORBITKIT_SEED keeps its value."""
+    return _build_parser(os.environ.get("ORBITKIT_SEED", "0"))
+
+
+@functools.lru_cache(maxsize=1)
+def _build_parser(seed_default) -> _Parser:
     parser = _Parser(prog="orbitkit",
                      description="exact Lie-algebraic computations for "
                                  "coadjoint orbits and regularity certificates")
@@ -388,13 +395,13 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=_int_at_least(1), default=10 ** 4,
                    help="soft bound on search evaluations; the search can "
                         "spend one more (default 10000)")
-    _add_seed_argument(p)
+    _add_seed_argument(p, seed_default)
     p.set_defaults(func=_cmd_closure_test)
 
     p = sub.add_parser("regularity-report")
     _add_source_arguments(p)
     p.add_argument("--f", help="extra functional added to the sample")
-    _add_seed_argument(p)
+    _add_seed_argument(p, seed_default)
     p.set_defaults(func=_cmd_regularity_report)
 
     return parser

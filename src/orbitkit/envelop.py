@@ -89,6 +89,15 @@ class UEAElement:
         raise AttributeError("UEAElement is immutable")
 
     @classmethod
+    def _from_normal(cls, algebra, terms):
+        """The element with terms {normal word: ExpPoly}, zeros dropped; the
+        words are already in normal form, so none is renormalized."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "terms", {w: c for w, c in terms.items() if not c.is_zero()})
+        return self
+
+    @classmethod
     def scalar(cls, algebra, value):
         return cls(algebra, {(): value})
 
@@ -111,8 +120,8 @@ class UEAElement:
         self._check_same(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, ExpPoly()) + c
-        return UEAElement(self.algebra, terms)
+            terms[w] = terms[w] + c if w in terms else c
+        return UEAElement._from_normal(self.algebra, terms)
 
     __radd__ = __add__
 
@@ -125,12 +134,13 @@ class UEAElement:
         return UEAElement.scalar(self.algebra, other) + (-self)
 
     def __neg__(self):
-        return UEAElement(self.algebra, {w: -c for w, c in self.terms.items()})
+        return UEAElement._from_normal(self.algebra, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, UEAElement):
-            return UEAElement(self.algebra,
-                              {w: c * other for w, c in self.terms.items()})
+            other = ExpPoly.lift(other)
+            return UEAElement._from_normal(self.algebra,
+                                           {w: c * other for w, c in self.terms.items()})
         self._check_same(other)
         terms = {}
         for w1, c1 in self.terms.items():
@@ -183,7 +193,7 @@ def _combine(algebra, scaled_sums):
         for w, r in word_sum.items():
             if r:
                 terms[w] = terms[w] + coeff * r if w in terms else coeff * r
-    return UEAElement(algebra, terms)
+    return UEAElement._from_normal(algebra, terms)
 
 
 def _ordering_sum(algebra, counts, memo):

@@ -3,6 +3,10 @@
 Every value is immutable and every operation is pure; there is no floating
 point anywhere in this module.  Subspaces are kept in reduced row echelon
 form, so subspace equality is literal equality of the canonical basis.
+
+Scalars have one normal form: a real value is always a Fraction, and only a
+value with a nonzero imaginary part is a GaussianRational.  Both types carry
+.real and .imag (PEP 3141), so code reads them whatever the scalar type.
 """
 
 from __future__ import annotations
@@ -22,94 +26,79 @@ def scalar(x):
     return Fraction(x)
 
 
+def _rational(x):
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class GaussianRational:
-    """An exact Gaussian rational a + b*i."""
+    """An exact non-real Gaussian rational real + imag*i.
 
-    __slots__ = ("re", "im")
+    GaussianRational(real, imag) returns the Fraction real when imag is zero,
+    and all arithmetic goes through it, so no GaussianRational is real.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    __slots__ = ("real", "imag")
+
+    def __new__(cls, real=0, imag=0):
+        imag = _rational(imag)
+        if not imag:
+            return _rational(real)
+        self = object.__new__(cls)
+        object.__setattr__(self, "real", _rational(real))
+        object.__setattr__(self, "imag", imag)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("GaussianRational is immutable")
 
-    @property
-    def is_real(self):
-        return self.im == 0
-
-    def rational(self):
-        if self.im != 0:
-            raise ValueError(f"{self} is not real")
-        return self.re
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def norm2(self):
-        return self.re * self.re + self.im * self.im
-
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
+    def __add__(self, o):
+        if not isinstance(o, SCALARS):
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return GaussianRational(self.real + o.real, self.imag + o.imag)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
+    def __sub__(self, o):
+        if not isinstance(o, SCALARS):
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return GaussianRational(self.real - o.real, self.imag - o.imag)
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
+    def __rsub__(self, o):
+        if not isinstance(o, SCALARS):
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return GaussianRational(o.real - self.real, o.imag - self.imag)
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
+    def __mul__(self, o):
+        if not isinstance(o, SCALARS):
             return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        return GaussianRational(self.real * o.real - self.imag * o.imag,
+                                self.real * o.imag + self.imag * o.real)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+    def __truediv__(self, o):
+        if not isinstance(o, SCALARS):
             return NotImplemented
-        n = o.norm2()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        c = o.conjugate()
-        num = self * c
-        return GaussianRational(num.re / n, num.im / n)
+        # (a + bi) / (c + di) = (a + bi)(c - di) / (c^2 + d^2); a zero o
+        # raises ZeroDivisionError in the Fraction division
+        n = o.real * o.real + o.imag * o.imag
+        return GaussianRational((self.real * o.real + self.imag * o.imag) / n,
+                                (self.imag * o.real - self.real * o.imag) / n)
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+    def __rtruediv__(self, o):
+        # a real o: a GaussianRational o divides through its own __truediv__
+        if not isinstance(o, (int, Fraction)):
             return NotImplemented
-        return o / self
+        n = self.real * self.real + self.imag * self.imag
+        return GaussianRational(o * self.real / n, -o * self.imag / n)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational(-self.real, -self.imag)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = GaussianRational(1)
+        out = Q1
         base = self
         while k:
             if k & 1:
@@ -119,29 +108,21 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.real == other.real and self.imag == other.imag
+        return False if isinstance(other, SCALARS) else NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return hash((self.real, self.imag))
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        if self.real == 0:
+            return f"{self.imag}*i"
+        sign = "+" if self.imag > 0 else "-"
+        return f"{self.real}{sign}{abs(self.imag)}*i"
 
 
-I = GaussianRational(0, 1)
+SCALARS = (int, Fraction, GaussianRational)
 
 
 # ---------------------------------------------------------------------------

@@ -32,18 +32,12 @@ from .errors import (
 )
 from .exactlin import Matrix, Q0, Subspace, kernel, unit_vector, vec_dot
 from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
-from .symflow import GR0, ExpPoly, OrbitMap, orbit_map, _exact_root
+from .symflow import ExpPoly, OrbitMap, orbit_map, _exact_root
 
 NOT_IN_CLOSURE = "not-in-closure"
 IN_CLOSURE_NUMERIC = "in-closure-numeric"
 EXACT_POINT = "exact-point"
 INCONCLUSIVE = "inconclusive"
-
-
-def evaluate_polynomial(q: ExpPoly, point: dict):
-    """Exact value of an exponential-free polynomial at named coordinates."""
-    v = q.evaluate(point)
-    return v.rational() if v.is_real else v
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +103,7 @@ def _poly_to_vector(q: ExpPoly, names, monomials):
     pos = {n: i for i, n in enumerate(names)}
     out = [Q0] * len(monomials)
     for (mono, expo), c in q.terms().items():
-        if expo != (GR0, ()):
+        if expo != (Q0, ()):
             raise DimensionMismatch("polynomial has exponential terms")
         key = [0] * len(names)
         for v, k in mono:
@@ -117,12 +111,12 @@ def _poly_to_vector(q: ExpPoly, names, monomials):
         key = tuple(key)
         if key not in index:
             raise DimensionMismatch("polynomial degree exceeds the monomial space")
-        out[index[key]] = c.rational()
+        out[index[key]] = c
     return tuple(out)
 
 
 def _vector_to_poly(v, names, monomials):
-    return ExpPoly({(tuple(sorted((name, k) for name, k in zip(names, expo) if k)), (GR0, ())): c
+    return ExpPoly({(tuple(sorted((name, k) for name, k in zip(names, expo) if k)), (Q0, ())): c
                     for c, expo in zip(v, monomials) if c})
 
 
@@ -179,9 +173,9 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
         for piece in pieces:
             az = _restrict_to(mats[c], piece)
             for lam, _ in _gaussian_eigenvalues(az):
-                if not lam.is_real:
+                if lam.imag:
                     continue
-                eig = kernel(az - Matrix.identity(az.rows).scale(lam.re))
+                eig = kernel(az - Matrix.identity(az.rows).scale(lam))
                 refined.append(Subspace.from_vectors(len(monomials),
                                                      piece.combinations(eig.basis)))
         pieces = refined
@@ -249,13 +243,13 @@ def _compile_components(components):
     scales = {}
     for comp in components:
         for (_, (const, lin)), c in comp.terms().items():
-            if not c.is_real or const or any(not a.is_real for _, a in lin):
+            if c.imag or const or any(a.imag for _, a in lin):
                 raise PreconditionFailed(
                     "the closure search needs an orbit with real coefficients "
                     "and real exponents without a constant part")
             for v, a in lin:
-                scales[v] = lcm(scales.get(v, 1), a.re.denominator)
-    compiled = [[(c.rational(), mono, tuple((v, int(a.re * scales[v])) for v, a in lin))
+                scales[v] = lcm(scales.get(v, 1), a.denominator)
+    compiled = [[(c, mono, tuple((v, int(a * scales[v])) for v, a in lin))
                  for (mono, (_, lin)), c in comp.terms().items()]
                 for comp in components]
     return compiled, scales
@@ -594,7 +588,7 @@ def closure_membership(om: OrbitMap, target, invariants=(),
             raise InvariantNotVanishing(f"{q} does not vanish on the orbit")
     point = dict(zip(om.component_names, target))
     for q in invariants:
-        val = evaluate_polynomial(q, point)
+        val = q.evaluate(point)
         if val != 0:
             return ClosureVerdict(kind=NOT_IN_CLOSURE, tolerance=tol, budget=budget,
                                   evaluations=0, invariant=q, invariant_value=val)
@@ -644,7 +638,7 @@ def orbit_certificates(g: LieAlgebra, f, om: OrbitMap, degree: int = 2):
     candidates = []
     zero_weight = tuple(Fraction(0) for _ in range(g.dim))
     for weight, polys in sorted(by_weight.items()):
-        values = [evaluate_polynomial(q, start_point) for q in polys]
+        values = [q.evaluate(start_point) for q in polys]
         if weight == zero_weight:
             candidates.extend(q - v for q, v in zip(polys, values)
                               if not (q - v).is_zero())

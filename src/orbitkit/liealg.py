@@ -336,11 +336,11 @@ class LieAlgebra:
         """Composition series of the adjoint module with its diagonal weights.
 
         Returns (flag vectors in order, weight covectors) as tuples; each weight
-        is a tuple of GaussianRational values on the basis.  The ad-matrices
-        and flag vectors stay rational: a real eigenvalue enters A - lambda*I
-        as a Fraction, so Gaussian rationals appear only when a non-real
-        eigenvalue is chosen.  Raises NonRationalSpectrum when an eigenvalue
-        escapes Q(i) (or Q when allow_complex is false).
+        is a tuple of scalar values on the basis.  The ad-matrices and flag
+        vectors stay rational: a real eigenvalue is a Fraction, so Gaussian
+        rationals appear only when a non-real eigenvalue is chosen.  Raises
+        NonRationalSpectrum when an eigenvalue escapes Q(i) (or Q when
+        allow_complex is false).
         """
         if not self.is_solvable():
             raise PreconditionFailed("adjoint weights are defined for solvable algebras")
@@ -373,16 +373,15 @@ class LieAlgebra:
                 az = _restrict_to(induce(basis_mats[c]), w_space)
                 eigs = _gaussian_eigenvalues(az)
                 if not allow_complex:
-                    eigs = [(lam, m) for lam, m in eigs if lam.is_real]
+                    eigs = [(lam, m) for lam, m in eigs if not lam.imag]
                 if not eigs:
                     raise NonRationalSpectrum(
                         f"ad({self.basis_names[c]}) has no "
                         + ("Gaussian-rational" if allow_complex else "rational")
                         + " eigenvalue on the current invariant subspace",
                         witness=self.basis_names[c])
-                lam = min((e for e, _ in eigs), key=lambda z: (z.re, z.im))
-                eig_kernel = kernel(az - Matrix.identity(az.rows).scale(
-                    lam.re if lam.is_real else lam))
+                # the first in (real, imag) order, as _gaussian_eigenvalues sorts
+                eig_kernel = kernel(az - Matrix.identity(az.rows).scale(eigs[0][0]))
                 w_space = Subspace.from_vectors(q, w_space.combinations(eig_kernel.basis))
             v_quot = w_space.basis[0]
             placed = dict(zip(np_coords, v_quot))
@@ -406,7 +405,8 @@ class LieAlgebra:
             grouped[w] = grouped.get(w, 0) + 1
         roots = []
         for w, multiplicity in grouped.items():
-            root = Root(re=tuple(z.re for z in w), im=tuple(z.im for z in w),
+            # Fraction.imag is the int 0
+            root = Root(re=tuple(z.real for z in w), im=tuple(Fraction(z.imag) for z in w),
                         multiplicity=multiplicity)
             if not root.vanishes_on(self.commutator_ideal()):
                 raise PreconditionFailed("weight does not vanish on the commutator ideal")
@@ -467,9 +467,10 @@ class LieAlgebra:
 # eigenvalues in Q(i) from the norm polynomial over Q
 # ---------------------------------------------------------------------------
 
-def _to_gaussian_matrix(m: Matrix) -> Matrix:
-    return Matrix([[GaussianRational(x) if not isinstance(x, GaussianRational) else x
-                    for x in row] for row in m.entries])
+def _to_gaussian_matrix(m: Matrix) -> DomainMatrix:
+    """m as a DomainMatrix over QQ_I."""
+    return DomainMatrix([[QQ_I(_qq(x.real), _qq(x.imag)) for x in row] for row in m.entries],
+                        (m.rows, m.cols), QQ_I)
 
 
 def _qq(x: Fraction):
@@ -501,9 +502,7 @@ def _eigen_ratio(image, v, name, allow_complex):
     lam = image[lead] / v[lead]
     if image != vec_scale(lam, v):
         raise PreconditionFailed(f"vector is not an eigenvector of ad({name})")
-    if not isinstance(lam, GaussianRational):
-        lam = GaussianRational(lam)
-    if not allow_complex and not lam.is_real:
+    if not allow_complex and lam.imag:
         raise NonRationalSpectrum(f"ad({name}) needs a complex eigenvalue", witness=name)
     return lam
 
@@ -553,14 +552,11 @@ def _gaussian_eigenvalues(m: Matrix):
     n = m.rows
     if n == 0:
         return []
-    if all(x.is_real for row in m.entries for x in row if isinstance(x, GaussianRational)):
-        entries = [[_qq(x.re if isinstance(x, GaussianRational) else x) for x in row]
-                   for row in m.entries]
+    if not any(x.imag for row in m.entries for x in row):
+        entries = [[_qq(x) for x in row] for row in m.entries]
         p = norm = DomainMatrix(entries, (n, n), QQ).charpoly()
     else:
-        entries = [[QQ_I(_qq(x.re), _qq(x.im)) for x in row]
-                   for row in _to_gaussian_matrix(m).entries]
-        p = DomainMatrix(entries, (n, n), QQ_I).charpoly()
+        p = _to_gaussian_matrix(m).charpoly()
         # p = A + iB with A, B over Q, so p * conj(p) = A^2 + B^2
         norm = dup_add(dup_sqr([c.x for c in p], QQ), dup_sqr([c.y for c in p], QQ), QQ)
     eigs = []
@@ -569,7 +565,7 @@ def _gaussian_eigenvalues(m: Matrix):
             mult = _multiplicity(p, QQ_I(re, im) if im else re)
             if mult:
                 eigs.append((GaussianRational(_fraction(re), _fraction(im)), mult))
-    eigs.sort(key=lambda t: (t[0].re, t[0].im))
+    eigs.sort(key=lambda t: (t[0].real, t[0].imag))
     return eigs
 
 

@@ -32,7 +32,7 @@ def rational_str(x) -> str:
 
 
 def gaussian_json(x: GaussianRational):
-    return {"re": rational_str(x.re), "im": rational_str(x.im)}
+    return {"re": rational_str(x.real), "im": rational_str(x.imag)}
 
 
 def vector_json(v):

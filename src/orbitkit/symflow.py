@@ -4,9 +4,10 @@ An ExpPoly is a finite sum of terms
 
     c * v1^k1 * ... * vm^km * exp(a0 + a1*w1 + ... + ar*wr)
 
-with Gaussian-rational c and ai over named variables.  Terms with equal
-(monomial, exponent form) are merged, zero coefficients dropped, and terms
-kept in a deterministic order, so equality of normal forms is syntactic.
+with scalar c and ai over named variables: a Fraction when real, else a
+GaussianRational (exactlin's scalar rule).  Terms with equal (monomial,
+exponent form) are merged, zero coefficients dropped, and terms kept in a
+deterministic order, so equality of normal forms is syntactic.
 
 Exponentials stay formal.  Numeric evaluation substitutes positive rationals
 for the atoms exp(variable); the multiplicative rule exp(a+b) =
@@ -28,36 +29,25 @@ from .errors import (
     PreconditionFailed,
 )
 from .exactlin import (
-    GaussianRational,
+    Q0,
+    Q1,
+    SCALARS,
     Matrix,
     Subspace,
     kernel,
-    solve,
+    rref,
+    scalar,
     unit_vector,
     vec_scale,
 )
 from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
 
-GR0 = GaussianRational(0)
-GR1 = GaussianRational(1)
-_SCALARS = (int, Fraction, GaussianRational)
-
-
-def _coeff(x):
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(Fraction(x))
-
-
-def _sort_key_gr(g: GaussianRational):
-    return (g.re, g.im)
-
 
 def _term_sort_key(key):
     mono, expo = key
     const, lin = expo
-    return (tuple((v, _sort_key_gr(c)) for v, c in lin),
-            _sort_key_gr(const),
+    return (tuple((v, (c.real, c.imag)) for v, c in lin),
+            (const.real, const.imag),
             mono)
 
 
@@ -70,7 +60,7 @@ class ExpPoly:
         cleaned = {}
         if terms:
             for key, c in terms.items():
-                c = _coeff(c)
+                c = scalar(c)
                 if not c:
                     continue
                 if key in cleaned:
@@ -88,17 +78,17 @@ class ExpPoly:
 
     @classmethod
     def constant(cls, c):
-        return cls({((), (GR0, ())): _coeff(c)})
+        return cls({((), (Q0, ())): scalar(c)})
 
     @classmethod
     def variable(cls, name):
-        return cls({(((name, 1),), (GR0, ())): GR1})
+        return cls({(((name, 1),), (Q0, ())): Q1})
 
     @classmethod
     def exp(cls, linear, const=0):
         """exp(const + sum coeff*var) for a dict {var: coeff}."""
-        lin = tuple(sorted((v, _coeff(c)) for v, c in linear.items() if _coeff(c)))
-        return cls({((), (_coeff(const), lin)): GR1})
+        lin = tuple(sorted((v, scalar(c)) for v, c in linear.items() if scalar(c)))
+        return cls({((), (scalar(const), lin)): Q1})
 
     @classmethod
     def lift(cls, x):
@@ -111,7 +101,7 @@ class ExpPoly:
         """x lifted, or None for a non-scalar such as a UEAElement or DiffOp."""
         if isinstance(x, ExpPoly):
             return x
-        if isinstance(x, _SCALARS):
+        if isinstance(x, SCALARS):
             return cls.constant(x)
         return None
 
@@ -144,7 +134,7 @@ class ExpPoly:
             return NotImplemented
         terms = dict(self._terms)
         for key, c in other._terms.items():
-            terms[key] = terms.get(key, GR0) + c
+            terms[key] = terms.get(key, Q0) + c
         return ExpPoly(terms)
 
     __radd__ = __add__
@@ -174,7 +164,7 @@ class ExpPoly:
                 mono = _merge_mono(m1, m2)
                 lin = _merge_lin(l1, l2)
                 key = (mono, (c1 + c2, lin))
-                terms[key] = terms.get(key, GR0) + a * b
+                terms[key] = terms.get(key, Q0) + a * b
         return ExpPoly(terms)
 
     __rmul__ = __mul__
@@ -188,7 +178,7 @@ class ExpPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             other = ExpPoly.constant(other)
         if not isinstance(other, ExpPoly):
             return NotImplemented
@@ -206,7 +196,7 @@ class ExpPoly:
         def accumulate(key, c):
             if not c:
                 return
-            terms[key] = terms.get(key, GR0) + c
+            terms[key] = terms.get(key, Q0) + c
 
         for (mono, expo), c in self._terms.items():
             const, lin = expo
@@ -252,9 +242,9 @@ class ExpPoly:
                     c0, cs = linear_parts(v)
                     new_const = new_const + a * c0
                     for w, q in cs.items():
-                        new_lin[w] = new_lin.get(w, GR0) + a * q
+                        new_lin[w] = new_lin.get(w, Q0) + a * q
                 else:
-                    new_lin[v] = new_lin.get(v, GR0) + a
+                    new_lin[v] = new_lin.get(v, Q0) + a
             factor = factor * ExpPoly.exp(new_lin, new_const)
             for v, k in mono:
                 base = mapping.get(v)
@@ -273,7 +263,7 @@ class ExpPoly:
         exp(a)*exp(b) is enforced by construction, exponent coefficients must
         make the powers rational, and exponent constants must vanish.
         """
-        assignment = {v: _coeff(x) for v, x in (assignment or {}).items()}
+        assignment = {v: scalar(x) for v, x in (assignment or {}).items()}
         atoms = {}
         for v, x in (exp_atoms or {}).items():
             x = Fraction(x)
@@ -281,7 +271,7 @@ class ExpPoly:
                 raise InconsistentExponentialAssignment(
                     f"exp atom for {v!r} must be a positive rational, got {x}")
             atoms[v] = x
-        total = GR0
+        total = Q0
         for (mono, (const, lin)), c in self._terms.items():
             value = c
             for v, k in mono:
@@ -340,13 +330,13 @@ def _merge_mono(m1, m2):
 def _merge_lin(l1, l2):
     coeffs = {}
     for v, a in l1 + l2:
-        coeffs[v] = coeffs.get(v, GR0) + a
+        coeffs[v] = coeffs.get(v, Q0) + a
     return tuple(sorted((v, a) for v, a in coeffs.items() if a))
 
 
 def _linear_decomposition(ep: ExpPoly):
     """(const, {var: coeff}) when ep is an exponential-free linear form, else None."""
-    const = GR0
+    const = Q0
     coeffs = {}
     for (mono, (c0, lin)), c in ep._terms.items():
         if lin or c0:
@@ -354,17 +344,16 @@ def _linear_decomposition(ep: ExpPoly):
         if not mono:
             const = const + c
         elif len(mono) == 1 and mono[0][1] == 1:
-            coeffs[mono[0][0]] = coeffs.get(mono[0][0], GR0) + c
+            coeffs[mono[0][0]] = coeffs.get(mono[0][0], Q0) + c
         else:
             return None
     return const, coeffs
 
 
-def _rational_power(base: Fraction, power: GaussianRational):
-    if power.im != 0:
+def _rational_power(base: Fraction, p):
+    if p.imag:
         raise InconsistentExponentialAssignment(
             "complex exponent coefficient has no rational atom value")
-    p = power.re
     if p.denominator != 1:
         root = _exact_root(base, p.denominator)
         if root is None:
@@ -397,15 +386,15 @@ def _int_root(n: int, k: int):
         r = s
 
 
-def _format_coeff(c: GaussianRational):
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        if c.im == 1:
+def _format_coeff(c):
+    if not c.imag:
+        return str(c)
+    if c.real == 0:
+        if c.imag == 1:
             return "i"
-        if c.im == -1:
+        if c.imag == -1:
             return "-i"
-        return f"{c.im}*i"
+        return f"{c.imag}*i"
     return f"({c})"
 
 
@@ -414,9 +403,9 @@ def _format_linform(const, lin):
     if const:
         pieces.append(_format_coeff(const))
     for v, a in lin:
-        if a == GR1:
+        if a == 1:
             pieces.append(v)
-        elif a == GaussianRational(-1):
+        elif a == -1:
             pieces.append(f"-{v}")
         else:
             pieces.append(f"{_format_coeff(a)}*{v}")
@@ -512,10 +501,9 @@ def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
     basis_vectors = []
     chains = []  # per basis vector u: (exponent form of lambda, [N^k u / k!])
     for lam, mult in eigs:
-        # a real eigenvalue keeps A - lambda*I, and so the eigenbasis, rational
-        shifted = a - ident.scale(lam.re if lam.is_real else lam)
+        shifted = a - ident.scale(lam)
         gen_space = kernel(shifted ** mult)
-        expo = (GR0, ((param, lam),) if lam else ())
+        expo = (Q0, ((param, lam),) if lam else ())
         for u in gen_space.basis:
             basis_vectors.append(u)
             chain = []
@@ -525,13 +513,12 @@ def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
             chains.append((expo, chain))
     if len(basis_vectors) != n:
         raise NonRationalSpectrum("generalized eigenspaces do not fill the space")
-    u_mat = Matrix.from_columns(basis_vectors)
-    u_inv_cols = []
-    for j in range(n):
-        col = solve(u_mat, unit_vector(n, j))
-        if col is None:
-            raise NonRationalSpectrum("eigenbasis is singular")
-        u_inv_cols.append(col)
+    # U^-1 is the right block of the rref of [U | I] when U is invertible
+    reduced, pivots = rref([row + unit_vector(n, i)
+                            for i, row in enumerate(zip(*basis_vectors))])
+    if pivots != tuple(range(n)):
+        raise NonRationalSpectrum("eigenbasis is singular")
+    u_inv_cols = list(zip(*(row[n:] for row in reduced)))
     rows = []
     for i in range(n):
         row = []
@@ -578,11 +565,7 @@ class OrbitMap:
     restricted_to: Subspace | None = None
 
     def evaluate(self, assignment=None, exp_atoms=None):
-        values = []
-        for comp in self.components:
-            v = comp.evaluate(assignment, exp_atoms)
-            values.append(v.rational() if v.is_real else v)
-        return tuple(values)
+        return tuple(comp.evaluate(assignment, exp_atoms) for comp in self.components)
 
     def __repr__(self):
         body = ", ".join(f"{n}: {c}" for n, c in zip(self.component_names, self.components))

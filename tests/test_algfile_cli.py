@@ -204,6 +204,23 @@ def test_cli_seed_environment(monkeypatch):
     assert args.seed == 9
 
 
+def test_cli_main_calls_share_one_parser(monkeypatch, capsys):
+    # a seed value of its own, so no parser from another test is reused
+    monkeypatch.setenv("ORBITKIT_SEED", "4242")
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert run_cli(capsys, "catalog")[0] == 0
+    first = len(built)
+    assert first and run_cli(capsys, "closure-test", "--catalog", "b5", "--seed", "x")[0] == 1
+    assert len(built) == first
+
+
 # -- bad input ends in exit 1 or 2, never in a traceback -----------------------
 
 def test_zero_denominator_in_a_file_is_a_positioned_parse_error():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_symflow import conjugated_block_triangular
 
 from orbitkit.errors import DimensionMismatch
 from orbitkit.exactlin import (
@@ -17,6 +18,7 @@ from orbitkit.exactlin import (
     solve,
     unit_vector,
 )
+from orbitkit.symflow import ExpPoly, exp_matrix
 
 F = Fraction
 
@@ -38,9 +40,91 @@ def test_gaussian_rational_mixes_with_fractions():
     assert a == F(1, 2)
     assert hash(a) == hash(F(1, 2))
     assert F(1, 2) + GaussianRational(0, 1) == GaussianRational(F(1, 2), 1)
-    assert a.rational() == F(1, 2)
-    with pytest.raises(ValueError):
-        GaussianRational(0, 1).rational()
+    assert type(a) is F
+    assert type(GaussianRational(0, 1)) is GaussianRational
+
+
+# -- the scalar rule: a real value is a Fraction --------------------------------
+
+_Q = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+_PAIRS = st.tuples(_Q, st.one_of(st.just(F(0)), _Q))  # (real, imag)
+_GAUSSIAN = _PAIRS.map(lambda p: GaussianRational(*p))
+
+
+def _in_normal_form(x):
+    """A Fraction exactly when the imaginary part is zero."""
+    return type(x) is (F if x.imag == 0 else GaussianRational)
+
+
+def _pair_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAIRS, _PAIRS, st.integers(0, 5))
+def test_scalar_arithmetic_agrees_with_pairs_and_keeps_the_normal_form(p, q, k):
+    a, b = GaussianRational(*p), GaussianRational(*q)
+    assert _in_normal_form(a) and _in_normal_form(b)
+    expected = {"+": (p[0] + q[0], p[1] + q[1]), "-": (p[0] - q[0], p[1] - q[1]),
+                "*": _pair_mul(p, q)}
+    got = {"+": a + b, "-": a - b, "*": a * b}
+    power = (F(1), F(0))
+    for _ in range(k):
+        power = _pair_mul(power, p)
+    expected["**"], got["**"] = power, a ** k
+    norm = q[0] * q[0] + q[1] * q[1]
+    if norm:
+        expected["/"] = ((p[0] * q[0] + p[1] * q[1]) / norm,
+                         (p[1] * q[0] - p[0] * q[1]) / norm)
+        got["/"] = a / b
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    for op, x in got.items():
+        assert (x.real, x.imag) == expected[op], op
+        assert _in_normal_form(x), op
+
+
+def _expoly_scalars(e):
+    for (_, (const, lin)), c in e.terms().items():
+        yield c
+        yield const
+        yield from (a for _, a in lin)
+
+
+_VARS = st.sampled_from(("s", "t"))
+_EXPOLY_ATOMS = st.one_of(
+    st.builds(ExpPoly.constant, _GAUSSIAN),
+    _VARS.map(ExpPoly.variable),
+    st.builds(lambda v, a, c: ExpPoly.exp({v: a}, c), _VARS, _GAUSSIAN, _GAUSSIAN))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_EXPOLY_ATOMS, min_size=1, max_size=4),
+       st.lists(st.sampled_from("+-*ds"), max_size=5), _GAUSSIAN)
+def test_expoly_ring_operations_store_real_scalars_as_fractions(atoms, ops, c):
+    e = atoms[0]
+    for i, op in enumerate(ops):
+        other = atoms[(i + 1) % len(atoms)]
+        if op == "+":
+            e = e + other
+        elif op == "-":
+            e = e - other
+        elif op == "*":
+            e = e * other
+        elif op == "d":
+            e = e.d_dvar("t")
+        else:
+            e = e.substitute({"s": ExpPoly.variable("t") * c})
+        assert all(_in_normal_form(x) for x in _expoly_scalars(e))
+
+
+@settings(max_examples=20, deadline=None)
+@given(conjugated_block_triangular())
+def test_exp_matrix_stores_real_scalars_as_fractions(a):
+    flow = exp_matrix(a, "t")
+    assert all(_in_normal_form(x) for row in flow.entries for e in row
+               for x in _expoly_scalars(e))
 
 
 def test_rank_identity_and_zero():
