@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .errors import DimensionMismatch, RepCheckFailed
-from .exactlin import GaussianRational
+from .exactlin import GaussianRational, Q1
 from .liealg import LieAlgebra
 from .symflow import ExpPoly
 
@@ -180,6 +180,12 @@ def uea_commutator(u: UEAElement, v: UEAElement) -> UEAElement:
     return u * v - v * u
 
 
+def _left_normal(algebra, word, ordered):
+    """The normal form of word; an ordered (non-decreasing) word is its own,
+    without a _normalize_word lookup."""
+    return {word: Q1} if ordered else _normalize_word(algebra, word, "left")
+
+
 def _add_into(acc, word_sum, scale=1):
     for w, c in word_sum.items():
         acc[w] = acc.get(w, 0) + scale * c
@@ -205,7 +211,7 @@ def _ordering_sum(algebra, counts, memo):
             if m:
                 rest = counts[:a] + (m - 1,) + counts[a + 1:]
                 for w, c in _ordering_sum(algebra, rest, memo).items():
-                    _add_into(acc, _normalize_word(algebra, (a,) + w, "left"), c)
+                    _add_into(acc, _left_normal(algebra, (a,) + w, not w or a <= w[0]), c)
         memo[counts] = {w: c for w, c in acc.items() if c}
     return memo[counts]
 
@@ -245,8 +251,8 @@ def symmetrize(q: ExpPoly, algebra: LieAlgebra) -> UEAElement:
 def _commutator_sum(algebra, word, i):
     """{normal word: Fraction}: the normal form of [e_word, e_i]."""
     acc = {}
-    _add_into(acc, _normalize_word(algebra, word + (i,), "left"))
-    _add_into(acc, _normalize_word(algebra, (i,) + word, "left"), -1)
+    _add_into(acc, _left_normal(algebra, word + (i,), not word or word[-1] <= i))
+    _add_into(acc, _left_normal(algebra, (i,) + word, not word or i <= word[0]), -1)
     return acc
 
 

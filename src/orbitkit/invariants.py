@@ -275,26 +275,34 @@ def _fold(compiled, target, atoms):
                                for c, powers in coeffs)
 
 
-def _substitute(folded, values):
-    """(den, [(numerator, free (var, power) pairs)]) with values {var: p/q} put in.
+def _restrict(folded, assignment, var=None):
+    """[(den, {power of var: numerator})] per folded component, with every other
+    variable's value p/q from assignment put in.
 
-    A known p/q turns x^k into p^k * q^(top - k) and multiplies den by q^top.
+    p/q turns x^k into p^k * q^(top - k) and multiplies den by q^top; each
+    value's (p, q) and these powers are read once for all components.
     """
-    den, degrees, terms = folded
-    known, unknown = [], []
-    for i, (v, top) in enumerate(degrees):
-        if v in values:
-            p, q = values[v].as_integer_ratio()
-            known.append((i, p, q, top))
-            den *= q ** top
-        else:
-            unknown.append((i, v))
+    scales = {}
     out = []
-    for n, powers in terms:
-        for i, p, q, top in known:
-            n *= p ** powers[i] * q ** (top - powers[i])
-        out.append((n, [(v, powers[i]) for i, v in unknown if powers[i]]))
-    return den, out
+    for den, degrees, terms in folded:
+        at, known = None, []
+        for i, (v, top) in enumerate(degrees):
+            if v == var:
+                at = i
+                continue
+            if (v, top) not in scales:
+                p, q = assignment[v].as_integer_ratio()
+                scales[v, top] = [p ** k * q ** (top - k) for k in range(top + 1)]
+            known.append((i, scales[v, top]))
+            den *= scales[v, top][0]
+        coeffs = {}
+        for n, powers in terms:
+            for i, scale in known:
+                n *= scale[powers[i]]
+            k = 0 if at is None else powers[at]
+            coeffs[k] = coeffs.get(k, 0) + n
+        out.append((den, coeffs))
+    return out
 
 
 def _dist2(pairs):
@@ -319,33 +327,61 @@ def _restricted_dist2(restrictions, x):
 _DENOMINATOR_CAP = 10 ** 24
 
 
+def _capped(n, d):
+    """Fraction(n, d).limit_denominator(_DENOMINATOR_CAP), computed on integers.
+
+    This is CPython's continued-fraction algorithm: the last convergent p1/q1
+    with q1 <= cap, or the semiconvergent beyond it when that one is closer
+    (a tie keeps p1/q1).  With den the denominator n/d starts with, p1/q1 lies
+    d / (q1 * den) from it.  An unreduced n/d has the same partial quotients,
+    so no gcd is taken first; an expansion that ends within the cap is n/d.
+    """
+    if d < 0:
+        n, d = -n, -d
+    if d <= _DENOMINATOR_CAP:
+        return Fraction(n, d)
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while d:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > _DENOMINATOR_CAP:
+            k = (_DENOMINATOR_CAP - q0) // q1
+            if 2 * d * (q0 + k * q1) <= den:
+                return Fraction(p1, q1)
+            return Fraction(p0 + k * p1, q0 + k * q1)
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    return Fraction(p1, q1)
+
+
 def _best_value_for(folded, var, assignment):
-    """Near-exact minimizer of the squared distance along one coordinate, with
-    the restrictions [(den, {power: numerator})] of the folded residuals to var."""
-    others = {v: x for v, x in assignment.items() if v != var}
-    restrictions = []
-    for f in folded:
-        den, terms = _substitute(f, others)
-        coeffs = {}
-        for n, free in terms:
-            power = free[0][1] if free else 0
-            coeffs[power] = coeffs.get(power, 0) + n
-        restrictions.append((den, coeffs))
+    """(x, dist2): a near-exact minimizer of the squared distance along one
+    coordinate, and that distance as a function of var's value."""
+    restrictions = _restrict(folded, assignment, var)
     if max((max(c) for _, c in restrictions), default=0) <= 1:
-        # quadratic in var: closed-form minimizer -sum(a*b*w) / sum(a*a*w)
-        # over the common denominator D, with weights w = (D / den)^2
+        # quadratic in var: over the common denominator D, with weights
+        # w = (D / den)^2, the distance at p/q is
+        # (alpha p^2 + 2 beta p q + gamma q^2) / (D q)^2, least at -beta / alpha
         common = lcm(*(den for den, _ in restrictions))
-        alpha = beta = 0
+        alpha = beta = gamma = 0
         for den, coeffs in restrictions:
-            a, w = coeffs.get(1, 0), (common // den) ** 2
+            a, b, w = coeffs.get(1, 0), coeffs.get(0, 0), (common // den) ** 2
             alpha += a * a * w
-            beta += a * coeffs.get(0, 0) * w
-        if alpha == 0:
-            return assignment[var], restrictions
-        return Fraction(-beta, alpha).limit_denominator(_DENOMINATOR_CAP), restrictions
+            beta += a * b * w
+            gamma += b * b * w
+
+        def dist2(x):
+            p, q = x.as_integer_ratio()
+            return Fraction(alpha * p * p + 2 * beta * p * q + gamma * q * q,
+                            (common * q) ** 2)
+        return (assignment[var] if alpha == 0 else _capped(-beta, alpha)), dist2
+
+    def dist2(x):
+        return _restricted_dist2(restrictions, x)
     # heuristic candidate set for higher degree
     candidates = sorted({assignment[var], Fraction(0), Fraction(1), Fraction(-1)})
-    return min(candidates, key=lambda x: _restricted_dist2(restrictions, x)), restrictions
+    return min(candidates, key=dist2), dist2
 
 
 class _Search:
@@ -360,6 +396,12 @@ class _Search:
     _stopped: evaluations >= budget or distance <= tol^2.  Phase 3 checks the
     budget before each offer and _stopped after each improvement and each
     atom's factors, so a round begun within tolerance tries the first atom.
+
+    A descent step restricts every folded residual to one variable in one
+    _restrict pass.  When all of them are linear in it, the distance is the
+    quadratic (alpha x^2 + 2 beta x + gamma) / D^2 with integer sums, so the
+    minimizer and its distance take no loop over the components; minimizers
+    are rounded by _capped, limit_denominator computed on integers.
     """
 
     def __init__(self, om, targets, tol, budget, seed):
@@ -378,11 +420,8 @@ class _Search:
 
     def dist2(self, assignment, folded):
         self.evaluations += 1
-        pairs = []
-        for f in folded:
-            den, terms = _substitute(f, assignment)
-            pairs.append((sum(n for n, _ in terms), den))
-        return _dist2(pairs)
+        return _dist2([(sum(coeffs.values()), den)
+                       for den, coeffs in _restrict(folded, assignment)])
 
     def descend(self, assignment, folded):
         """Two sweeps of exact coordinate descent from a copy of assignment."""
@@ -393,11 +432,11 @@ class _Search:
             for var in self.poly_vars:
                 if self.evaluations >= self.budget:
                     return best, assignment
-                cand, restrictions = _best_value_for(folded, var, assignment)
+                cand, dist2 = _best_value_for(folded, var, assignment)
                 if cand != assignment[var]:
-                    # one evaluation: the distance at cand, from the restrictions
+                    # one evaluation: the distance at cand along var
                     self.evaluations += 1
-                    d = _restricted_dist2(restrictions, cand)
+                    d = dist2(cand)
                     if d < best:
                         best = d
                         assignment[var] = cand
@@ -411,24 +450,20 @@ class _Search:
                 for v in self.poly_vars}
 
     def _linear_pin(self, folded, pinned):
-        """(var, value) when the residual is linear in one unpinned variable."""
-        the_var = None
-        slope = offset = 0
-        for n, free in _substitute(folded, pinned)[1]:
-            if not free:
-                offset += n
-                continue
-            if len(free) > 1 or free[0][1] > 1:
-                return None
-            v = free[0][0]
-            if the_var is None:
-                the_var = v
-            elif the_var != v:
-                return None
-            slope += n
-        if the_var is None or slope == 0:
+        """(var, value) when the residual is linear in one unpinned variable.
+
+        Every variable of degrees occurs in some term (numerator 0 included),
+        so two unpinned ones, or one of top power above 1, mean a term that
+        is not linear in a single variable.
+        """
+        free = [(v, top) for v, top in folded[1] if v not in pinned]
+        if len(free) != 1 or free[0][1] != 1:
             return None
-        return the_var, Fraction(-offset, slope).limit_denominator(_DENOMINATOR_CAP)
+        var = free[0][0]
+        (_, coeffs), = _restrict([folded], pinned, var)
+        if coeffs[1] == 0:
+            return None
+        return var, _capped(-coeffs.get(0, 0), coeffs[1])
 
     def _multipass_pin(self, folded, skip=None, preset=None):
         """Solve components exactly one variable at a time, in passes.
@@ -573,11 +608,14 @@ def closure_membership(om: OrbitMap, target, invariants=(),
     evaluation, unless a certificate decides first.
 
     For each choice of atoms, every component minus its target is folded
-    once into integer numerators over one denominator; this is the exact
-    arithmetic of evaluating on Fractions, so the search visits the same
-    points with the same evaluation count.  A search verdict's witness is
-    evaluated again through the orbit map, and a distance other than
-    squared_distance raises OrbitkitError.
+    once into integer numerators over one denominator.  A coordinate step
+    along a variable in which every residual is linear reads the distance
+    off one integer quadratic, and rounds its minimizer to the denominator
+    cap with limit_denominator's continued fractions on integers.  This is
+    the exact arithmetic of evaluating on Fractions, so the search visits
+    the same points with the same evaluation count.  A search verdict's
+    witness is evaluated again through the orbit map, and a distance other
+    than squared_distance raises OrbitkitError.
     """
     target = tuple(Fraction(x) for x in target)
     if len(target) != len(om.components):

@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitkit import cli
+from orbitkit import cli, invariants
 from orbitkit.algfile import parse_algebra
 from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import functional, stabilizer_ideal
@@ -23,6 +23,7 @@ from orbitkit.invariants import (
     NOT_IN_CLOSURE,
     NOT_IN_OMEGA,
     SAME_N_ORBIT,
+    _DENOMINATOR_CAP,
     closure_membership,
     critical_test,
     derivation,
@@ -30,8 +31,8 @@ from orbitkit.invariants import (
     orbit_certificates,
     semi_invariants,
     _best_value_for,
+    _capped,
     _fold,
-    _restricted_dist2,
     _Search,
     vanish_on_orbit,
 )
@@ -443,9 +444,109 @@ def test_folded_distance_is_the_fraction_distance(name, integral, data):
     assert type(d) is F and d == sum((x - t) ** 2 for x, t in zip(point, target))
     for var in search.poly_vars:
         x = data.draw(values, label=f"new {var}")
-        _, restrictions = _best_value_for(folded, var, assignment)
-        d = _restricted_dist2(restrictions, x)
+        _, dist2 = _best_value_for(folded, var, assignment)
+        d = dist2(x)
         assert type(d) is F and d == search.dist2({**assignment, var: x}, folded)
+
+
+def _convergents(x):
+    """The convergents of the continued fraction of x."""
+    n, d = x.numerator, x.denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    out = set()
+    while d:
+        a, n, d = n // d, d, n % d
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.add(F(p1, q1))
+    return out
+
+
+def _final_choice(x, cap):
+    """Which answer x.limit_denominator(cap) gives: x itself, the last
+    convergent within the cap, or the semiconvergent beside it."""
+    if x.denominator <= cap:
+        return "exact"
+    return "convergent" if x.limit_denominator(cap) in _convergents(x) else "semiconvergent"
+
+
+_PI_31 = 31415926535897932384626433832795
+# (n, d) -> the final choice of F(n, d).limit_denominator(_DENOMINATOR_CAP)
+_CAPPED_EXAMPLES = {
+    (_PI_31, 10 ** 31): "convergent",
+    (-_PI_31, 10 ** 31 + 12): "semiconvergent",
+    (355 * 10 ** 40, 113 * 10 ** 40): "exact",
+}
+
+
+def test_the_capped_examples_reach_every_final_choice():
+    assert {(n, d): _final_choice(F(n, d), _DENOMINATOR_CAP)
+            for n, d in _CAPPED_EXAMPLES} == _CAPPED_EXAMPLES
+
+
+def _with_capped_examples(test):
+    for n, d in _CAPPED_EXAMPLES:
+        test = example(n=n, d=d, common=1, negate=False)(test)
+    return test
+
+
+@_with_capped_examples
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(-10 ** 60, 10 ** 60),
+       d=st.one_of(st.integers(1, _DENOMINATOR_CAP),
+                   st.integers(_DENOMINATOR_CAP + 1, 10 ** 60)),
+       common=st.one_of(st.just(1), st.integers(2, 10 ** 30)),
+       negate=st.booleans())
+def test_capped_is_limit_denominator(n, d, common, negate):
+    want = F(n, d).limit_denominator(_DENOMINATOR_CAP)
+    # an unreduced n/d, and a negative denominator, as _linear_pin passes them
+    n, d = n * common, d * common
+    if negate:
+        n, d = -n, -d
+    got = _capped(n, d)
+    assert type(got) is F and got == want
+
+
+def test_capped_breaks_ties_as_limit_denominator(monkeypatch):
+    """Small caps reach the ties between the two final candidates."""
+    for cap in range(1, 8):
+        monkeypatch.setattr(invariants, "_DENOMINATOR_CAP", cap)
+        for d in range(1, 41):
+            for n in range(-80, 81):
+                assert _capped(n, d) == F(n, d).limit_denominator(cap), (n, d, cap)
+
+
+_BIG = st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["b5", "axb", "g49_0"]), st.data())
+def test_quadratic_step_is_the_fraction_step(name, data):
+    """The closed-form step against one on plain Fractions: the capped
+    minimizer -sum(a*b) / sum(a*a) of the residuals a*x + b along each
+    variable, and the squared distance there."""
+    om, _ = _closure_orbit(name)
+    target = tuple(data.draw(_Q) for _ in om.components)
+    search = _Search(om, target, F(0), 1, 0)
+    assignment = {v: data.draw(_BIG, label=v) for v in search.poly_vars}
+    atoms = {v: data.draw(st.builds(F, st.integers(1, 10 ** 9), st.integers(1, 10 ** 9)),
+                          label=v) for v in search.exp_vars}
+    folded = [_fold(c, t, atoms) for c, t in zip(search.compiled, target)]
+    exp_atoms = {v: u ** search.scales[v] for v, u in atoms.items()}
+    for var in search.poly_vars:
+        def residuals(x):
+            point = om.evaluate({**assignment, var: x}, exp_atoms)
+            return [p - t for p, t in zip(point, target)]
+        b = residuals(F(0))
+        a = [r - s for r, s in zip(residuals(F(1)), b)]
+        assert residuals(F(2)) == [2 * ai + bi for ai, bi in zip(a, b)]
+        alpha = sum(ai * ai for ai in a)
+        beta = sum(ai * bi for ai, bi in zip(a, b))
+        want = (assignment[var] if alpha == 0
+                else (-beta / alpha).limit_denominator(_DENOMINATOR_CAP))
+        cand, dist2 = _best_value_for(folded, var, assignment)
+        assert type(cand) is F and cand == want
+        d = dist2(cand)
+        assert type(d) is F and d == sum(r * r for r in residuals(cand))
 
 
 def test_a_search_verdict_rechecks_its_witness(monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """Source checks: exact arithmetic on every path that can decide a verdict,
-no definition that nothing refers to, no import that nothing uses, no import
-of a package that pyproject.toml does not declare, and every name that the
-benchmark's tracer wraps still there."""
+one denominator cap, no definition that nothing refers to, no import that
+nothing uses, no import of a package that pyproject.toml does not declare,
+and every name that the benchmark's tracer wraps still there."""
 
 import ast
 import re
@@ -44,6 +44,41 @@ def test_the_scan_flags_floats_in_methods_too():
     assert sorted(_float_uses("m.py", source)) == [
         "m.py:2: float literal 0.5", "m.py:2: float(", "m.py:2: round(",
         "m.py:5: float literal 0.5", "m.py:5: float("]
+
+
+def _limit_denominator_uses(name, source, helper="_capped"):
+    """'file:line: function' for each limit_denominator attribute outside the
+    cap helper, with the function it is in."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "limit_denominator"
+                and where != helper):
+            out.append(f"{name}:{node.lineno}: {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_only_the_cap_helper_limits_denominators():
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in _limit_denominator_uses(path.name, path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_cap_scan_flags_limit_denominator_outside_the_helper():
+    source = ("CAP = 10\n"
+              "def _capped(n, d):\n"
+              "    return Fraction(n, d).limit_denominator(CAP)\n"
+              "class Search:\n"
+              "    def pin(self, x):\n"
+              "        return x.limit_denominator(CAP)\n"
+              "ROUNDED = Fraction(1, 3).limit_denominator\n")
+    assert _limit_denominator_uses("m.py", source) == ["m.py:6: pin", "m.py:7: <module>"]
 
 
 def _definitions(tree):
