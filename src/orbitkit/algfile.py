@@ -32,7 +32,6 @@ def _strip_comment(line: str) -> str:
 def _parse_terms(text: str, lineno: int, col0: int):
     """[(coeff, name)] from 'c1*n1 + n2 - c3*n3 ...'."""
     tokens = text.replace("+", " + ").replace("-", " - ").split()
-    # re-join fractions that were split on a unary minus, e.g. '3/2'
     terms = []
     sign = Fraction(1)
     expect_term = True
@@ -172,7 +171,7 @@ def emit_algebra(g: LieAlgebra) -> str:
 
 def parse_functional(text: str, names) -> tuple:
     """'e3=1,e0=2/3' to a covector over the given basis names."""
-    coeffs = {n: Fraction(0) for n in names}
+    values = {}
     text = text.strip()
     if text:
         for chunk in text.split(","):
@@ -181,9 +180,11 @@ def parse_functional(text: str, names) -> tuple:
             value = value.strip()
             if not eq or not name or not value:
                 raise ParseError(1, 1, f"bad functional component {chunk!r}")
-            if name not in coeffs:
+            if name not in names:
                 raise ParseError(1, 1, f"unknown basis name {name!r}")
             if not _RATIONAL_RE.match(value):
                 raise ParseError(1, 1, f"bad rational {value!r}")
-            coeffs[name] = Fraction(value)
-    return tuple(coeffs[n] for n in names)
+            if name in values:
+                raise ParseError(1, 1, f"duplicate component {name!r}")
+            values[name] = Fraction(value)
+    return tuple(values.get(n, Fraction(0)) for n in names)

@@ -295,6 +295,8 @@ def _cmd_invariants(args):
 def _cmd_closure_test(args):
     g, entry = _load(args)
     f = _require_functional(args, g, entry)
+    if not args.g:
+        raise SystemExit(_usage_error("--g is required for closure-test"))
     steps = _orbit_steps(g, entry)
     if entry is not None and entry.stabilizer_names is not None:
         # test in the dual of the stabilizer ideal, as the worked example does
@@ -302,8 +304,6 @@ def _cmd_closure_test(args):
         om = orbit_map(g, f, steps, restrict_to=m)
     else:
         om = orbit_map(g, f, steps)
-    if not args.g:
-        raise SystemExit(_usage_error("--g is required for closure-test"))
     target = _parse_functional_arg(args.g, om.component_names)
     certs = orbit_certificates(g, f, om, args.degree)
     verdict = closure_membership(om, target, certs,

@@ -11,14 +11,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DimensionMismatch,
-    FlagInvalid,
-    NotCoabelianIdeal,
-    NotGeneralPosition,
-    PreconditionFailed,
-)
-from .exactlin import Matrix, Q0, Subspace, kernel, unit_vector, vec, vec_dot
+from .errors import FlagInvalid, NotCoabelianIdeal, PreconditionFailed
+from .exactlin import Matrix, Q0, Subspace, kernel, vec, vec_dot
 from .liealg import LieAlgebra
 
 # numerators and denominators of seeded random functionals are bounded by this
@@ -38,19 +32,6 @@ def functional(g: LieAlgebra, values) -> tuple:
     for name, val in values.items():
         coeffs[g.index_of(name)] = Fraction(val)
     return tuple(coeffs)
-
-
-def pairing(f, v):
-    """f(v) for a covector and a coordinate vector."""
-    return vec_dot(vec(f), vec(v))
-
-
-def restrict_functional(f, space: Subspace) -> tuple:
-    """Coordinates of f restricted to a subspace, in its canonical basis."""
-    f = vec(f)
-    if len(f) != space.ambient_dim:
-        raise DimensionMismatch("functional length differs from ambient dimension")
-    return tuple(vec_dot(f, b) for b in space.basis)
 
 
 def form_matrix(g: LieAlgebra, f) -> Matrix:
@@ -75,13 +56,6 @@ def stabilizer_ideal(g: LieAlgebra, f, n: Subspace | None = None) -> Subspace:
     if not g.is_ideal(m):
         raise PreconditionFailed("stabilizer ideal failed its ideal check")
     return m
-
-
-def mtilde(g: LieAlgebra, m: Subspace) -> Subspace:
-    """Common kernel of the roots that vanish on m; full space if none do."""
-    return Subspace.common_kernel(g.dim, [Matrix([root.re, root.im])
-                                          for root in g.adjoint_weights()
-                                          if root.vanishes_on(m)])
 
 
 @dataclass(frozen=True)
@@ -110,30 +84,10 @@ def condition_R_at(g: LieAlgebra, f):
     n = g.commutator_ideal()
     m = stabilizer_ideal(g, f, n)
     _, m_inf = g.descending_central_series(m)
-    values = tuple(pairing(f, b) for b in m_inf.basis)
+    values = m_inf.restrict(f)
     holds = all(x == 0 for x in values)
     return holds, ConditionRCertificate(f=f, n=n, m=m, m_infinity=m_inf,
                                         values_on_m_infinity=values, holds=holds)
-
-
-def largest_ideal_in_kernel(g: LieAlgebra, f) -> Subspace:
-    """Greatest fixed point of V -> {v in V : [g, v] in V} starting at ker f.
-
-    f is in general position exactly when the result is zero.
-    """
-    f = vec(f)
-    current = kernel(Matrix([f]))
-    ads = [g.ad_matrix(unit_vector(g.dim, i)) for i in range(g.dim)]
-    while True:
-        ann = current.annihilator_matrix()
-        nxt = Subspace.common_kernel(g.dim, [ann] + [ann * ad for ad in ads])
-        if nxt == current:
-            return current
-        current = nxt
-
-
-def in_general_position(g: LieAlgebra, f) -> bool:
-    return largest_ideal_in_kernel(g, f).dim == 0
 
 
 def vergne_polarization(g: LieAlgebra, flag, f) -> Subspace:
@@ -188,63 +142,6 @@ def check_polarization(g: LieAlgebra, f, p: Subspace) -> PolarizationReport:
         is_isotropic=isotropic,
         dimension_ok=2 * p.dim == g.dim + gf.dim,
         contains_stabilizer=p.contains_subspace(gf),
-    )
-
-
-def combine_polarization(g: LieAlgebra, f, h: Subspace, p0: Subspace):
-    """g_f + p0 for a polarization p0 inside an ideal h with g = g_f + h.
-
-    Returns (subspace, PolarizationReport).
-    """
-    f = vec(f)
-    gf = stabilizer(g, f)
-    if (gf + h).dim != g.dim:
-        raise PreconditionFailed("g must equal g_f + h")
-    if not h.contains_subspace(p0):
-        raise PreconditionFailed("p0 must be contained in h")
-    p = gf + p0
-    return p, check_polarization(g, f, p)
-
-
-@dataclass(frozen=True)
-class CenterRemarkReport:
-    """[m, zn] = 0 and zn <= zm for the stabilizer ideal at f."""
-
-    general_position: bool
-    m: Subspace
-    zn: Subspace
-    zm: Subspace
-    m_zn_commutes: bool
-    zn_in_zm: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.m_zn_commutes and self.zn_in_zm
-
-
-def remark_invariants(g: LieAlgebra, f, require_general_position: bool = True):
-    """Verify [m, zn] = 0 and zn <= zm for m = g_f + n at a functional.
-
-    Both identities are theorems for f in general position; the check can be
-    run without that hypothesis by passing require_general_position=False.
-    """
-    f = vec(f)
-    gp = in_general_position(g, f)
-    if require_general_position and not gp:
-        raise NotGeneralPosition(
-            "f vanishes on a nonzero ideal; pass require_general_position=False "
-            "to evaluate the identities anyway")
-    n = g.nilradical()
-    m = stabilizer_ideal(g, f, n)
-    zn = g.centralizer(n).intersect(n)
-    zm = g.centralizer(m).intersect(m)
-    return CenterRemarkReport(
-        general_position=gp,
-        m=m,
-        zn=zn,
-        zm=zm,
-        m_zn_commutes=g.bracket_span(m, zn).dim == 0,
-        zn_in_zm=zm.contains_subspace(zn),
     )
 
 

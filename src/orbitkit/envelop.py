@@ -101,15 +101,6 @@ class UEAElement:
     def scalar(cls, algebra, value):
         return cls(algebra, {(): value})
 
-    @classmethod
-    def generator(cls, algebra, name):
-        return cls(algebra, {(algebra.index_of(name),): 1})
-
-    @classmethod
-    def dotted_generator(cls, algebra, name):
-        """The complexified generator -i * e_name."""
-        return cls(algebra, {(algebra.index_of(name),): MINUS_I})
-
     def _check_same(self, other):
         if self.algebra != other.algebra:
             raise DimensionMismatch("elements live over different algebras")
@@ -174,10 +165,6 @@ class UEAElement:
             mono = "*".join(names[i] for i in word) if word else "1"
             chunks.append(f"({self.terms[word]})*{mono}")
         return " + ".join(chunks)
-
-
-def uea_commutator(u: UEAElement, v: UEAElement) -> UEAElement:
-    return u * v - v * u
 
 
 def _left_normal(algebra, word, ordered):
@@ -259,8 +246,9 @@ def _commutator_sum(algebra, word, i):
 def is_central(u: UEAElement):
     """(True, None) or (False, (generator name, nonzero commutator)).
 
-    The witness is uea_commutator(u, e_name), built from rational word sums
-    with each coefficient of u multiplied in once per output word.
+    The witness is the commutator u * e_name - e_name * u, built from
+    rational word sums with each coefficient of u multiplied in once per
+    output word.
     """
     m = u.algebra
     for i, name in enumerate(m.basis_names):

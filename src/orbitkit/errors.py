@@ -51,10 +51,6 @@ class PreconditionFailed(OrbitkitError):
     pass
 
 
-class NotGeneralPosition(OrbitkitError):
-    pass
-
-
 class NonlinearExponentSubstitution(OrbitkitError):
     pass
 

@@ -415,6 +415,14 @@ class Subspace:
         return tuple(scalar(v[next(i for i, x in enumerate(row) if x)])
                      for row in self.basis)
 
+    def restrict(self, f):
+        """Coordinates of the covector f restricted to the subspace, in its
+        canonical basis."""
+        f = vec(f)
+        if len(f) != self.ambient_dim:
+            raise DimensionMismatch("functional length differs from ambient dimension")
+        return tuple(vec_dot(f, b) for b in self.basis)
+
     def _check_ambient(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")

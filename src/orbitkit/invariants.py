@@ -30,7 +30,7 @@ from .errors import (
     OrbitkitError,
     PreconditionFailed,
 )
-from .exactlin import Matrix, Q0, Subspace, kernel, unit_vector, vec_dot
+from .exactlin import Matrix, Q0, Subspace, kernel, unit_vector
 from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
 from .symflow import ExpPoly, OrbitMap, orbit_map, _exact_root
 
@@ -58,27 +58,8 @@ def _action(g: LieAlgebra, x, module: Subspace | None) -> Matrix:
 
     The derivation of x sends the coordinate e_nu to sum_mu A[mu][nu] e_mu.
     """
-    if isinstance(x, str):
-        x = g.basis_vector(x)
     a = g.ad_matrix(x)
     return a if module is None else _restrict_to(a, module)
-
-
-def derivation(m: LieAlgebra, x, q: ExpPoly, module: Subspace | None = None) -> ExpPoly:
-    """The derivation with (X . e_nu) = (h -> h([X, e_nu])), extended by Leibniz."""
-    names = _dual_names(m, module)
-    a = _action(m, x, module)
-    present = q.poly_variables()
-    out = ExpPoly()
-    for nu, var in enumerate(names):
-        if var not in present:
-            continue
-        image = ExpPoly()
-        for mu, other in enumerate(names):
-            if a[mu, nu]:
-                image = image + ExpPoly.variable(other) * a[mu, nu]
-        out = out + q.d_dvar(var) * image
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -96,23 +77,6 @@ def _monomials(names, degree_bound):
                 expo[i] += 1
             out.append(tuple(expo))
     return out
-
-
-def _poly_to_vector(q: ExpPoly, names, monomials):
-    index = {m: i for i, m in enumerate(monomials)}
-    pos = {n: i for i, n in enumerate(names)}
-    out = [Q0] * len(monomials)
-    for (mono, expo), c in q.terms().items():
-        if expo != (Q0, ()):
-            raise DimensionMismatch("polynomial has exponential terms")
-        key = [0] * len(names)
-        for v, k in mono:
-            key[pos[v]] = k
-        key = tuple(key)
-        if key not in index:
-            raise DimensionMismatch("polynomial degree exceeds the monomial space")
-        out[index[key]] = c
-    return tuple(out)
 
 
 def _vector_to_poly(v, names, monomials):
@@ -724,7 +688,7 @@ def critical_test(g: LieAlgebra, f, target, steps, degree: int = 2,
     target = tuple(Fraction(x) for x in target)
     nilrad = g.nilradical()
     om_n = orbit_map(g, f, steps, restrict_to=nilrad)
-    target_n = tuple(vec_dot(target, b) for b in nilrad.basis)
+    target_n = nilrad.restrict(target)
     restricted = closure_membership(om_n, target_n, (), tol, budget, seed)
     if restricted.kind == EXACT_POINT:
         return CriticalVerdict(label=SAME_N_ORBIT, restricted=restricted)

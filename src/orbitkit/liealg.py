@@ -62,9 +62,6 @@ class Root:
         im = sum((a * b for a, b in zip(self.im, v)), Q0)
         return GaussianRational(re, im)
 
-    def kernel(self) -> Subspace:
-        return kernel(Matrix([self.re, self.im]))
-
     def vanishes_on(self, space: Subspace) -> bool:
         return all(not self.value(b) for b in space.basis)
 
@@ -433,8 +430,7 @@ class LieAlgebra:
         result = kernel(Matrix([[sum((x * c[j][l][k] for k, l, x in terms[i]), Q0)
                                  for j in range(n)] for i in range(n)]))
         if not self._is_nilpotent_ideal_over_commutator(result):
-            result = Subspace.common_kernel(
-                n, [Matrix([root.re, root.im]) for root in self.adjoint_weights()])
+            result = mtilde(self, Subspace.zero(n))  # every root vanishes on 0
             if not self._is_nilpotent_ideal_over_commutator(result):
                 raise PreconditionFailed("computed nilradical is not a nilpotent ideal "
                                          "containing the commutator ideal")
@@ -461,6 +457,13 @@ class LieAlgebra:
                     detail="imaginary part of a root is not a rational multiple "
                            "of its real part")
         return ExponentialVerdict("exponential")
+
+
+def mtilde(g: LieAlgebra, m: Subspace) -> Subspace:
+    """Common kernel of the roots that vanish on m; full space if none do."""
+    return Subspace.common_kernel(g.dim, [Matrix([root.re, root.im])
+                                          for root in g.adjoint_weights()
+                                          if root.vanishes_on(m)])
 
 
 # ---------------------------------------------------------------------------

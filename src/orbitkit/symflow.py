@@ -616,8 +616,7 @@ def orbit_map(g: LieAlgebra, start, steps, restrict_to: Subspace | None = None) 
         if restrict_to is not None and len(start_list) == g.dim:
             if any(isinstance(x, ExpPoly) for x in start_list):
                 raise DimensionMismatch("cannot restrict a symbolic functional")
-            start_list = [sum((Fraction(x) * b for x, b in zip(start_list, row)),
-                              Fraction(0)) for row in restrict_to.basis]
+            start_list = restrict_to.restrict(start_list)
         else:
             raise DimensionMismatch("starting functional has the wrong length")
 

@@ -104,6 +104,8 @@ def test_parse_functional():
         parse_functional("nope=1", names)
     with pytest.raises(ParseError):
         parse_functional("e3=banana", names)
+    with pytest.raises(ParseError, match="duplicate"):
+        parse_functional("e3=1,e0=1,e3=2", names)
 
 
 # -- command line -------------------------------------------------------------
@@ -191,6 +193,8 @@ def test_cli_exit_codes(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "stabilizer", "--catalog", "b5", "--f", "zzz=1")
     assert code == 1
+    code, out, err = run_cli(capsys, "condition-r", "--catalog", "b5", "--f", "e3=1,e3=2")
+    assert code == 1 and out == "" and "duplicate component 'e3'" in err
     # a computation error: no rational composition series exists here
     code, _, err = run_cli(capsys, "polarize", "--catalog", "e2-motion")
     assert code == 2
@@ -237,6 +241,15 @@ def test_zero_denominator_in_a_functional_is_a_parse_error():
 def test_cli_zero_denominator_in_f_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "stabilizer", "--catalog", "b5", "--f", "e3=1/0")
     assert code == 1 and "bad rational" in err
+
+
+def test_cli_closure_test_without_g_is_a_usage_error(tmp_path, capsys):
+    # the orbit cannot be built (the spectrum leaves Q(i)), so --g is checked first
+    path = tmp_path / "cubic.alg"
+    path.write_text("basis a x y z\nbracket a x = y\nbracket a y = z\n"
+                    "bracket a z = 2*x\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "closure-test", "--file", str(path), "--f", "x=1")
+    assert code == 1 and out == "" and "--g is required" in err
 
 
 def test_cli_zero_denominator_in_g_is_a_usage_error(capsys):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference import in_general_position, largest_ideal_in_kernel
 
 from orbitkit import cli
 from orbitkit.algfile import parse_algebra
@@ -15,29 +16,18 @@ from orbitkit.coadjoint import (
     STAR_REGULAR,
     UNDETERMINED,
     check_polarization,
-    combine_polarization,
     condition_R_at,
     form_matrix,
     functional,
-    in_general_position,
-    largest_ideal_in_kernel,
-    mtilde,
     random_functional,
     regularity_report,
-    remark_invariants,
-    restrict_functional,
     stabilizer,
     stabilizer_ideal,
     vergne_polarization,
 )
-from orbitkit.errors import (
-    FlagInvalid,
-    NotCoabelianIdeal,
-    NotGeneralPosition,
-    PreconditionFailed,
-)
+from orbitkit.errors import FlagInvalid, NotCoabelianIdeal
 from orbitkit.exactlin import Subspace, rank
-from orbitkit.liealg import LieAlgebra, ax_b, b5, g49_zero, heisenberg3, motion_e2
+from orbitkit.liealg import LieAlgebra, ax_b, b5, g49_zero, heisenberg3, motion_e2, mtilde
 
 F = Fraction
 
@@ -147,8 +137,7 @@ def test_largest_ideal_in_kernel():
     assert result == span(3, [1, 2])
     # the result is an ideal inside the kernel and swallows smaller ones
     assert h3.is_ideal(result)
-    assert all(x == 0 for x in restrict_functional(
-        functional(h3, {"e1": 1}), result))
+    assert all(x == 0 for x in result.restrict(functional(h3, {"e1": 1})))
 
 
 def test_vergne_polarization_examples():
@@ -204,42 +193,52 @@ def test_check_polarization_flags():
 
 
 def test_combine_polarization():
+    # g_f + p0 is a polarization at f when p0 is one inside an ideal h with
+    # g = g_f + h
     h3 = heisenberg3()
     f = functional(h3, {"e3": 1})
     p0 = span(3, [1, 2])
-    p, report = combine_polarization(h3, f, Subspace.full(3), p0)
-    assert p == p0 and report.certified
+    p = stabilizer(h3, f) + p0
+    assert p == p0 and check_polarization(h3, f, p).certified
 
     m = g49_zero()
     fm = functional(m, {"e0": F(1, 3), "e3": 1})
-    p, report = combine_polarization(m, fm, m.nilradical(), span(4, [2, 3]))
+    h, p0 = m.nilradical(), span(4, [2, 3])
+    assert (stabilizer(m, fm) + h).dim == m.dim and h.contains_subspace(p0)
+    p = stabilizer(m, fm) + p0
     assert p == span(4, [0, 2, 3])
-    assert report.certified
+    assert check_polarization(m, fm, p).certified
 
+    # on b5 the nilradical is no such h: g_f + n is a hyperplane
     g, f = ref_b5()
-    with pytest.raises(PreconditionFailed):
-        combine_polarization(g, f, g.nilradical(), span(5, [3, 4]))
+    assert (stabilizer(g, f) + g.nilradical()).dim == g.dim - 1
 
 
 def test_remark_invariants():
+    # [m, zn] = 0 and zn <= zm for m = g_f + n, with zn and zm the centres
+    # of n and m; both are theorems for f in general position
+    def centres(g, f):
+        n = g.nilradical()
+        m = stabilizer_ideal(g, f, n)
+        zn = g.centralizer(n).intersect(n)
+        zm = g.centralizer(m).intersect(m)
+        assert g.bracket_span(m, zn).dim == 0 and zm.contains_subspace(zn)
+        return zn, zm
+
     g, f = ref_b5()
-    report = remark_invariants(g, f)
-    assert report.passed and report.general_position
-    assert report.zn == span(5, [4]) and report.zm == span(5, [4])
+    assert in_general_position(g, f)
+    assert centres(g, f) == (span(5, [4]), span(5, [4]))
 
     h3 = heisenberg3()
-    report = remark_invariants(h3, functional(h3, {"e3": 1}))
-    assert report.passed
+    centres(h3, functional(h3, {"e3": 1}))
 
     # a two-dimensional center means no functional is in general position;
-    # the identities still hold and can be checked without the hypothesis
+    # the identities still hold without the hypothesis
     h3u = LieAlgebra.construct(
         ("e1", "e2", "e3", "u"), {("e1", "e2"): {"e3": 1}})
     f = functional(h3u, {"e1": 1, "e2": 1, "e3": 1, "u": 1})
-    with pytest.raises(NotGeneralPosition):
-        remark_invariants(h3u, f)
-    report = remark_invariants(h3u, f, require_general_position=False)
-    assert report.passed and not report.general_position
+    assert not in_general_position(h3u, f)
+    centres(h3u, f)
 
 
 def test_regularity_verdicts():

@@ -12,7 +12,6 @@ from test_algfile_cli import CATALOG_NAMES, draw_basis_change
 
 from orbitkit import cli, liealg
 from orbitkit.catalog import get_entry
-from orbitkit.coadjoint import mtilde
 from orbitkit.errors import (
     AntisymmetryViolation,
     JacobiViolation,
@@ -20,7 +19,7 @@ from orbitkit.errors import (
     NotIdeal,
     NotSubalgebra,
 )
-from orbitkit.exactlin import GaussianRational, Matrix, Subspace, solve, unit_vector
+from orbitkit.exactlin import GaussianRational, Matrix, Subspace, kernel, solve, unit_vector
 from orbitkit.liealg import (
     LieAlgebra,
     _gaussian_eigenvalues,
@@ -30,6 +29,7 @@ from orbitkit.liealg import (
     g49_zero,
     heisenberg3,
     motion_e2,
+    mtilde,
 )
 
 F = Fraction
@@ -230,7 +230,7 @@ def _borel3():
 def _root_kernels(g):
     result = Subspace.full(g.dim)
     for root in g.adjoint_weights():
-        result = result.intersect(root.kernel())
+        result = result.intersect(kernel(Matrix([root.re, root.im])))
     return result
 
 
