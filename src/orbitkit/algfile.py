@@ -14,6 +14,7 @@ emit_algebra returns the same algebra (round trip on normal forms).
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -22,6 +23,19 @@ from .liealg import LieAlgebra
 # p or p/q with a nonzero denominator
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+
+
+def _rational(text: str, lineno: int, col: int) -> Fraction:
+    """Fraction of a p or p/q literal; ParseError for any other text, and for
+    a numerator or denominator with more digits than Python converts
+    (sys.get_int_max_str_digits())."""
+    if not _RATIONAL_RE.match(text):
+        raise ParseError(lineno, col, f"bad rational {text!r}")
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ParseError(lineno, col, "rational literal has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _strip_comment(line: str) -> str:
@@ -57,9 +71,7 @@ def _parse_terms(text: str, lineno: int, col0: int):
             raise ParseError(lineno, col0, f"expected '+' or '-' before {tok!r}")
         if "*" in tok:
             coeff_text, _, name = tok.partition("*")
-            if not _RATIONAL_RE.match(coeff_text):
-                raise ParseError(lineno, col0, f"bad rational {coeff_text!r}")
-            coeff = Fraction(coeff_text)
+            coeff = _rational(coeff_text, lineno, col0)
         elif _RATIONAL_RE.match(tok) and i + 1 < len(tokens) and tokens[i + 1] == "*":
             raise ParseError(lineno, col0, "spaces around '*' are not allowed")
         else:
@@ -182,9 +194,8 @@ def parse_functional(text: str, names) -> tuple:
                 raise ParseError(1, 1, f"bad functional component {chunk!r}")
             if name not in names:
                 raise ParseError(1, 1, f"unknown basis name {name!r}")
-            if not _RATIONAL_RE.match(value):
-                raise ParseError(1, 1, f"bad rational {value!r}")
+            value = _rational(value, 1, 1)
             if name in values:
                 raise ParseError(1, 1, f"duplicate component {name!r}")
-            values[name] = Fraction(value)
+            values[name] = value
     return tuple(values.get(n, Fraction(0)) for n in names)

@@ -80,13 +80,13 @@ def _g49_representations():
         "e0": DiffOp.multiplication(f0 - i_half) + DiffOp.multiplication(_xi()) * d,
         "e1": -d,
         "e2": DiffOp.multiplication(-(ems * _xi())),
-        "e3": DiffOp.scalar(ems),
+        "e3": DiffOp.multiplication(ems),
     }
     drho = {
         "e0": -d,
         "e1": DiffOp.multiplication(ExpPoly.exp({"xi": 1}) * g1),
         "e2": DiffOp.multiplication(ExpPoly.exp({"xi": -1}) * g2),
-        "e3": DiffOp.scalar(0),
+        "e3": DiffOp.multiplication(0),
     }
     return {"dpi_s": dpi_s, "drho": drho}
 

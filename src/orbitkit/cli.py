@@ -293,6 +293,10 @@ def _cmd_invariants(args):
 
 
 def _cmd_closure_test(args):
+    # the report prints the tolerance 10^-k, whose denominator has k + 1 digits
+    limit = sys.get_int_max_str_digits()
+    if limit and args.tol_exponent >= limit:
+        raise SystemExit(_usage_error(f"--tol-exponent must be below {limit}"))
     g, entry = _load(args)
     f = _require_functional(args, g, entry)
     if not args.g:

@@ -69,21 +69,10 @@ class UEAElement:
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: LieAlgebra, terms=None):
-        normal = {}
-        for word, coeff in (terms or {}).items():
-            normal_form = _normalize_word(algebra, tuple(word), "left")
-            coeff = coeff if isinstance(coeff, ExpPoly) else ExpPoly.constant(coeff)
-            if coeff.is_zero():
-                continue
-            for w, c in normal_form.items():
-                cur = normal.get(w)
-                cur = coeff * c if cur is None else cur + coeff * c
-                if cur.is_zero():
-                    normal.pop(w, None)
-                else:
-                    normal[w] = cur
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", normal)
+        object.__setattr__(self, "terms", _combine(
+            (ExpPoly.lift(coeff), _normalize_word(algebra, tuple(word), "left"))
+            for word, coeff in (terms or {}).items()))
 
     def __setattr__(self, *args):
         raise AttributeError("UEAElement is immutable")
@@ -178,15 +167,16 @@ def _add_into(acc, word_sum, scale=1):
         acc[w] = acc.get(w, 0) + scale * c
 
 
-def _combine(algebra, scaled_sums):
-    """The UEAElement sum of coeff * word_sum over (ExpPoly coeff, rational
-    word sum) pairs: one ExpPoly product per pair and nonzero word."""
+def _combine(scaled_sums):
+    """{normal word: ExpPoly}, nonzero terms only: the sum of coeff * word_sum
+    over (ExpPoly coeff, rational word sum) pairs, with one ExpPoly product
+    per pair and nonzero word."""
     terms = {}
     for coeff, word_sum in scaled_sums:
         for w, r in word_sum.items():
             if r:
                 terms[w] = terms[w] + coeff * r if w in terms else coeff * r
-    return UEAElement._from_normal(algebra, terms)
+    return {w: c for w, c in terms.items() if not c.is_zero()}
 
 
 def _ordering_sum(algebra, counts, memo):
@@ -217,9 +207,8 @@ def symmetrize(q: ExpPoly, algebra: LieAlgebra) -> UEAElement:
     index = {name: i for i, name in enumerate(algebra.basis_names)}
     memo = {(0,) * algebra.dim: {(): Fraction(1)}}
     scaled_sums = []
-    for (mono, expo), c in q.terms().items():
-        const, lin = expo
-        if lin or const:
+    for (mono, lin), c in q.terms().items():
+        if lin:
             raise DimensionMismatch("cannot symmetrize exponential terms")
         counts = [0] * algebra.dim
         coeff = ExpPoly.constant(c)
@@ -232,7 +221,7 @@ def symmetrize(q: ExpPoly, algebra: LieAlgebra) -> UEAElement:
         orderings = factorial(degree) // prod(factorial(m) for m in counts)
         scaled_sums.append((coeff * (MINUS_I ** degree / orderings),
                             _ordering_sum(algebra, tuple(counts), memo)))
-    return _combine(algebra, scaled_sums)
+    return UEAElement._from_normal(algebra, _combine(scaled_sums))
 
 
 def _commutator_sum(algebra, word, i):
@@ -252,8 +241,8 @@ def is_central(u: UEAElement):
     """
     m = u.algebra
     for i, name in enumerate(m.basis_names):
-        defect = _combine(m, ((coeff, _commutator_sum(m, word, i))
-                              for word, coeff in u.terms.items()))
+        defect = UEAElement._from_normal(m, _combine(
+            (coeff, _commutator_sum(m, word, i)) for word, coeff in u.terms.items()))
         if not defect.is_zero():
             return False, (name, defect)
     return True, None
@@ -283,10 +272,6 @@ class DiffOp:
         raise AttributeError("DiffOp is immutable")
 
     @classmethod
-    def scalar(cls, value):
-        return cls({0: value})
-
-    @classmethod
     def multiplication(cls, expr):
         """Multiplication by a function of xi (and parameters)."""
         return cls({0: expr})
@@ -297,7 +282,7 @@ class DiffOp:
 
     def __add__(self, other):
         if not isinstance(other, DiffOp):
-            other = DiffOp.scalar(other)
+            other = DiffOp.multiplication(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, ExpPoly()) + c
@@ -307,11 +292,11 @@ class DiffOp:
 
     def __sub__(self, other):
         if not isinstance(other, DiffOp):
-            other = DiffOp.scalar(other)
+            other = DiffOp.multiplication(other)
         return self + (-other)
 
     def __rsub__(self, other):
-        return DiffOp.scalar(other) + (-self)
+        return DiffOp.multiplication(other) + (-self)
 
     def __neg__(self):
         return DiffOp({k: -c for k, c in self.terms.items()})
@@ -340,7 +325,7 @@ class DiffOp:
 
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
-            other = DiffOp.scalar(other)
+            other = DiffOp.multiplication(other)
         return self.terms == other.terms
 
     def __hash__(self):
@@ -419,7 +404,7 @@ def evaluate_uea(assign: dict, u: UEAElement) -> DiffOp:
     t = [PLUS_I * assign[name] for name in m.basis_names]
     total = DiffOp()
     for word, coeff in u.terms.items():
-        op = DiffOp.scalar(coeff)
+        op = DiffOp.multiplication(coeff)
         for idx in word:
             op = op * t[idx]
         total = total + op

@@ -26,7 +26,6 @@ from math import lcm
 from .errors import (
     DimensionMismatch,
     InvariantNotVanishing,
-    NotIdeal,
     OrbitkitError,
     PreconditionFailed,
 )
@@ -38,28 +37,6 @@ NOT_IN_CLOSURE = "not-in-closure"
 IN_CLOSURE_NUMERIC = "in-closure-numeric"
 EXACT_POINT = "exact-point"
 INCONCLUSIVE = "inconclusive"
-
-
-# ---------------------------------------------------------------------------
-# the derivation action
-# ---------------------------------------------------------------------------
-
-def _dual_names(g: LieAlgebra, module: Subspace | None):
-    """Names of the dual coordinates; a module must be an ideal."""
-    if module is None:
-        return g.basis_names
-    if not g.is_ideal(module):
-        raise NotIdeal("the coordinate space must be an invariant subspace")
-    return g.subspace_names(module)
-
-
-def _action(g: LieAlgebra, x, module: Subspace | None) -> Matrix:
-    """A = ad(x) on g, or on the ideal module in its canonical basis.
-
-    The derivation of x sends the coordinate e_nu to sum_mu A[mu][nu] e_mu.
-    """
-    a = g.ad_matrix(x)
-    return a if module is None else _restrict_to(a, module)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +57,7 @@ def _monomials(names, degree_bound):
 
 
 def _vector_to_poly(v, names, monomials):
-    return ExpPoly({(tuple(sorted((name, k) for name, k in zip(names, expo) if k)), (Q0, ())): c
+    return ExpPoly({(tuple(sorted((name, k) for name, k in zip(names, expo) if k)), ()): c
                     for c, expo in zip(v, monomials) if c})
 
 
@@ -108,9 +85,9 @@ def _derivation_matrix(a: Matrix, monomials) -> Matrix:
 
 def invariant_space(m: LieAlgebra, degree_bound: int, module: Subspace | None = None):
     """Basis of the nonconstant polynomial invariants up to the degree bound."""
-    names = _dual_names(m, module)
+    names = m.dual_names(module)
     monomials = _monomials(names, degree_bound)
-    mats = [_derivation_matrix(_action(m, unit_vector(m.dim, i), module), monomials)
+    mats = [_derivation_matrix(m.ad_matrix(unit_vector(m.dim, i), module), monomials)
             for i in range(m.dim)]
     space = Subspace.common_kernel(len(monomials), mats)
     return [_vector_to_poly(v, names, monomials) for v in space.basis]
@@ -122,14 +99,14 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
     Returns a list of (polynomial, weight covector on g's basis); the weight
     vanishes on the commutator ideal, and weight zero means invariant.
     """
-    names = _dual_names(g, module)
+    names = g.dual_names(module)
     monomials = _monomials(names, degree_bound)
-    mats = [_derivation_matrix(_action(g, unit_vector(g.dim, i), module), monomials)
+    mats = [_derivation_matrix(g.ad_matrix(unit_vector(g.dim, i), module), monomials)
             for i in range(g.dim)]
 
     comm = g.commutator_ideal()
     space = Subspace.common_kernel(len(monomials), [
-        _derivation_matrix(_action(g, b, module), monomials) for b in comm.basis])
+        _derivation_matrix(g.ad_matrix(b, module), monomials) for b in comm.basis])
 
     pieces = [space]
     for c in comm.complement_coordinates():
@@ -206,15 +183,15 @@ def _compile_components(components):
     """
     scales = {}
     for comp in components:
-        for (_, (const, lin)), c in comp.terms().items():
-            if c.imag or const or any(a.imag for _, a in lin):
+        for (_, lin), c in comp.terms().items():
+            if c.imag or any(a.imag for _, a in lin):
                 raise PreconditionFailed(
                     "the closure search needs an orbit with real coefficients "
-                    "and real exponents without a constant part")
+                    "and real exponents")
             for v, a in lin:
                 scales[v] = lcm(scales.get(v, 1), a.denominator)
     compiled = [[(c, mono, tuple((v, int(a * scales[v])) for v, a in lin))
-                 for (mono, (_, lin)), c in comp.terms().items()]
+                 for (mono, lin), c in comp.terms().items()]
                 for comp in components]
     return compiled, scales
 

@@ -224,10 +224,23 @@ class LieAlgebra:
                         out[k] = out[k] + f * ck
         return tuple(out)
 
-    def ad_matrix(self, x) -> Matrix:
-        """Matrix of ad(x): columns are the coordinates of [x, e_j]."""
+    def ad_matrix(self, x, ideal: Subspace | None = None) -> Matrix:
+        """Matrix A of ad(x): columns are the coordinates of [x, e_j]; given an
+        ideal, the matrix of ad(x) on it in its canonical basis.  The
+        derivation of x sends the dual coordinate e_nu to sum_mu A[mu][nu] e_mu.
+        """
         cols = [self.bracket(x, unit_vector(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols) if cols else Matrix([])
+        a = Matrix.from_columns(cols) if cols else Matrix([])
+        return a if ideal is None else _restrict_to(a, ideal)
+
+    def dual_names(self, ideal: Subspace | None = None):
+        """Names of the coordinates on g*, or on the dual of an ideal; raises
+        NotIdeal for a subspace that is not an ideal."""
+        if ideal is None:
+            return self.basis_names
+        if not self.is_ideal(ideal):
+            raise NotIdeal("the coordinate space must be an ideal")
+        return self.subspace_names(ideal)
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
         vectors = [self.bracket(u, v) for u in a.basis for v in b.basis]
@@ -367,6 +380,8 @@ class LieAlgebra:
             for c in comp_coords:
                 if w_space.dim == 1:
                     break
+                if basis_mats[c].is_zero():
+                    continue  # every vector is a 0-eigenvector: w_space stays whole
                 az = _restrict_to(induce(basis_mats[c]), w_space)
                 eigs = _gaussian_eigenvalues(az)
                 if not allow_complex:

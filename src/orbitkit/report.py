@@ -1,8 +1,8 @@
 """Machine-readable mirrors of the report types.
 
-Exact rationals are serialized as strings "p" or "p/q" (never floats);
-Gaussian rationals as {"re", "im"} pairs of such strings; distances are
-additionally given as decimal strings with stated precision.  Key order is
+Exact rationals are serialized as strings "p" or "p/q" (never floats); a
+root's real and imaginary parts are separate rational vectors; distances
+are additionally given as decimal strings with stated precision.  Key order is
 deterministic: payloads are emitted with sorted keys.
 """
 
@@ -17,7 +17,7 @@ from .coadjoint import (
     PolarizationReport,
     RegularityReport,
 )
-from .exactlin import GaussianRational, Subspace
+from .exactlin import Subspace
 from .invariants import ClosureVerdict
 from .liealg import ExponentialVerdict, Root
 from .symflow import OrbitMap
@@ -31,13 +31,8 @@ def rational_str(x) -> str:
     return str(x)
 
 
-def gaussian_json(x: GaussianRational):
-    return {"re": rational_str(x.real), "im": rational_str(x.imag)}
-
-
 def vector_json(v):
-    return [rational_str(x) if not isinstance(x, GaussianRational)
-            else gaussian_json(x) for x in v]
+    return [rational_str(x) for x in v]
 
 
 def subspace_json(s: Subspace, names=None):

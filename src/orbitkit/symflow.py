@@ -2,11 +2,12 @@
 
 An ExpPoly is a finite sum of terms
 
-    c * v1^k1 * ... * vm^km * exp(a0 + a1*w1 + ... + ar*wr)
+    c * v1^k1 * ... * vm^km * exp(a1*w1 + ... + ar*wr)
 
 with scalar c and ai over named variables: a Fraction when real, else a
-GaussianRational (exactlin's scalar rule).  Terms with equal (monomial,
-exponent form) are merged, zero coefficients dropped, and terms kept in a
+GaussianRational (exactlin's scalar rule).  A term is keyed by its monomial
+and its exponent, a linear form without a constant part.  Terms with equal
+keys are merged, zero coefficients dropped, and terms kept in a
 deterministic order, so equality of normal forms is syntactic.
 
 Exponentials stay formal.  Numeric evaluation substitutes positive rationals
@@ -25,7 +26,6 @@ from .errors import (
     InconsistentExponentialAssignment,
     NonlinearExponentSubstitution,
     NonRationalSpectrum,
-    NotIdeal,
     PreconditionFailed,
 )
 from .exactlin import (
@@ -40,15 +40,12 @@ from .exactlin import (
     unit_vector,
     vec_scale,
 )
-from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
+from .liealg import LieAlgebra, _gaussian_eigenvalues
 
 
 def _term_sort_key(key):
-    mono, expo = key
-    const, lin = expo
-    return (tuple((v, (c.real, c.imag)) for v, c in lin),
-            (const.real, const.imag),
-            mono)
+    mono, lin = key
+    return tuple((v, (c.real, c.imag)) for v, c in lin), mono
 
 
 class ExpPoly:
@@ -78,17 +75,17 @@ class ExpPoly:
 
     @classmethod
     def constant(cls, c):
-        return cls({((), (Q0, ())): scalar(c)})
+        return cls({((), ()): scalar(c)})
 
     @classmethod
     def variable(cls, name):
-        return cls({(((name, 1),), (Q0, ())): Q1})
+        return cls({(((name, 1),), ()): Q1})
 
     @classmethod
-    def exp(cls, linear, const=0):
-        """exp(const + sum coeff*var) for a dict {var: coeff}."""
+    def exp(cls, linear):
+        """exp(sum coeff*var) for a dict {var: coeff}."""
         lin = tuple(sorted((v, scalar(c)) for v, c in linear.items() if scalar(c)))
-        return cls({((), (scalar(const), lin)): Q1})
+        return cls({((), lin): Q1})
 
     @classmethod
     def lift(cls, x):
@@ -115,7 +112,7 @@ class ExpPoly:
 
     def variables(self):
         out = set()
-        for mono, (_, lin) in self._terms:
+        for mono, lin in self._terms:
             out.update(v for v, _ in mono)
             out.update(v for v, _ in lin)
         return out
@@ -124,7 +121,7 @@ class ExpPoly:
         return {v for mono, _ in self._terms for v, _ in mono}
 
     def exp_variables(self):
-        return {v for _, (_, lin) in self._terms for v, _ in lin}
+        return {v for _, lin in self._terms for v, _ in lin}
 
     # -- ring operations -----------------------------------------------------
 
@@ -159,11 +156,9 @@ class ExpPoly:
         if other is None:
             return NotImplemented
         terms = {}
-        for (m1, (c1, l1)), a in self._terms.items():
-            for (m2, (c2, l2)), b in other._terms.items():
-                mono = _merge_mono(m1, m2)
-                lin = _merge_lin(l1, l2)
-                key = (mono, (c1 + c2, lin))
+        for (m1, l1), a in self._terms.items():
+            for (m2, l2), b in other._terms.items():
+                key = (_merge_mono(m1, m2), _merge_lin(l1, l2))
                 terms[key] = terms.get(key, Q0) + a * b
         return ExpPoly(terms)
 
@@ -198,8 +193,7 @@ class ExpPoly:
                 return
             terms[key] = terms.get(key, Q0) + c
 
-        for (mono, expo), c in self._terms.items():
-            const, lin = expo
+        for (mono, lin), c in self._terms.items():
             for idx, (v, k) in enumerate(mono):
                 if v != var:
                     continue
@@ -207,45 +201,41 @@ class ExpPoly:
                     new_mono = mono[:idx] + mono[idx + 1:]
                 else:
                     new_mono = mono[:idx] + ((v, k - 1),) + mono[idx + 1:]
-                accumulate((new_mono, expo), c * k)
+                accumulate((new_mono, lin), c * k)
             for v, a in lin:
                 if v == var:
-                    accumulate((mono, expo), c * a)
+                    accumulate((mono, lin), c * a)
         return ExpPoly(terms)
 
     def substitute(self, mapping):
         """Replace variables by scalars or ExpPolys.
 
-        A variable occurring inside an exponent may only receive a scalar or
-        a degree-<=1 exponential-free value, so that linear forms stay
-        linear; anything else raises NonlinearExponentSubstitution.
+        A variable occurring inside an exponent may only receive 0 or an
+        exponential-free linear form without a constant part, so that
+        exponents stay linear forms; anything else raises
+        NonlinearExponentSubstitution.
         """
         mapping = {v: ExpPoly.lift(x) for v, x in mapping.items()}
         linear_cache = {}
 
-        def linear_parts(v):
+        def linear_form(v):
             if v not in linear_cache:
-                parts = _linear_decomposition(mapping[v])
-                if parts is None:
+                form = _linear_form(mapping[v])
+                if form is None:
                     raise NonlinearExponentSubstitution(
-                        f"cannot substitute a nonlinear value for {v!r} inside exp()")
-                linear_cache[v] = parts
+                        f"cannot substitute a value other than a linear form "
+                        f"for {v!r} inside exp()")
+                linear_cache[v] = form
             return linear_cache[v]
 
         total = ExpPoly()
-        for (mono, (const, lin)), c in self._terms.items():
+        for (mono, lin), c in self._terms.items():
             factor = ExpPoly.constant(c)
-            new_const = const
             new_lin = {}
             for v, a in lin:
-                if v in mapping:
-                    c0, cs = linear_parts(v)
-                    new_const = new_const + a * c0
-                    for w, q in cs.items():
-                        new_lin[w] = new_lin.get(w, Q0) + a * q
-                else:
-                    new_lin[v] = new_lin.get(v, Q0) + a
-            factor = factor * ExpPoly.exp(new_lin, new_const)
+                for w, q in (linear_form(v) if v in mapping else {v: Q1}).items():
+                    new_lin[w] = new_lin.get(w, Q0) + a * q
+            factor = factor * ExpPoly.exp(new_lin)
             for v, k in mono:
                 base = mapping.get(v)
                 if base is None:
@@ -260,8 +250,8 @@ class ExpPoly:
 
         assignment gives values for polynomial occurrences; exp_atoms gives
         the positive rational standing in for exp(var).  exp(a+b) =
-        exp(a)*exp(b) is enforced by construction, exponent coefficients must
-        make the powers rational, and exponent constants must vanish.
+        exp(a)*exp(b) is enforced by construction, and exponent coefficients
+        must make the powers rational.
         """
         assignment = {v: scalar(x) for v, x in (assignment or {}).items()}
         atoms = {}
@@ -272,15 +262,12 @@ class ExpPoly:
                     f"exp atom for {v!r} must be a positive rational, got {x}")
             atoms[v] = x
         total = Q0
-        for (mono, (const, lin)), c in self._terms.items():
+        for (mono, lin), c in self._terms.items():
             value = c
             for v, k in mono:
                 if v not in assignment:
                     raise InconsistentExponentialAssignment(f"no value for variable {v!r}")
                 value = value * assignment[v] ** k
-            if const:
-                raise InconsistentExponentialAssignment(
-                    "exponent has a nonzero constant part; no exact rational value")
             for v, a in lin:
                 if v not in atoms:
                     raise InconsistentExponentialAssignment(f"no exp atom for {v!r}")
@@ -295,13 +282,13 @@ class ExpPoly:
             return "0"
         chunks = []
         for key in sorted(self._terms, key=_term_sort_key):
-            mono, (const, lin) = key
+            mono, lin = key
             c = self._terms[key]
             factors = []
             for v, k in mono:
                 factors.append(v if k == 1 else f"{v}^{k}")
-            if lin or const:
-                factors.append(f"exp({_format_linform(const, lin)})")
+            if lin:
+                factors.append(f"exp({_format_linform(lin)})")
             coeff_str = _format_coeff(c)
             if factors:
                 body = "*".join(factors)
@@ -334,20 +321,15 @@ def _merge_lin(l1, l2):
     return tuple(sorted((v, a) for v, a in coeffs.items() if a))
 
 
-def _linear_decomposition(ep: ExpPoly):
-    """(const, {var: coeff}) when ep is an exponential-free linear form, else None."""
-    const = Q0
+def _linear_form(ep: ExpPoly):
+    """{var: coeff} when ep is an exponential-free linear form without a
+    constant part (0 included), else None."""
     coeffs = {}
-    for (mono, (c0, lin)), c in ep._terms.items():
-        if lin or c0:
+    for (mono, lin), c in ep._terms.items():
+        if lin or len(mono) != 1 or mono[0][1] != 1:
             return None
-        if not mono:
-            const = const + c
-        elif len(mono) == 1 and mono[0][1] == 1:
-            coeffs[mono[0][0]] = coeffs.get(mono[0][0], Q0) + c
-        else:
-            return None
-    return const, coeffs
+        coeffs[mono[0][0]] = c
+    return coeffs
 
 
 def _rational_power(base: Fraction, p):
@@ -398,10 +380,8 @@ def _format_coeff(c):
     return f"({c})"
 
 
-def _format_linform(const, lin):
+def _format_linform(lin):
     pieces = []
-    if const:
-        pieces.append(_format_coeff(const))
     for v, a in lin:
         if a == 1:
             pieces.append(v)
@@ -503,7 +483,7 @@ def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
     for lam, mult in eigs:
         shifted = a - ident.scale(lam)
         gen_space = kernel(shifted ** mult)
-        expo = (Q0, ((param, lam),) if lam else ())
+        expo = ((param, lam),) if lam else ()
         for u in gen_space.basis:
             basis_vectors.append(u)
             chain = []
@@ -537,16 +517,12 @@ def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
 
 
 def one_param_flow(g: LieAlgebra, x, param: str, restrict_to: Subspace | None = None) -> FlowMatrix:
-    """coAd(exp(t*x)) on g* (or on the dual of an invariant subspace)."""
+    """coAd(exp(t*x)) on g* (or on the dual of an ideal, else NotIdeal)."""
     if isinstance(x, str):
         x = g.basis_vector(x)
-    a = g.ad_matrix(x)
-    if restrict_to is not None:
-        if not g.is_ideal(restrict_to):
-            raise NotIdeal("orbit restriction needs an ideal")
-        a = _restrict_to(a, restrict_to)
+    g.dual_names(restrict_to)  # raises NotIdeal unless restrict_to is an ideal
     # the infinitesimal coadjoint action on dual coordinates is -A^T
-    return exp_matrix((-a).transpose(), param)
+    return exp_matrix((-g.ad_matrix(x, restrict_to)).transpose(), param)
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +578,9 @@ def orbit_map(g: LieAlgebra, start, steps, restrict_to: Subspace | None = None) 
     parameter-name) pairs; a sub-list groups commuting factors into a single
     exponential of a sum.
     """
-    if restrict_to is not None:
-        if not g.is_ideal(restrict_to):
-            raise NotIdeal("orbit restriction needs an ideal")
-        names = g.subspace_names(restrict_to)
-        dim = restrict_to.dim
-    else:
-        names = g.basis_names
-        dim = g.dim
-
+    names = g.dual_names(restrict_to)
     start_list = list(start)
-    if len(start_list) != dim:
+    if len(start_list) != len(names):
         if restrict_to is not None and len(start_list) == g.dim:
             if any(isinstance(x, ExpPoly) for x in start_list):
                 raise DimensionMismatch("cannot restrict a symbolic functional")
@@ -621,12 +589,10 @@ def orbit_map(g: LieAlgebra, start, steps, restrict_to: Subspace | None = None) 
             raise DimensionMismatch("starting functional has the wrong length")
 
     factors = [(x, param) for group in _normalize_steps(g, steps) for x, param in group]
-    # coAd(exp(x_1) ... exp(x_k)) f = F_1(F_2(... F_k(f))): last factor first;
-    # the ideal was checked above, so each flow is built as in one_param_flow
+    # coAd(exp(x_1) ... exp(x_k)) f = F_1(F_2(... F_k(f))): last factor first
     components = tuple(ExpPoly.lift(x) for x in start_list)
     for x, param in reversed(factors):
-        a = g.ad_matrix(x) if restrict_to is None else _restrict_to(g.ad_matrix(x), restrict_to)
-        components = exp_matrix((-a).transpose(), param).apply(components)
+        components = one_param_flow(g, x, param, restrict_to).apply(components)
     params = [param for _, param in factors]
     return OrbitMap(algebra=g, component_names=names, params=tuple(params),
                     components=components, start=tuple(start_list),

@@ -4,15 +4,14 @@ No orbitkit command needs them."""
 
 from orbitkit.errors import DimensionMismatch
 from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, unit_vector, vec
-from orbitkit.invariants import _action, _dual_names
 from orbitkit.liealg import LieAlgebra
 from orbitkit.symflow import ExpPoly
 
 
 def derivation(m: LieAlgebra, x, q: ExpPoly, module: Subspace | None = None) -> ExpPoly:
     """The derivation with (X . e_nu) = (h -> h([X, e_nu])), extended by Leibniz."""
-    names = _dual_names(m, module)
-    a = _action(m, m.basis_vector(x) if isinstance(x, str) else x, module)
+    names = m.dual_names(module)
+    a = m.ad_matrix(m.basis_vector(x) if isinstance(x, str) else x, module)
     present = q.poly_variables()
     out = ExpPoly()
     for nu, var in enumerate(names):
@@ -30,8 +29,8 @@ def _poly_to_vector(q: ExpPoly, names, monomials):
     index = {m: i for i, m in enumerate(monomials)}
     pos = {n: i for i, n in enumerate(names)}
     out = [Q0] * len(monomials)
-    for (mono, expo), c in q.terms().items():
-        if expo != (Q0, ()):
+    for (mono, lin), c in q.terms().items():
+        if lin:
             raise DimensionMismatch("polynomial has exponential terms")
         key = [0] * len(names)
         for v, k in mono:

@@ -370,7 +370,7 @@ def _suite_homomorphism_defect():
     m = entry.algebra
     for case in range(200):
         assign = entry.representations["dpi_s" if case % 2 else "drho"]
-        t = {n: DiffOp.scalar(GaussianRational(0, 1)) * assign[n]
+        t = {n: DiffOp.multiplication(GaussianRational(0, 1)) * assign[n]
              for n in m.basis_names}
 
         def t_of(vec):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -262,6 +263,52 @@ def test_cli_zero_denominator_in_a_file_is_a_computation_error(tmp_path, capsys)
     path.write_text("basis a b\nbracket a b = 1/0*b\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "analyze", "--file", str(path))
     assert code == 2 and "line 2" in err
+
+
+# a literal with more digits than Python converts from a string (0 means no limit)
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_TOO_LONG = "1" * (_DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT, reason="no digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", [
+    ("condition-r", "--catalog", "b5", "--f", "e3=" + _TOO_LONG),
+    ("condition-r", "--catalog", "b5", "--f", "e3=1/" + _TOO_LONG),
+    ("closure-test", "--catalog", "b5", "--g", "e3=" + _TOO_LONG),
+], ids=["f-numerator", "f-denominator", "g"])
+def test_cli_rational_beyond_the_digit_limit_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "digits" in err
+
+
+@needs_digit_limit
+def test_rational_beyond_the_digit_limit_in_a_file_is_a_parse_error(tmp_path, capsys):
+    with pytest.raises(ParseError) as err:
+        parse_algebra(f"basis a b\nbracket a b = {_TOO_LONG}*b\n")
+    assert (err.value.line, err.value.col) == (2, 14)
+    path = tmp_path / "long.alg"
+    path.write_text(f"basis a b\nbracket a b = 1/{_TOO_LONG}*b\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert code == 2 and out == "" and "line 2" in err and "digits" in err
+
+
+@needs_digit_limit
+def test_cli_tol_exponent_at_the_digit_limit_is_a_usage_error(monkeypatch, capsys):
+    # 10^-k prints with k + 1 digits, so k = limit - 1 is the largest that reports
+    k = _DIGIT_LIMIT - 1
+    code, out, err = run_cli(capsys, "closure-test", "--catalog", "heisenberg3",
+                             "--g", "e1=2,e3=1", "--json", "--tol-exponent", str(k))
+    assert code == 0, err
+    assert json.loads(out)["result"]["tolerance"] == "1/1" + "0" * k
+
+    def no_load(args):
+        raise AssertionError("the algebra was loaded")
+
+    monkeypatch.setattr(cli, "_load", no_load)
+    code, out, err = run_cli(capsys, "closure-test", "--catalog", "heisenberg3",
+                             "--g", "e1=2,e3=1", "--json", "--tol-exponent", str(k + 1))
+    assert code == 1 and out == "" and "--tol-exponent" in err
 
 
 def test_cli_negative_tol_exponent_is_a_usage_error(capsys):

@@ -202,7 +202,7 @@ def test_symmetrized_casimir_polynomial_acts_by_the_same_polynomial_of_its_scala
 def test_diffop_canonical_commutator():
     d = DiffOp.D()
     xi = DiffOp.multiplication(var("xi"))
-    minus_i = DiffOp.scalar(GaussianRational(0, -1))
+    minus_i = DiffOp.multiplication(GaussianRational(0, -1))
     assert d * xi - xi * d == minus_i
 
 
@@ -210,7 +210,7 @@ def test_diffop_associativity():
     rng = random.Random(6)
     ops = [DiffOp.D(), DiffOp.multiplication(var("xi") ** 2),
            DiffOp.multiplication(ExpPoly.exp({"xi": 1})),
-           DiffOp.D(2) + DiffOp.scalar(F(1, 2))]
+           DiffOp.D(2) + DiffOp.multiplication(F(1, 2))]
     for _ in range(10):
         a, b, c = (rng.choice(ops) for _ in range(3))
         assert (a * b) * c == a * (b * c)

@@ -46,6 +46,17 @@ def test_abelian_constructs():
     assert g.commutator_ideal().dim == 0
 
 
+def test_abelian_triangularization_takes_no_eigenvalues(monkeypatch):
+    # every ad(x) is zero, so each flag step keeps its whole common kernel
+    calls = []
+    monkeypatch.setattr(liealg, "_gaussian_eigenvalues", calls.append)
+    g = LieAlgebra.abelian(tuple(f"e{i}" for i in range(5)))
+    assert g.composition_flag() == [span(5, range(k)) for k in range(6)]
+    zero = (F(0),) * 5
+    assert g.adjoint_weights() == [liealg.Root(re=zero, im=zero, multiplicity=5)]
+    assert calls == []
+
+
 def test_b5_constructs_and_brackets():
     g = b5()
     e = {n: g.basis_vector(n) for n in g.basis_names}

@@ -66,6 +66,9 @@ def test_expoly_substitute():
             == ExpPoly.exp({"t1": 1, "t2": 1}))
     with pytest.raises(NonlinearExponentSubstitution):
         ExpPoly.exp({"t": 1}).substitute({"t": var("x") ** 2})
+    # an exponent is a linear form: exp(t1 + 1) has no term key
+    with pytest.raises(NonlinearExponentSubstitution):
+        ExpPoly.exp({"t": 1}).substitute({"t": var("t1") + 1})
     # polynomial occurrences accept anything
     assert (var("x") ** 2).substitute({"x": var("y") + 1}) == \
         var("y") ** 2 + var("y") * 2 + 1

@@ -114,7 +114,15 @@ def _references(tree, skip=frozenset()):
 
 def _unreached(definition_sources, reference_sources):
     """Definitions that nothing in reference_sources refers to, where a
-    reference from inside an unreached definition does not count."""
+    reference from inside an unreached definition does not count.
+
+    Blind spots: dunder definitions are exempt, so a test-only __eq__ or
+    __hash__ passes; a definition is matched by its bare name, so a method
+    passes when any other name, attribute or string is spelled the same;
+    and two unreached definitions that refer to each other keep each other
+    reached.  The scan is static, so it cannot tell whether a reached
+    definition ever runs.
+    """
     defined = set().union(*(_definitions(ast.parse(s)) for s in definition_sources))
     trees = [ast.parse(s) for s in reference_sources]
     unreached = set()
