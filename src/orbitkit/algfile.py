@@ -102,9 +102,13 @@ def parse_algebra(text: str) -> LieAlgebra:
         if keyword == "dim":
             if dim is not None:
                 raise ParseError(lineno, 1, "duplicate dim declaration")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not re.fullmatch(r"[0-9]+", fields[1]):
                 raise ParseError(lineno, 1, "dim needs a single positive integer")
-            dim = int(fields[1])
+            try:
+                dim = int(fields[1])
+            except ValueError:
+                raise ParseError(lineno, 1, "dim has more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
             if dim == 0:
                 raise ParseError(lineno, 1, "dimension must be positive")
         elif keyword == "basis":

@@ -104,7 +104,7 @@ def _parse_functional_arg(text, names):
 
 
 def _require_functional(args, g, entry):
-    if getattr(args, "f", None):
+    if getattr(args, "f", None) is not None:
         return _parse_functional_arg(args.f, g.basis_names)
     if entry is not None and entry.reference_functional is not None:
         return entry.reference_functional
@@ -255,7 +255,7 @@ def _cmd_polarize(args):
 def _cmd_orbit(args):
     g, entry = _load(args)
     steps = _orbit_steps(g, entry)
-    if entry is not None and entry.symbolic_start is not None and not args.f:
+    if entry is not None and entry.symbolic_start is not None and args.f is None:
         start = entry.symbolic_start
     else:
         start = _require_functional(args, g, entry)
@@ -330,7 +330,7 @@ def _cmd_closure_test(args):
 def _cmd_regularity_report(args):
     g, entry = _load(args)
     samples = []
-    if args.f:
+    if args.f is not None:
         samples.append(_parse_functional_arg(args.f, g.basis_names))
     if entry is not None and entry.reference_functional is not None:
         samples.append(entry.reference_functional)

@@ -258,15 +258,8 @@ class DiffOp:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        for k, coeff in (terms or {}).items():
-            coeff = coeff if isinstance(coeff, ExpPoly) else ExpPoly.constant(coeff)
-            if coeff.is_zero():
-                continue
-            cleaned[k] = cleaned.get(k, ExpPoly()) + coeff
-            if cleaned[k].is_zero():
-                del cleaned[k]
-        object.__setattr__(self, "terms", cleaned)
+        lifted = ((k, ExpPoly.lift(c)) for k, c in (terms or {}).items())
+        object.__setattr__(self, "terms", {k: c for k, c in lifted if not c.is_zero()})
 
     def __setattr__(self, *args):
         raise AttributeError("DiffOp is immutable")

@@ -319,14 +319,17 @@ class Subspace:
 
     The reduced echelon basis is the unique canonical representative, so
     two Subspace values are equal exactly when they describe the same
-    subspace.
+    subspace.  pivots holds the leading column of each basis row.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, basis_rows):
+        basis = tuple(tuple(r) for r in basis_rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in basis_rows))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots",
+                           tuple(next(i for i, x in enumerate(r) if x) for r in basis))
 
     def __setattr__(self, *args):
         raise AttributeError("Subspace is immutable")
@@ -393,8 +396,8 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
         residual = list(v)
-        for row in self.basis:
-            f = residual[next(i for i, x in enumerate(row) if x)]
+        for p, row in zip(self.pivots, self.basis):
+            f = residual[p]
             if f:
                 residual = [a - f * b if b else a for a, b in zip(residual, row)]
         return tuple(residual)
@@ -412,8 +415,7 @@ class Subspace:
         """
         if any(self.reduce(v)):
             return None
-        return tuple(scalar(v[next(i for i, x in enumerate(row) if x)])
-                     for row in self.basis)
+        return tuple(scalar(v[p]) for p in self.pivots)
 
     def restrict(self, f):
         """Coordinates of the covector f restricted to the subspace, in its
@@ -448,19 +450,16 @@ class Subspace:
         return out
 
     def complement_coordinates(self):
-        """Lexicographically first coordinate subset completing the basis."""
-        chosen = []
-        current = list(self.basis)
-        d = self.dim
-        for c in range(self.ambient_dim):
-            if d + len(chosen) == self.ambient_dim:
-                break
-            candidate = current + [unit_vector(self.ambient_dim, c)]
-            reduced, _ = rref(candidate)
-            if len(reduced) > len(current):
-                chosen.append(c)
-                current = list(reduced)
-        return tuple(chosen)
+        """Lexicographically first coordinate subset completing the basis.
+
+        e_c completes it exactly when no vector of the subspace has its last
+        nonzero entry at c, so the subset is the non-pivot columns of the
+        echelon form taken from the last column to the first.
+        """
+        n = self.ambient_dim
+        _, reversed_pivots = rref([row[::-1] for row in self.basis])
+        last = {n - 1 - p for p in reversed_pivots}
+        return tuple(c for c in range(n) if c not in last)
 
     def annihilator_matrix(self):
         """Matrix whose kernel (as row covectors acting by the dot product) is self."""

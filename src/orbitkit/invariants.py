@@ -123,10 +123,9 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
 
     results = []
     for piece in pieces:
-        for v in piece.basis:
+        for lead, v in zip(piece.pivots, piece.basis):
             # D_x is linear in x and vanishes on the commutator ideal, so v is
             # an eigenvector of every D_{e_i}; read each weight off one entry
-            lead = next(j for j, c in enumerate(v) if c)
             weight = []
             for mat in mats:
                 image = mat.apply(v)

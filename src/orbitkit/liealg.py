@@ -1,7 +1,9 @@
 """Lie algebras over the rationals given by structure constants.
 
 Provides structural series, nilradical, adjoint weights (roots) computed on
-an exact composition series, and the exponentiality test.  The work is
+an exact composition series, and the exponentiality test.  Each algebra
+builds that series once: its weights are the roots, and when every weight
+is real its vectors span the rational flag of ideals.  The work is
 rational; Gaussian rationals enter only where a non-real eigenvalue is
 chosen.  All spectra are kept exact: algebras whose adjoint maps have
 eigenvalues outside Q(i) are rejected with NonRationalSpectrum.
@@ -342,15 +344,14 @@ class LieAlgebra:
     # -- spectra -------------------------------------------------------------
 
     @_memoized
-    def _triangularize(self, allow_complex):
+    def _triangularize(self):
         """Composition series of the adjoint module with its diagonal weights.
 
         Returns (flag vectors in order, weight covectors) as tuples; each weight
         is a tuple of scalar values on the basis.  The ad-matrices and flag
         vectors stay rational: a real eigenvalue is a Fraction, so Gaussian
         rationals appear only when a non-real eigenvalue is chosen.  Raises
-        NonRationalSpectrum when an eigenvalue escapes Q(i) (or Q when
-        allow_complex is false).
+        NonRationalSpectrum when an eigenvalue escapes Q(i).
         """
         if not self.is_solvable():
             raise PreconditionFailed("adjoint weights are defined for solvable algebras")
@@ -364,13 +365,13 @@ class LieAlgebra:
         weights = []
         flag = Subspace.zero(n)
         while flag.dim < n:
-            np_coords = _nonpivot_coordinates(flag)
+            np_coords = [c for c in range(n) if c not in flag.pivots]
             q = len(np_coords)
 
             def induce(mat):
                 cols = []
                 for c in np_coords:
-                    w = flag.reduce(mat.apply(unit_vector(n, c)))
+                    w = flag.reduce(mat.column(c))
                     cols.append(tuple(w[p] for p in np_coords))
                 return Matrix.from_columns(cols)
 
@@ -384,34 +385,31 @@ class LieAlgebra:
                     continue  # every vector is a 0-eigenvector: w_space stays whole
                 az = _restrict_to(induce(basis_mats[c]), w_space)
                 eigs = _gaussian_eigenvalues(az)
-                if not allow_complex:
-                    eigs = [(lam, m) for lam, m in eigs if not lam.imag]
                 if not eigs:
                     raise NonRationalSpectrum(
-                        f"ad({self.basis_names[c]}) has no "
-                        + ("Gaussian-rational" if allow_complex else "rational")
-                        + " eigenvalue on the current invariant subspace",
+                        f"ad({self.basis_names[c]}) has no Gaussian-rational "
+                        "eigenvalue on the current invariant subspace",
                         witness=self.basis_names[c])
                 # the first in (real, imag) order, as _gaussian_eigenvalues sorts
                 eig_kernel = kernel(az - Matrix.identity(az.rows).scale(eigs[0][0]))
                 w_space = Subspace.from_vectors(q, w_space.combinations(eig_kernel.basis))
-            v_quot = w_space.basis[0]
+            v_quot, lead = w_space.basis[0], w_space.pivots[0]
             placed = dict(zip(np_coords, v_quot))
             lifted = tuple(placed.get(c, Q0) for c in range(n))
             # induce(ad e_i) applied to v_quot is ad(e_i)*lifted reduced modulo the flag
             weight = []
             for i in range(n):
                 image = flag.reduce(basis_mats[i].apply(lifted))
-                weight.append(_eigen_ratio(tuple(image[p] for p in np_coords), v_quot,
-                                           self.basis_names[i], allow_complex))
+                weight.append(_eigen_ratio(tuple(image[p] for p in np_coords), v_quot, lead,
+                                           self.basis_names[i]))
             flag_vectors.append(lifted)
-            flag = flag + Subspace.from_vectors(n, [lifted])
+            flag = Subspace.from_vectors(n, flag.basis + (lifted,))
             weights.append(tuple(weight))
         return tuple(flag_vectors), tuple(weights)
 
     def adjoint_weights(self):
         """Roots of the adjoint representation, one per value with multiplicity."""
-        _, weights = self._triangularize(True)
+        _, weights = self._triangularize()
         grouped = {}  # in order of first occurrence
         for w in weights:
             grouped[w] = grouped.get(w, 0) + 1
@@ -426,9 +424,19 @@ class LieAlgebra:
         return roots
 
     def composition_flag(self):
-        """A complete chain of ideals 0 = g_0 < g_1 < ... < g_n = g over Q."""
-        # only real eigenvalues are chosen here, so the flag vectors are rational
-        vectors, _ = self._triangularize(False)
+        """A complete chain of ideals 0 = g_0 < g_1 < ... < g_n = g over Q.
+
+        A rational flag of ideals triangularizes every ad(x) over Q, so one
+        exists exactly when every weight is real; the search then chooses
+        only real eigenvalues, and its flag vectors are rational.
+        """
+        vectors, weights = self._triangularize()
+        for weight in weights:
+            for name, lam in zip(self.basis_names, weight):
+                if lam.imag:
+                    raise NonRationalSpectrum(
+                        f"ad({name}) has no rational eigenvalue on the current "
+                        "invariant subspace", witness=name)
         return [Subspace.from_vectors(self.dim, vectors[:k]) for k in range(self.dim + 1)]
 
     @_memoized
@@ -495,13 +503,6 @@ def _qq(x: Fraction):
     return QQ(x.numerator, x.denominator)
 
 
-def _nonpivot_coordinates(space: Subspace):
-    pivots = set()
-    for row in space.basis:
-        pivots.add(next(i for i, x in enumerate(row) if x != 0))
-    return [c for c in range(space.ambient_dim) if c not in pivots]
-
-
 def _restrict_to(mat: Matrix, space: Subspace) -> Matrix:
     """Matrix of mat on an invariant subspace, in the subspace's canonical basis."""
     cols = []
@@ -514,14 +515,11 @@ def _restrict_to(mat: Matrix, space: Subspace) -> Matrix:
     return Matrix.from_columns(cols) if cols else Matrix([])
 
 
-def _eigen_ratio(image, v, name, allow_complex):
-    """lambda with image = lambda * v, for an exact nonzero eigenvector v."""
-    lead = next(j for j, b in enumerate(v) if b)
+def _eigen_ratio(image, v, lead, name):
+    """lambda with image = lambda * v, for an exact eigenvector v nonzero at lead."""
     lam = image[lead] / v[lead]
     if image != vec_scale(lam, v):
         raise PreconditionFailed(f"vector is not an eigenvector of ad({name})")
-    if not allow_complex and lam.imag:
-        raise NonRationalSpectrum(f"ad({name}) needs a complex eigenvalue", witness=name)
     return lam
 
 

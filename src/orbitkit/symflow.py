@@ -54,19 +54,8 @@ class ExpPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for key, c in terms.items():
-                c = scalar(c)
-                if not c:
-                    continue
-                if key in cleaned:
-                    c = cleaned[key] + c
-                    if not c:
-                        del cleaned[key]
-                        continue
-                cleaned[key] = c
-        object.__setattr__(self, "_terms", cleaned)
+        coerced = ((key, scalar(c)) for key, c in (terms or {}).items())
+        object.__setattr__(self, "_terms", {key: c for key, c in coerced if c})
 
     def __setattr__(self, *args):
         raise AttributeError("ExpPoly is immutable")

@@ -1,9 +1,9 @@
 """Reference definitions that tests compare against or check with: the
-Leibniz derivation, monomial coordinates and the general-position test.
-No orbitkit command needs them."""
+Leibniz derivation, monomial coordinates, the general-position test and the
+greedy coordinate complement.  No orbitkit command needs them."""
 
 from orbitkit.errors import DimensionMismatch
-from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, unit_vector, vec
+from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, unit_vector, vec
 from orbitkit.liealg import LieAlgebra
 from orbitkit.symflow import ExpPoly
 
@@ -60,3 +60,18 @@ def largest_ideal_in_kernel(g: LieAlgebra, f) -> Subspace:
 
 def in_general_position(g: LieAlgebra, f) -> bool:
     return largest_ideal_in_kernel(g, f).dim == 0
+
+
+def greedy_complement_coordinates(space: Subspace):
+    """Lexicographically first coordinate subset completing the basis of
+    space: each coordinate in turn is kept when it raises the rank."""
+    chosen = []
+    current = list(space.basis)
+    for c in range(space.ambient_dim):
+        if space.dim + len(chosen) == space.ambient_dim:
+            break
+        reduced, _ = rref(current + [unit_vector(space.ambient_dim, c)])
+        if len(reduced) > len(current):
+            chosen.append(c)
+            current = list(reduced)
+    return tuple(chosen)

@@ -202,6 +202,30 @@ def test_cli_exit_codes(capsys):
     assert err.strip()
 
 
+def test_cli_empty_f_is_the_zero_functional(capsys):
+    # an explicit --f "" is the zero functional, not "no --f"
+    code, out, _ = run_cli(capsys, "stabilizer", "--catalog", "b5", "--f", "", "--json")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["functional"] == {} and result["form_rank"] == 0
+    code, _, err = run_cli(capsys, "stabilizer", "--file", str(REPO / "demos" / "b5.alg"),
+                           "--f", "")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("dim", ["\u00b2", "1" * 5000], ids=["superscript-two", "5000-digits"])
+def test_dim_that_is_not_an_ascii_integer_is_a_parse_error(tmp_path, capsys, dim):
+    text = f"dim {dim}\nbasis a b\n"
+    with pytest.raises(ParseError) as err:
+        parse_algebra(text)
+    assert (err.value.line, err.value.col) == (1, 1)
+    path = tmp_path / "dim.alg"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert code == 2 and out == "" and "line 1" in err and "dim" in err
+    if 0 < _DIGIT_LIMIT < len(dim):
+        assert "digits" in err
+
+
 def test_cli_seed_environment(monkeypatch):
     monkeypatch.setenv("ORBITKIT_SEED", "9")
     parser = cli.build_parser()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import greedy_complement_coordinates
 from test_symflow import conjugated_block_triangular
 
 from orbitkit.errors import DimensionMismatch
@@ -206,6 +207,39 @@ def test_complement_coordinates_greedy():
     s = Subspace.from_vectors(2, [(1, 1)])
     assert s.complement_coordinates() == (0,)
     assert Subspace.span_of_coordinates(3, [1]).complement_coordinates() == (0, 2)
+
+
+@st.composite
+def rational_subspaces(draw, n=None):
+    """The span of up to n + 1 drawn rational vectors, about half their entries zero."""
+    if n is None:
+        n = draw(st.integers(1, 8), label="n")
+    entry = st.one_of(st.just(F(0)), _Q)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1),
+                label="rows")
+    return Subspace.from_vectors(n, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_subspaces())
+def test_complement_coordinates_match_the_greedy_search(s):
+    comp = s.complement_coordinates()
+    assert comp == greedy_complement_coordinates(s)
+    assert (s + Subspace.span_of_coordinates(s.ambient_dim, comp)).dim == s.ambient_dim
+
+
+def _leading_columns(s):
+    return tuple(next(i for i, x in enumerate(row) if x) for row in s.basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_subspaces(), st.data())
+def test_pivots_are_the_leading_column_of_each_row(s, data):
+    n = s.ambient_dim
+    other = data.draw(rational_subspaces(n), label="other")
+    for space in (s, Subspace.common_kernel(n, [Matrix(s.basis, n)]),
+                  Subspace.full(n), Subspace.zero(n), s + other, s.intersect(other)):
+        assert space.pivots == _leading_columns(space)
 
 
 def test_contains_and_coordinates():

@@ -268,7 +268,7 @@ def test_killing_nilradical_equals_the_root_kernels_after_a_basis_change(name, d
 def test_nilradical_falls_back_to_root_kernels_when_the_killing_form_is_blind():
     g = _killing_blind()
     assert g.nilradical() == span(3, [1, 2])
-    assert _triangularized(g) == {(True,)}
+    assert _triangularized(g) == {()}
 
 
 def test_nilradical_outside_gaussian_spectrum():
@@ -325,11 +325,11 @@ def test_the_hash_is_computed_once_and_kept():
 
 def test_triangularization_runs_once_per_algebra_and_flag(monkeypatch):
     body = LieAlgebra._triangularize.__wrapped__
-    calls = Counter()
+    calls = []
 
-    def counting(self, allow_complex):
-        calls[allow_complex] += 1
-        return body(self, allow_complex)
+    def counting(self):
+        calls.append(self)
+        return body(self)
 
     monkeypatch.setattr(LieAlgebra, "_triangularize", _memoized(counting))
 
@@ -340,12 +340,12 @@ def test_triangularization_runs_once_per_algebra_and_flag(monkeypatch):
 
     g = b5()  # takes the Killing path
     chain(g), g.composition_flag(), chain(g), g.composition_flag()
-    assert calls == {True: 1, False: 1}
+    assert calls == [g]
     # the nilradical of the blind algebra needs its roots; it has no rational flag
     calls.clear()
     blind = _killing_blind()
     chain(blind), chain(blind)
-    assert calls == {True: 1}
+    assert calls == [blind]
 
 
 def test_is_exponential():
@@ -365,6 +365,59 @@ def test_composition_flag_is_chain_of_ideals():
             assert g.is_ideal(s)
         for small, big in zip(flag, flag[1:]):
             assert big.contains_subspace(small)
+
+
+_UNIT = st.sampled_from((-1, 0, 1))
+# n on x1..x_dim: dim, the number of free weights of a diagonal derivation,
+# the brackets, and the derivation's weights on x1..x_dim from the free ones
+_NILPOTENT = {
+    "Q2": (2, 2, {}, lambda w: w),
+    "Q3": (3, 3, {}, lambda w: w),
+    "h3": (3, 2, {("x1", "x2"): {"x3": 1}}, lambda w: (w[0], w[1], w[0] + w[1])),
+    "f4": (4, 2, {("x1", "x2"): {"x3": 1}, ("x1", "x3"): {"x4": 1}},
+           lambda w: (w[0], w[1], w[0] + w[1], 2 * w[0] + w[1])),
+}
+
+
+@st.composite
+def semidirect_products(draw):
+    """R^k semidirect n for k commuting derivations a_i of n: diagonal with
+    free weights in {-1, 0, 1}, or on Q^2 the rotation blocks p + q*J."""
+    kind = draw(st.sampled_from(sorted(_NILPOTENT)), label="n")
+    dim, free, brackets, weights = _NILPOTENT[kind]
+    xs = [f"x{j}" for j in range(1, dim + 1)]
+    k = draw(st.integers(1, 2), label="k")
+    rotation = kind == "Q2" and draw(st.booleans(), label="rotation")
+    brackets = dict(brackets)
+    for a in (f"a{i}" for i in range(k)):
+        if rotation:
+            p, q = draw(_UNIT), draw(_UNIT)
+            brackets[(a, "x1")] = {"x1": p, "x2": q}
+            brackets[(a, "x2")] = {"x1": -q, "x2": p}
+        else:
+            drawn = [draw(_UNIT) for _ in range(free)]
+            for x, w in zip(xs, weights(drawn)):
+                brackets[(a, x)] = {x: w}
+    return LieAlgebra.construct([f"a{i}" for i in range(k)] + xs, brackets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(semidirect_products(), st.booleans(), st.data())
+def test_composition_flag_exists_exactly_when_every_root_is_real(g, change, data):
+    if change:
+        g = draw_basis_change(data, g)
+    if any(any(root.im) for root in g.adjoint_weights()):
+        with pytest.raises(NonRationalSpectrum) as err:
+            g.composition_flag()
+        assert err.value.witness in g.basis_names
+    else:
+        flag = g.composition_flag()
+        assert [s.dim for s in flag] == list(range(g.dim + 1))
+        assert all(g.is_ideal(s) for s in flag)
+        assert all(big.contains_subspace(small) for small, big in zip(flag, flag[1:]))
+        assert all(type(x) is Fraction for s in flag for row in s.basis for x in row)
+    # the roots and the flag read one search
+    assert _triangularized(g) == {()}
 
 
 _SMALL_Q = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
