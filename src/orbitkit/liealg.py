@@ -8,6 +8,11 @@ rational; Gaussian rationals enter only where a non-real eigenvalue is
 chosen.  All spectra are kept exact: algebras whose adjoint maps have
 eigenvalues outside Q(i) are rejected with NonRationalSpectrum.
 
+Eigenvalues come from integer arithmetic: indices whose row or column is
+zero off the diagonal are peeled off, the rest gets a division-free
+Berkowitz charpoly, and the roots that Gauss's lemma allows are tested
+under a fixed work budget.  Past it sympy factors, imported only then.
+
 A LieAlgebra is immutable, so its structure is computed once, in a private
 per-algebra memo.  The nilradical is the Killing-form radical when that
 certifies itself as a nilpotent ideal, else the common kernel of the roots
@@ -17,13 +22,10 @@ certifies itself as a nilpotent ideal, else the common kernel of the roots
 from __future__ import annotations
 
 import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import QQ, QQ_I
-from sympy.polys.densearith import dup_add, dup_sqr
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.matrices import DomainMatrix
 
 from .errors import (
     AntisymmetryViolation,
@@ -490,17 +492,12 @@ def mtilde(g: LieAlgebra, m: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues in Q(i) from the norm polynomial over Q
+# eigenvalues in Q(i): integer candidates, with sympy past a work budget
 # ---------------------------------------------------------------------------
 
-def _to_gaussian_matrix(m: Matrix) -> DomainMatrix:
-    """m as a DomainMatrix over QQ_I."""
-    return DomainMatrix([[QQ_I(_qq(x.real), _qq(x.imag)) for x in row] for row in m.entries],
-                        (m.rows, m.cols), QQ_I)
-
-
-def _qq(x: Fraction):
-    return QQ(x.numerator, x.denominator)
+# trial divisions, candidate tests and quadratic-coefficient steps that one
+# candidate search may spend before sympy's factorization answers instead
+_BUDGET = 20000
 
 
 def _restrict_to(mat: Matrix, space: Subspace) -> Matrix:
@@ -523,26 +520,24 @@ def _eigen_ratio(image, v, lead, name):
     return lam
 
 
-def _fraction(q) -> Fraction:
-    return Fraction(q.numerator, q.denominator)
+def _charpoly(rows):
+    """Coefficients of det(xI - a), leading first, over the ring of the
+    entries (division-free Berkowitz): the polynomial of each leading block
+    is a Toeplitz column times the polynomial of the block before it."""
+    p = [1]
+    for k in range(len(rows)):
+        r, c = rows[k][:k], [row[k] for row in rows[:k]]
+        col = [1, -rows[k][k]]
+        for _ in range(k):
+            col.append(-sum(x * y for x, y in zip(r, c)))
+            c = [sum(x * y for x, y in zip(row[:k], c)) for row in rows[:k]]
+        p = [sum(col[j - i] * p[i] for i in range(min(j, k) + 1)) for j in range(k + 2)]
+    return p
 
 
-def _qi_roots(factor):
-    """Roots in Q(i), as (re, im), of an irreducible factor over QQ: -b/a of
-    ax + b, and (-b +- k*i)/2 of the monic x^2 + bx + c when 4c - b^2 = k^2,
-    k rational."""
-    if len(factor) == 2:
-        return [(-factor[1] / factor[0], QQ(0))]
-    if len(factor) == 3:
-        b, c = factor[1] / factor[0], factor[2] / factor[0]
-        k = QQ.exsqrt(4 * c - b * b)  # None unless a rational square
-        if k:
-            return [(-b / 2, k / 2), (-b / 2, -k / 2)]
-    return []
-
-
-def _multiplicity(p, lam):
-    """How many times x - lam divides the dense polynomial p (synthetic division)."""
+def _deflate(p, lam):
+    """(p / (x - lam)^k, k) for the largest k, p dense and leading first
+    (synthetic division)."""
     mult = 0
     while len(p) > 1:
         quotient = [p[0]]
@@ -551,38 +546,133 @@ def _multiplicity(p, lam):
         if p[-1] + lam * quotient[-1]:
             break
         p, mult = quotient, mult + 1
-    return mult
+    return p, mult
+
+
+def _divisors(n, budget):
+    """(sorted positive divisors of n > 0, budget left) by trial division,
+    which spends one step per trial and two per divisor; (None, 0) when the
+    steps would pass the budget."""
+    primes, q = {}, 2
+    while q * q <= n:
+        budget -= 1
+        if budget < 0:
+            return None, 0
+        while n % q == 0:
+            primes[q], n = primes.get(q, 0) + 1, n // q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        primes[n] = primes.get(n, 0) + 1
+    budget -= 2 * math.prod(e + 1 for e in primes.values())
+    if budget < 0:
+        return None, 0
+    divs = [1]
+    for q, e in primes.items():
+        divs = [x * q ** k for x in divs for k in range(e + 1)]
+    return sorted(divs), budget
+
+
+def _core_eigenvalues(rows):
+    """Eigenvalues in Q(i) of a square matrix with multiplicities, or None
+    when the search would pass _BUDGET.
+
+    With d the common denominator, p = det(xI - d*m) is monic over Z[i], so
+    its roots in Q(i) are Gaussian integers and roots of the monic norm
+    f = A^2 + B^2 of p = A + iB (f = p for rational m).  By Gauss's lemma a
+    rational root divides f(0), and a + bi (b != 0) is a root of a factor
+    x^2 - 2a*x + C of f with C = a^2 + b^2 dividing f(0); integer roots are
+    divided out of f first.  A candidate's multiplicity is as a root of p.
+    """
+    d = math.lcm(1, *(q.denominator for row in rows for x in row for q in (x.real, x.imag)))
+    p = _charpoly([[x * d if x.imag else int(x * d) for x in row] for row in rows])
+    re, im, n = [int(c.real) for c in p], [int(c.imag) for c in p], len(p) - 1
+    if any(im):
+        f = [sum(re[i] * re[k - i] + im[i] * im[k - i]
+                 for i in range(max(0, k - n), min(k, n) + 1)) for k in range(2 * n + 1)]
+    else:
+        p, f = re, re[:]
+    eigs = []
+
+    def offer(a, b=0):
+        mult = _deflate(p, GaussianRational(a, b) if b else a)[1]
+        if mult:
+            eigs.append((GaussianRational(Fraction(a, d), Fraction(b, d)), mult))
+
+    if not f[-1]:
+        offer(0)
+        while not f[-1]:
+            f.pop()
+    if len(f) == 1:
+        return eigs
+    divs, budget = _divisors(abs(f[-1]), _BUDGET)
+    if divs is None:
+        return None
+    for mu in (x for s in divs for x in (s, -s)):
+        if not f[-1] % mu:
+            f, mult = _deflate(f, mu)
+            if mult:
+                offer(mu)
+    norms = [c for c in divs if not f[-1] % c] if len(f) > 2 else []
+    if budget < sum(2 * math.isqrt(c) + 1 for c in norms):
+        return None
+    for c in norms:
+        for a in range(-math.isqrt(c), math.isqrt(c) + 1):
+            b = math.isqrt(c - a * a)
+            if not b or b * b != c - a * a:
+                continue
+            re_f = im_f = 0  # f(a + bi) by Horner
+            for coeff in f:
+                re_f, im_f = re_f * a - im_f * b + coeff, re_f * b + im_f * a
+            if not re_f and not im_f:
+                offer(a, b)
+                offer(a, -b)
+    return eigs
+
+
+def _to_gaussian_matrix(m: Matrix):
+    """m as a sympy DomainMatrix over QQ_I."""
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix([[QQ_I(QQ(x.real.numerator, x.real.denominator),
+                               QQ(x.imag.numerator, x.imag.denominator)) for x in row]
+                         for row in m.entries], (m.rows, m.cols), QQ_I)
+
+
+def _sympy_eigenvalues(m: Matrix):
+    """The fallback: the roots of the linear factors, which are monic, of the
+    charpoly factored over QQ_I."""
+    return [(GaussianRational(Fraction(-f[1].x.numerator, f[1].x.denominator),
+                              Fraction(-f[1].y.numerator, f[1].y.denominator)), mult)
+            for f, mult in _to_gaussian_matrix(m).charpoly_factor_list() if len(f) == 2]
 
 
 def _gaussian_eigenvalues(m: Matrix):
     """Eigenvalues of m lying in Q(i), with multiplicities, sorted by (re, im).
 
-    A root in Q(i) of a polynomial over Q has degree <= 2 over Q.  The roots
-    of the characteristic polynomial p (sympy's division-free Berkowitz) are
-    roots of its norm N = p * conj(p), which is rational (N = p for rational
-    m), so N is factored once over QQ and only its linear and quadratic
-    factors give candidates (_qi_roots).  A candidate's multiplicity is the
-    number of times x - lambda divides p exactly: this checks every
-    candidate and drops those that are roots of conj(p) only.
+    Peel: while some live row or column i is zero off the diagonal, x - m_ii
+    divides det(xI - m), so m_ii is an eigenvalue and index i is dropped.
+    The core that is left goes to the exact integer candidate search
+    (_core_eigenvalues), and past its work budget to sympy, which is
+    imported only then.
     """
-    n = m.rows
-    if n == 0:
-        return []
-    if not any(x.imag for row in m.entries for x in row):
-        entries = [[_qq(x) for x in row] for row in m.entries]
-        p = norm = DomainMatrix(entries, (n, n), QQ).charpoly()
-    else:
-        p = _to_gaussian_matrix(m).charpoly()
-        # p = A + iB with A, B over Q, so p * conj(p) = A^2 + B^2
-        norm = dup_add(dup_sqr([c.x for c in p], QQ), dup_sqr([c.y for c in p], QQ), QQ)
-    eigs = []
-    for factor, _ in dup_factor_list(norm, QQ)[1]:
-        for re, im in _qi_roots(factor):
-            mult = _multiplicity(p, QQ_I(re, im) if im else re)
-            if mult:
-                eigs.append((GaussianRational(_fraction(re), _fraction(im)), mult))
-    eigs.sort(key=lambda t: (t[0].real, t[0].imag))
-    return eigs
+    a, idx = m.entries, range(m.rows)
+    rows = {i: {j for j in idx if j != i and a[i][j]} for i in idx}
+    cols = {i: {j for j in idx if j != i and a[j][i]} for i in idx}
+    eigs, ready = Counter(), list(idx)
+    while ready:
+        i = ready.pop()
+        if i not in rows or (rows[i] and cols[i]):
+            continue
+        eigs[a[i][i]] += 1
+        for here, there in ((rows, cols), (cols, rows)):
+            for j in here.pop(i):
+                there[j].discard(i)
+                ready.append(j)
+    core = [[a[i][j] for j in rows] for i in rows]
+    found = _core_eigenvalues(core)
+    for lam, mult in _sympy_eigenvalues(Matrix(core)) if found is None else found:
+        eigs[lam] += mult
+    return sorted(eigs.items(), key=lambda t: (t[0].real, t[0].imag))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ, QQ_I, nextprime
+from sympy.polys.matrices import DomainMatrix
 from test_algfile_cli import CATALOG_NAMES, draw_basis_change
 
 from orbitkit import cli, liealg
@@ -449,14 +452,23 @@ def test_gaussian_eigenvalues_recover_a_conjugated_triangular_diagonal(data):
     assert _gaussian_eigenvalues(m) == expected
 
 
+def _to_qq_i(m):
+    return DomainMatrix([[QQ_I(QQ(x.real.numerator, x.real.denominator),
+                               QQ(x.imag.numerator, x.imag.denominator)) for x in row]
+                         for row in m.entries], (m.rows, m.cols), QQ_I)
+
+
+def _from_qq_i(z):
+    return GaussianRational(Fraction(z.x.numerator, z.x.denominator),
+                            Fraction(z.y.numerator, z.y.denominator))
+
+
 def _qq_i_eigenvalues(m):
     # the reference: the charpoly factored over QQ_I, its linear factors read off
     eigs = []
-    for factor, mult in liealg._to_gaussian_matrix(m).charpoly_factor_list():
+    for factor, mult in _to_qq_i(m).charpoly_factor_list():
         if len(factor) == 2:
-            root = -factor[1] / factor[0]
-            eigs.append((GaussianRational(liealg._fraction(root.x), liealg._fraction(root.y)),
-                         mult))
+            eigs.append((_from_qq_i(-factor[1] / factor[0]), mult))
     eigs.sort(key=lambda t: (t[0].real, t[0].imag))
     return eigs
 
@@ -474,9 +486,7 @@ def _companion(coeffs):
 _PLANTED = ((1, 0, 2, 0), (13, 4), (2, 0), (1, 1), (-2, 0))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_gaussian_eigenvalues_match_the_qq_i_factorization(data):
+def _draw_conjugated_block_triangular(data):
     # M = P T P^-1, T block upper triangular: scalars and planted companion
     # blocks on the diagonal, noise above them; P and the scalars are
     # Gaussian or rational
@@ -500,8 +510,66 @@ def test_gaussian_eigenvalues_match_the_qq_i_factorization(data):
              for i in range(n)]
     p = Matrix(lower) * Matrix(upper)
     p_inv = Matrix.from_columns([solve(p, unit_vector(n, j)) for j in range(n)])
-    m = p * Matrix(t) * p_inv
+    return p * Matrix(t) * p_inv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gaussian_eigenvalues_match_the_qq_i_factorization(data):
+    m = _draw_conjugated_block_triangular(data)
     assert _gaussian_eigenvalues(m) == _qq_i_eigenvalues(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_the_sympy_fallback_agrees_with_the_candidate_search(data):
+    # a budget of one step sends every core whose charpoly is not a power
+    # of x to the fallback
+    m = _draw_conjugated_block_triangular(data)
+    fast = _gaussian_eigenvalues(m)
+    with mock.patch.object(liealg, "_BUDGET", 1):
+        assert _gaussian_eigenvalues(m) == fast
+
+
+def test_a_constant_term_past_the_budget_comes_back_exact_through_sympy():
+    # (x - p)(x - q) with two 25-digit primes: trial division cannot factor
+    # pq within the budget, and the companion matrix peels nothing
+    p, q = nextprime(10 ** 24), nextprime(3 * 10 ** 24)
+    m = Matrix(_companion((p * q, -(p + q))))
+    with mock.patch.object(liealg, "_sympy_eigenvalues",
+                           wraps=liealg._sympy_eigenvalues) as fallback:
+        assert _gaussian_eigenvalues(m) == [(Fraction(p), 1), (Fraction(q), 1)]
+    fallback.assert_called_once_with(m)
+
+
+_SPARSE_Q = st.one_of(st.just(Fraction(0)), _SMALL_Q)
+_SPARSE_QI = st.one_of(st.just(Fraction(0)), _SMALL_QI)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_berkowitz_charpoly_matches_sympy(data):
+    n = data.draw(st.integers(0, 8), label="n")
+    entries = data.draw(st.sampled_from((_SMALL_Q, _SMALL_QI, _SPARSE_Q, _SPARSE_QI)),
+                        label="entries")
+    m = Matrix([[data.draw(entries) for _ in range(n)] for _ in range(n)], n)
+    assert liealg._charpoly(m.entries) == [_from_qq_i(c) for c in _to_qq_i(m).charpoly()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_permuted_triangular_matrix_peels_to_an_empty_core(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    diag = data.draw(st.lists(_SMALL_QI, min_size=n, max_size=n), label="diagonal")
+    perm = data.draw(st.permutations(range(n)), label="permutation")
+    t = [[diag[i] if i == j else data.draw(_SPARSE_QI) if i < j else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    m = Matrix([[t[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    with mock.patch.object(liealg, "_core_eigenvalues",
+                           wraps=liealg._core_eigenvalues) as search:
+        eigs = _gaussian_eigenvalues(m)
+    search.assert_called_once_with([])
+    assert eigs == sorted(Counter(diag).items(), key=lambda t: (t[0].real, t[0].imag))
 
 
 GAUSSIAN_WEIGHTS_ALG = """\

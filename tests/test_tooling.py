@@ -1,11 +1,13 @@
 """Source checks: exact arithmetic on every path that can decide a verdict,
 one denominator cap, no src definition that only tests reach (outside a
 short allow-list with reasons), no import that nothing uses, no import of a
-package that pyproject.toml does not declare, and every name that the
-benchmark's tracer wraps still there."""
+package that pyproject.toml does not declare, no sympy import at start-up,
+and every name that the benchmark's tracer wraps still there."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 import types
@@ -277,6 +279,70 @@ def test_the_dependency_scan_flags_an_undeclared_import():
     allowed = {"__future__", "os", "fractions", "sympy"}
     assert _undeclared_imports("m.py", source, allowed) == [
         "m.py:2: numpy", "m.py:6: scipy.linalg"]
+
+
+def _module_level_imports(name, source):
+    """'file:line: module' for each import that runs when the module is
+    imported: anywhere outside a function body."""
+    out = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            out.extend(f"{name}:{node.lineno}: {alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.append(f"{name}:{node.lineno}: {'.' * node.level}{node.module or ''}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+def test_no_module_level_sympy_import():
+    # sympy is the eigenvalue fallback's alone, imported when it first runs
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in _module_level_imports(path.name, path.read_text(encoding="utf-8"))
+             if use.split(": ")[1].split(".")[0] == "sympy"]
+    assert found == []
+
+
+def test_the_import_level_scan_skips_function_bodies():
+    source = ("import sympy.polys\n"
+              "from .exactlin import Matrix\n"
+              "class C:\n"
+              "    from sympy import QQ\n"
+              "    def f(self):\n"
+              "        import sympy\n"
+              "try:\n"
+              "    import gmpy2\n"
+              "except ImportError:\n"
+              "    pass\n")
+    assert _module_level_imports("m.py", source) == [
+        "m.py:1: sympy.polys", "m.py:2: .exactlin", "m.py:4: sympy", "m.py:8: gmpy2"]
+
+
+def _fresh_interpreter_imports_sympy(code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                           "print('sympy' in sys.modules, file=sys.stderr)"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+                          check=True)
+    return proc.stderr.split()[-1]
+
+
+def test_importing_the_cli_leaves_sympy_unimported():
+    assert _fresh_interpreter_imports_sympy("import orbitkit.cli") == "False"
+
+
+def test_gaussian_spectra_never_reach_the_sympy_fallback():
+    # e2-motion's roots +-i come from the integer candidate search
+    code = ("from orbitkit import cli\n"
+            "assert cli.main(['invariants', '--catalog', 'e2-motion', '--degree', '3',"
+            " '--json']) == 0")
+    assert _fresh_interpreter_imports_sympy(code) == "False"
 
 
 def _benchmark_tracer():
