@@ -166,13 +166,11 @@ def emit_algebra(g: LieAlgebra) -> str:
     lines = [f"dim {g.dim}", "basis " + " ".join(g.basis_names)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            cell = g.table[i][j]
-            if all(c == 0 for c in cell):
+            cell = g.sparse_table[i][j]
+            if not cell:
                 continue
             chunks = []
-            for k, c in enumerate(cell):
-                if c == 0:
-                    continue
+            for k, c in cell:
                 piece = _format_coeff_name(c, g.basis_names[k])
                 if not chunks:
                     chunks.append(piece)

@@ -206,10 +206,9 @@ def _cmd_stabilizer(args):
     print("bracket table of m:")
     for i in range(sub.dim):
         for j in range(i + 1, sub.dim):
-            cell = sub.table[i][j]
-            if any(cell):
-                text = " + ".join(f"{c}*{sub.basis_names[k]}"
-                                  for k, c in enumerate(cell) if c != 0)
+            cell = sub.sparse_table[i][j]
+            if cell:
+                text = " + ".join(f"{c}*{sub.basis_names[k]}" for k, c in cell)
                 print(f"  [{sub.basis_names[i]},{sub.basis_names[j]}] = {text}")
     return 0
 

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FlagInvalid, NotCoabelianIdeal, PreconditionFailed
+from .errors import DimensionMismatch, FlagInvalid, NotCoabelianIdeal, PreconditionFailed
 from .exactlin import Matrix, Q0, Subspace, kernel, vec, vec_dot
 from .liealg import LieAlgebra
 
@@ -37,8 +37,10 @@ def functional(g: LieAlgebra, values) -> tuple:
 def form_matrix(g: LieAlgebra, f) -> Matrix:
     """The antisymmetric form B_f(e_i, e_j) = f([e_i, e_j])."""
     f = vec(f)
-    return Matrix([[vec_dot(f, g.table[i][j]) for j in range(g.dim)]
-                   for i in range(g.dim)])
+    if len(f) != g.dim:
+        raise DimensionMismatch("functional length differs from algebra dimension")
+    return Matrix([[sum((f[k] * c for k, c in cell), Q0) for cell in row]
+                   for row in g.sparse_table])
 
 
 def stabilizer(g: LieAlgebra, f) -> Subspace:

@@ -54,9 +54,7 @@ def _normalize_word(g: LieAlgebra, word: tuple, strategy: str):
     swapped = word[:pos] + (b, a) + word[pos + 2:]
     result = dict(_normalize_word(g, swapped, strategy))
     # e_a e_b = e_b e_a + [e_a, e_b]
-    for k, c in enumerate(g.table[a][b]):
-        if not c:
-            continue
+    for k, c in g.sparse_table[a][b]:
         contracted = word[:pos] + (k,) + word[pos + 2:]
         for w, cf in _normalize_word(g, contracted, strategy).items():
             result[w] = result.get(w, Fraction(0)) + c * cf

@@ -205,7 +205,13 @@ def _fold(compiled, target, atoms):
     coeffs = [(-target, {})]
     for coeff, mono, exps in compiled:
         for v, e in exps:
-            coeff = coeff * atoms[v] ** e
+            atom = atoms[v]
+            if abs(e) * (atom.numerator.bit_length() + atom.denominator.bit_length() - 2) \
+                    > _POWER_BITS_CAP:
+                raise PreconditionFailed(
+                    f"exp atom {atom} to the power {e} is past the closure search's "
+                    f"size cap of {_POWER_BITS_CAP} bits")
+            coeff = coeff * atom ** e
         coeffs.append((coeff, dict(mono)))
     names = sorted({v for _, powers in coeffs for v in powers})
     degrees = tuple((v, max(powers.get(v, 0) for _, powers in coeffs)) for v in names)
@@ -265,6 +271,10 @@ def _restricted_dist2(restrictions, x):
 # minimizers are rounded to this denominator bound: unbounded exact
 # coordinate descent squares denominators every sweep and stalls
 _DENOMINATOR_CAP = 10 ** 24
+# _fold refuses an atom power past this many bits, counted as |exponent| times
+# the bits of the atom's numerator and denominator beyond one each (so the
+# atom 1 counts 0): exponents from large integer roots would fill memory
+_POWER_BITS_CAP = 2 ** 16
 
 
 def _capped(n, d):

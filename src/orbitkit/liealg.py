@@ -13,6 +13,15 @@ zero off the diagonal are peeled off, the rest gets a division-free
 Berkowitz charpoly, and the roots that Gauss's lemma allows are tested
 under a fixed work budget.  Past it sympy factors, imported only then.
 
+The structure constants are read through a sparse table, built once per
+algebra: for each basis pair, the nonzero (index, constant) pairs of the
+bracket.  The bracket, the Killing form, the coadjoint form and the PBW
+rewriting walk only those.  The Jacobi identity is checked on integers: with
+D the common denominator of the constants, each basis triple's defect is
+summed as an integer vector over D^2.  A subalgebra of a checked algebra is
+not checked again, since a subspace closed under the bracket inherits the
+identities.
+
 A LieAlgebra is immutable, so its structure is computed once, in a private
 per-algebra memo.  The nilradical is the Killing-form radical when that
 certifies itself as a nilpotent ideal, else the common kernel of the roots
@@ -22,6 +31,7 @@ certifies itself as a nilpotent ideal, else the common kernel of the roots
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -47,7 +57,6 @@ from .exactlin import (
     solve,
     unit_vector,
     vec,
-    vec_add,
     vec_scale,
     zero_vector,
 )
@@ -102,11 +111,13 @@ def _memoized(method):
 class LieAlgebra:
     """A finite-dimensional Lie algebra with named ordered basis.
 
-    Structure constants satisfy [e_i, e_j] = sum_k c[i][j][k] e_k.
-    Antisymmetry and the Jacobi identity are checked at construction.
+    Structure constants satisfy [e_i, e_j] = sum_k c[i][j][k] e_k; table
+    holds them dense, and sparse_table[i][j] the nonzero (k, c[i][j][k])
+    pairs in order of k.  Antisymmetry and the Jacobi identity are checked at
+    construction, unless _validated vouches for the table.
     """
 
-    __slots__ = ("dim", "basis_names", "table", "_memo", "_hash")
+    __slots__ = ("dim", "basis_names", "table", "sparse_table", "_memo", "_hash")
 
     def __init__(self, basis_names, table, _validated=False):
         names = tuple(basis_names)
@@ -119,6 +130,9 @@ class LieAlgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "basis_names", names)
         object.__setattr__(self, "table", tbl)
+        object.__setattr__(self, "sparse_table", tuple(
+            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
+            for row in tbl))
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", None)
         if not _validated:
@@ -138,22 +152,29 @@ class LieAlgebra:
         return self._hash
 
     def _validate(self):
-        n = self.dim
+        n, s = self.dim, self.sparse_table
         for i in range(n):
             for j in range(n):
-                if self.table[i][j] != tuple(-x for x in self.table[j][i]):
+                if s[i][j] != tuple((k, -c) for k, c in s[j][i]):
                     raise AntisymmetryViolation(
                         f"[{self.basis_names[i]},{self.basis_names[j]}] is not the "
                         f"negative of [{self.basis_names[j]},{self.basis_names[i]}]")
+        # D times each constant is an integer, so D^2 times each defect is one
+        d = math.lcm(1, *(c.denominator for row in s for cell in row for _, c in cell))
+        t = [[[(k, c.numerator * (d // c.denominator)) for k, c in cell] for cell in row]
+             for row in s]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    defect = vec_add(
-                        vec_add(self.bracket(unit_vector(n, i), self.table[j][k]),
-                                self.bracket(unit_vector(n, j), self.table[k][i])),
-                        self.bracket(unit_vector(n, k), self.table[i][j]))
-                    if any(x != 0 for x in defect):
-                        raise JacobiViolation(i, j, k, defect, self.basis_names)
+                    # [e_a, [e_b, e_c]] summed over the cyclic shifts of (i, j, k)
+                    acc = [0] * n
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for l, x in t[b][c]:
+                            for m, y in t[a][l]:
+                                acc[m] += x * y
+                    if any(acc):
+                        raise JacobiViolation(i, j, k, (Fraction(x, d * d) for x in acc),
+                                              self.basis_names)
 
     # -- construction helpers ------------------------------------------------
 
@@ -215,17 +236,17 @@ class LieAlgebra:
         if len(x) != n or len(y) != n:
             raise DimensionMismatch("vector length differs from algebra dimension")
         out = list(zero_vector(n))
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cell = self.table[i][j]
-                f = xi * yj
-                for k, ck in enumerate(cell):
-                    if ck:
-                        out[k] = out[k] + f * ck
+            row = self.sparse_table[i]
+            for j, yj in ys:
+                cell = row[j]
+                if cell:
+                    f = xi * yj
+                    for k, c in cell:
+                        out[k] = out[k] + f * c
         return tuple(out)
 
     def ad_matrix(self, x, ideal: Subspace | None = None) -> Matrix:
@@ -247,8 +268,8 @@ class LieAlgebra:
         return self.subspace_names(ideal)
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        vectors = [self.bracket(u, v) for u in a.basis for v in b.basis]
-        return Subspace.from_vectors(self.dim, vectors)
+        vectors = (self.bracket(u, v) for u in a.basis for v in b.basis)
+        return Subspace.from_vectors(self.dim, [w for w in vectors if any(w)])
 
     @_memoized
     def commutator_ideal(self) -> Subspace:
@@ -256,10 +277,13 @@ class LieAlgebra:
         return self.bracket_span(full, full)
 
     def is_subalgebra(self, v: Subspace) -> bool:
-        return v.contains_subspace(self.bracket_span(v, v))
+        brackets = (self.bracket(a, b) for a, b in itertools.combinations(v.basis, 2))
+        return all(v.contains(w) for w in brackets if any(w))
 
     def is_ideal(self, v: Subspace) -> bool:
-        return v.contains_subspace(self.bracket_span(Subspace.full(self.dim), v))
+        brackets = (self.bracket(unit_vector(self.dim, i), b)
+                    for i in range(self.dim) for b in v.basis)
+        return all(v.contains(w) for w in brackets if any(w))
 
     def centralizer(self, v: Subspace) -> Subspace:
         """{x : [x, v] = 0}, the common kernel of ad(b) over the basis of v."""
@@ -341,7 +365,8 @@ class LieAlgebra:
             raise NotSubalgebra("not closed under the bracket")
         table = [[v.coordinates_of(self.bracket(a, b)) for b in v.basis] for a in v.basis]
         incl = Matrix.from_columns(list(v.basis))
-        return LieAlgebra(self.subspace_names(v), table), incl
+        # a closed subspace inherits antisymmetry and the Jacobi identity
+        return LieAlgebra(self.subspace_names(v), table, _validated=True), incl
 
     # -- spectra -------------------------------------------------------------
 
@@ -449,10 +474,9 @@ class LieAlgebra:
         ideal containing it, and is it when nilpotent; else (roots (1 +- i)*t
         have k(x, x) = 0) it is the common kernel of the roots (de Graaf 2000).
         """
-        n, c = self.dim, self.table
-        terms = [[(k, l, x) for k in range(n) for l, x in enumerate(c[i][k]) if x]
-                 for i in range(n)]
-        result = kernel(Matrix([[sum((x * c[j][l][k] for k, l, x in terms[i]), Q0)
+        n, c, s = self.dim, self.table, self.sparse_table
+        result = kernel(Matrix([[sum((x * c[j][l][k] for k, cell in enumerate(s[i])
+                                      for l, x in cell), Q0)
                                  for j in range(n)] for i in range(n)]))
         if not self._is_nilpotent_ideal_over_commutator(result):
             result = mtilde(self, Subspace.zero(n))  # every root vanishes on 0

@@ -1,6 +1,7 @@
 """Reference definitions that tests compare against or check with: the
-Leibniz derivation, monomial coordinates, the general-position test and the
-greedy coordinate complement.  No orbitkit command needs them."""
+Leibniz derivation, monomial coordinates, the general-position test, the
+greedy coordinate complement, and the dense bracket and rational Jacobi
+check.  No orbitkit command needs them."""
 
 from orbitkit.errors import DimensionMismatch
 from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, unit_vector, vec
@@ -75,3 +76,28 @@ def greedy_complement_coordinates(space: Subspace):
             chosen.append(c)
             current = list(reduced)
     return tuple(chosen)
+
+
+def dense_bracket(g: LieAlgebra, x, y):
+    """[x, y] = sum_ijk x_i y_j c_ij^k e_k over every cell of the dense table."""
+    n = g.dim
+    return tuple(sum((x[i] * y[j] * g.table[i][j][k] for i in range(n) for j in range(n)), Q0)
+                 for k in range(n))
+
+
+def first_jacobi_defect(table):
+    """((i, j, k), defect) for the first triple i < j < k whose Jacobi sum
+    [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] is nonzero,
+    summed in rationals over the dense table; None when every sum vanishes."""
+    n = len(table)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                defect = tuple(
+                    sum((table[b][c][l] * table[a][l][m]
+                         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) for l in range(n)),
+                        Q0)
+                    for m in range(n))
+                if any(defect):
+                    return (i, j, k), defect
+    return None

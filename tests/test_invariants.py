@@ -1,8 +1,12 @@
 """Derivations, (semi-)invariants, vanishing on orbits, closure certificates."""
 
 import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -562,3 +566,28 @@ def test_a_search_verdict_rechecks_its_witness(monkeypatch, capsys):
         closure_membership(om, (F(3, 2), F(5, 2)), certs)
     assert cli.main(["closure-test", "--catalog", "axb", "--g", "a=3/2,b=5/2"]) == 2
     assert capsys.readouterr().err.startswith("orbitkit: closure search witness")
+
+
+# x, y with ad(a) of charpoly (t - p)(t - q) for 25-digit primes p, q: the
+# orbit carries exp(p*s), so the search's atom powers have 25-digit exponents
+_LARGE_ROOTS_ALG = ("basis a x y\nbracket a x = y\n"
+                    "bracket a y = -3000000000000000000000028000000000000000000000049*x"
+                    " + 4000000000000000000000014*y\n")
+
+
+def test_large_integer_roots_end_in_a_computation_error(tmp_path):
+    # under an address-space cap, so a regression fails instead of filling memory
+    path = tmp_path / "large-roots.alg"
+    path.write_text(_LARGE_ROOTS_ALG, encoding="utf-8")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+            "from orbitkit import cli\n"
+            "raise SystemExit(cli.main(sys.argv[1:]))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, "closure-test", "--file", str(path),
+                           "--f", "x=1", "--g", "x=2,y=3", "--json"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("orbitkit: exp atom") and "size cap" in proc.stderr

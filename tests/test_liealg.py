@@ -1,5 +1,6 @@
 """Structure constants, series, weights, nilradical, exponentiality."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,12 +10,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import dense_bracket, first_jacobi_defect
 from sympy import QQ, QQ_I, nextprime
 from sympy.polys.matrices import DomainMatrix
 from test_algfile_cli import CATALOG_NAMES, draw_basis_change
 
 from orbitkit import cli, liealg
 from orbitkit.catalog import get_entry
+from orbitkit.coadjoint import stabilizer_ideal
 from orbitkit.errors import (
     AntisymmetryViolation,
     JacobiViolation,
@@ -603,3 +606,123 @@ def test_gaussian_entry_triangularization_keeps_its_output(command, monkeypatch,
     golden = GOLDEN / f"gaussian-weights.{command}.json"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
     assert gaussian_calls[True] >= 1
+
+
+# -- the sparse structure table against dense references ---------------------
+
+_COORD = st.one_of(st.just(F(0)), st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+
+
+def _catalog_or_b3(name):
+    return _borel3() if name == "b3" else get_entry(name).algebra
+
+
+def _draw_vector(data, n, label):
+    return tuple(data.draw(st.lists(_COORD, min_size=n, max_size=n), label=label))
+
+
+def _draw_subspace(data, n):
+    k = data.draw(st.integers(0, n), label="k")
+    return Subspace.from_vectors(n, [_draw_vector(data, n, f"v{i}") for i in range(k)])
+
+
+def _flag_ideals(g):
+    try:
+        return g.composition_flag()
+    except NonRationalSpectrum:
+        return []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES + ["b3"]), st.data())
+def test_bracket_equals_the_dense_reference_after_a_basis_change(name, data):
+    g = draw_basis_change(data, _catalog_or_b3(name))
+    for _ in range(3):
+        x, y = _draw_vector(data, g.dim, "x"), _draw_vector(data, g.dim, "y")
+        assert g.bracket(x, y) == dense_bracket(g, x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES + ["b3"]), st.booleans(), st.data())
+def test_ideal_and_subalgebra_tests_agree_with_the_bracket_span(name, change, data):
+    g = _catalog_or_b3(name)
+    if change:
+        g = draw_basis_change(data, g)
+    n, full = g.dim, Subspace.full(g.dim)
+    # every coordinate span, which is an ideal or subalgebra often enough to
+    # test both answers
+    spaces = [span(n, c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+    flag = _flag_ideals(g)
+    for v in spaces + [_draw_subspace(data, n)] + flag:
+        assert g.is_ideal(v) == v.contains_subspace(g.bracket_span(full, v))
+        assert g.is_subalgebra(v) == v.contains_subspace(g.bracket_span(v, v))
+    assert all(g.is_ideal(v) and g.is_subalgebra(v) for v in flag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES + ["b3"]), st.data())
+def test_a_perturbed_cell_fails_jacobi_as_the_reference_says(name, data):
+    g = draw_basis_change(data, _catalog_or_b3(name))
+    n = g.dim
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                     label="cell")
+    k = data.draw(st.integers(0, n - 1), label="component")
+    delta = data.draw(st.builds(F, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4)),
+                      label="delta")
+    table = [[list(cell) for cell in row] for row in g.table]
+    table[i][j][k] += delta  # and the opposite cell, so antisymmetry still holds
+    table[j][i][k] -= delta
+    expected = first_jacobi_defect(table)
+    if expected is None:
+        LieAlgebra(g.basis_names, table)  # the perturbation kept the identity
+        return
+    with pytest.raises(JacobiViolation) as err:
+        LieAlgebra(g.basis_names, table)
+    assert (err.value.triple, err.value.defect) == expected
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_subalgebras_pass_the_validating_constructor(name):
+    # subalgebra() skips re-validation: a closed subspace of a valid algebra
+    # must give a table the validating constructor accepts unchanged
+    entry = get_entry(name)
+    g = entry.algebra
+    for v in [stabilizer_ideal(g, entry.reference_functional)] + _flag_ideals(g):
+        sub, _ = g.subalgebra(v)
+        assert LieAlgebra(sub.basis_names, sub.table) == sub
+
+
+BOREL4_ALG = """\
+# upper-triangular 4x4 matrices [E_ij, E_kl] = d_jk E_il - d_li E_kj, shuffled basis
+basis E3_4 E4_4 E2_2 E1_3 E1_1 E1_4 E2_4 E3_3 E1_2 E2_3
+bracket E3_4 E4_4 = E3_4
+bracket E3_4 E1_3 = -E1_4
+bracket E3_4 E3_3 = -E3_4
+bracket E3_4 E2_3 = -E2_4
+bracket E4_4 E1_4 = -E1_4
+bracket E4_4 E2_4 = -E2_4
+bracket E2_2 E2_4 = E2_4
+bracket E2_2 E1_2 = -E1_2
+bracket E2_2 E2_3 = E2_3
+bracket E1_3 E1_1 = -E1_3
+bracket E1_3 E3_3 = E1_3
+bracket E1_1 E1_4 = E1_4
+bracket E1_1 E1_2 = E1_2
+bracket E2_4 E1_2 = -E1_4
+bracket E3_3 E2_3 = -E2_3
+bracket E1_2 E2_3 = E1_3
+"""
+BOREL4_F = ("E3_4=-8/3,E4_4=-3,E2_2=-2,E1_3=7/2,E1_1=1/2,E1_4=2/5,E2_4=-3,E3_3=-1/2,"
+            "E1_2=-3/2,E2_3=7/2")
+
+
+@pytest.mark.parametrize("command", ["analyze", "stabilizer", "condition-r", "polarize",
+                                     "orbit", "regularity-report"])
+def test_borel4_in_a_shuffled_basis_keeps_its_output(command, monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+    path = tmp_path / "borel4.alg"
+    path.write_text(BOREL4_ALG, encoding="utf-8")
+    extra = [] if command == "analyze" else ["--f", BOREL4_F]
+    assert cli.main([command, "--file", str(path), "--json", *extra]) == 0
+    golden = GOLDEN / f"borel4.{command}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
