@@ -16,7 +16,11 @@ which visits the prod(m_a + 1) sub-multisets of M rather than its
 k!/prod(m_a!) orderings (Dixmier, Enveloping Algebras, 2.4).
 
 A DiffOp is a finite sum a_k(xi, params) D^k with D = -i d/dxi; composition
-uses the exact rule D o a = a o D + (-i) da/dxi.
+uses the exact rule D o a = a o D + (-i) da/dxi.  An element is evaluated in
+one Horner pass over the prefix trie of its words, from the longest prefixes
+down: each trie node costs one composition with a generator's image as the
+left factor, and the coefficients, which must not mention xi, enter at the
+nodes where their words end.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .errors import DimensionMismatch, RepCheckFailed
+from .errors import DimensionMismatch, PreconditionFailed, RepCheckFailed
 from .exactlin import GaussianRational, Q1
 from .liealg import LieAlgebra
 from .symflow import ExpPoly
@@ -301,12 +305,13 @@ class DiffOp:
             for k, b in other.terms.items():
                 derived = b
                 for j in range(m + 1):
+                    if j:
+                        derived = derived.d_dvar(XI) * MINUS_I
                     if derived.is_zero():
                         break
                     coeff = a * derived * comb(m, j)
                     key = m - j + k
                     terms[key] = terms.get(key, ExpPoly()) + coeff
-                    derived = derived.d_dvar(XI) * MINUS_I
         return DiffOp(terms)
 
     def __rmul__(self, other):
@@ -385,18 +390,28 @@ def evaluate_uea(assign: dict, u: UEAElement) -> DiffOp:
     """Apply a differential-operator representation to a normal-form element.
 
     assign is as in check_rep.  For central u in an irreducible catalog
-    representation the result is a scalar operator.
+    representation the result is a scalar operator.  The coefficients of u
+    are constants of U(g_C), so none may mention xi, the representation's
+    variable: such a coefficient raises PreconditionFailed.
+
+    The value is R(()) for R(p) = c_p + sum_a t_a o R(p.a) over the prefix
+    trie of u's words, with t_a = i*assign[a] and c_p the coefficient of
+    word p (zero off u's words).  It is computed from the longest prefixes
+    down, one composition per trie node, and equals the sum of
+    c_w * t_w1 o ... o t_wk because each xi-free c_w commutes with every t_a.
     """
     m = u.algebra
     ok, defect = check_rep(m, assign)
     if not ok:
         raise RepCheckFailed(
             f"assignment is not a representation; defect at {defect[0]},{defect[1]}")
+    if any(XI in coeff.variables() for coeff in u.terms.values()):
+        raise PreconditionFailed(f"a coefficient mentions {XI}, the representation's variable")
     t = [PLUS_I * assign[name] for name in m.basis_names]
-    total = DiffOp()
-    for word, coeff in u.terms.items():
-        op = DiffOp.multiplication(coeff)
-        for idx in word:
-            op = op * t[idx]
-        total = total + op
-    return total
+    pending = {word: DiffOp.multiplication(coeff) for word, coeff in u.terms.items()}
+    for length in range(max(map(len, pending), default=0), 0, -1):
+        for prefix in [p for p in pending if len(p) == length]:
+            op = t[prefix[-1]] * pending.pop(prefix)
+            parent = prefix[:-1]
+            pending[parent] = pending[parent] + op if parent in pending else op
+    return pending.get((), DiffOp())

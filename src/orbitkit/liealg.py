@@ -435,7 +435,12 @@ class LieAlgebra:
         return tuple(flag_vectors), tuple(weights)
 
     def adjoint_weights(self):
-        """Roots of the adjoint representation, one per value with multiplicity."""
+        """Roots of the adjoint representation, one per value with multiplicity,
+        as a new list over the memoized tuple of _roots."""
+        return list(self._roots())
+
+    @_memoized
+    def _roots(self):
         _, weights = self._triangularize()
         grouped = {}  # in order of first occurrence
         for w in weights:
@@ -448,7 +453,7 @@ class LieAlgebra:
             if not root.vanishes_on(self.commutator_ideal()):
                 raise PreconditionFailed("weight does not vanish on the commutator ideal")
             roots.append(root)
-        return roots
+        return tuple(roots)
 
     def composition_flag(self):
         """A complete chain of ideals 0 = g_0 < g_1 < ... < g_n = g over Q.

@@ -1,8 +1,12 @@
 """Reference definitions that tests compare against or check with: the
 Leibniz derivation, monomial coordinates, the general-position test, the
-greedy coordinate complement, and the dense bracket and rational Jacobi
-check.  No orbitkit command needs them."""
+greedy coordinate complement, the dense bracket and rational Jacobi check,
+word-by-word evaluation of an enveloping-algebra element, and the Leibniz
+sum for composing differential operators.  No orbitkit command needs them."""
 
+from math import comb
+
+from orbitkit.envelop import MINUS_I, PLUS_I, XI, DiffOp, UEAElement
 from orbitkit.errors import DimensionMismatch
 from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, unit_vector, vec
 from orbitkit.liealg import LieAlgebra
@@ -101,3 +105,30 @@ def first_jacobi_defect(table):
                 if any(defect):
                     return (i, j, k), defect
     return None
+
+
+def evaluate_uea_by_words(assign: dict, u: UEAElement) -> DiffOp:
+    """The sum over u's words w of c_w * t_w1 o ... o t_wk with t_a =
+    i*assign[a], each word's operator built from scratch."""
+    t = [PLUS_I * assign[name] for name in u.algebra.basis_names]
+    total = DiffOp()
+    for word, coeff in u.terms.items():
+        op = DiffOp.multiplication(coeff)
+        for idx in word:
+            op = op * t[idx]
+        total = total + op
+    return total
+
+
+def leibniz_product(p: DiffOp, q: DiffOp) -> DiffOp:
+    """p o q by the general Leibniz rule: a D^m o b D^k is the sum over
+    j <= m of C(m, j) a (D^j b) D^(m-j+k), with D = -i d/dxi."""
+    out = DiffOp()
+    for m, a in p.terms.items():
+        for k, b in q.terms.items():
+            derivatives = [b]
+            while len(derivatives) <= m:
+                derivatives.append(derivatives[-1].d_dvar(XI) * MINUS_I)
+            for j, bj in enumerate(derivatives):
+                out = out + DiffOp({m - j + k: a * bj * comb(m, j)})
+    return out

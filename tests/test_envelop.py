@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import evaluate_uea_by_words, leibniz_product
 
 from orbitkit.algfile import parse_algebra
 from orbitkit.catalog import get_entry
@@ -20,7 +21,7 @@ from orbitkit.envelop import (
     is_central,
     symmetrize,
 )
-from orbitkit.errors import DimensionMismatch, RepCheckFailed
+from orbitkit.errors import DimensionMismatch, PreconditionFailed, RepCheckFailed
 from orbitkit.exactlin import GaussianRational
 from orbitkit.liealg import g49_zero, heisenberg3
 from orbitkit.symflow import ExpPoly
@@ -185,7 +186,8 @@ def test_mixed_operands_defer_to_the_element_or_operator():
 
 def test_symmetrized_casimir_polynomial_acts_by_the_same_polynomial_of_its_scalar():
     # q = a*C^3 + b*C^2 + c*C with C the g4,9,0 Casimir; symmetrize(q) is
-    # central and drho sends it to a*s^3 + b*s^2 + c*s with s = -g1*g2
+    # central and drho sends it to a*s^3 + b*s^2 + c*s with s = -g1*g2; both
+    # representations agree with word-by-word evaluation
     entry = get_entry("g49_0")
     m = entry.algebra
     e0, e1, e2, e3 = (var(n) for n in m.basis_names)
@@ -197,6 +199,8 @@ def test_symmetrized_casimir_polynomial_acts_by_the_same_polynomial_of_its_scala
     value = evaluate_uea(entry.representations["drho"], w)
     assert value.is_scalar()
     assert value.scalar_value() == s ** 3 * a + s ** 2 * b + s * c
+    for assign in entry.representations.values():
+        assert evaluate_uea(assign, w) == evaluate_uea_by_words(assign, w)
 
 
 def test_diffop_canonical_commutator():
@@ -214,6 +218,31 @@ def test_diffop_associativity():
     for _ in range(10):
         a, b, c = (rng.choice(ops) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+def gaussian_rationals():
+    part = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+    return st.builds(GaussianRational, part, part)
+
+
+def xi_functions():
+    """Sums of c * xi^n * exp(k*xi) with n <= 3 and k in {-1, 0, 1}."""
+    term = st.builds(lambda c, n, k: ExpPoly.constant(c) * var("xi") ** n
+                     * ExpPoly.exp({"xi": k}),
+                     gaussian_rationals(), st.integers(0, 3), st.integers(-1, 1))
+    return st.lists(term, max_size=3).map(lambda ts: sum(ts, ExpPoly()))
+
+
+def diffops():
+    """Operators of D-order at most 3 with xi_functions coefficients."""
+    return st.dictionaries(st.integers(0, 3), xi_functions(), max_size=3).map(DiffOp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diffops(), diffops(), diffops())
+def test_diffop_composition_follows_leibniz_and_is_associative(p, q, r):
+    assert p * q == leibniz_product(p, q)
+    assert (p * q) * r == p * (q * r)
 
 
 def test_check_rep_catalog_representations():
@@ -276,6 +305,32 @@ def test_evaluate_refuses_non_representation():
     wrong["e2"] = -wrong["e2"]
     with pytest.raises(RepCheckFailed):
         evaluate_uea(wrong, w)
+
+
+def f0_polynomials():
+    """Polynomials of degree at most 2 in f0 over Q(i)."""
+    return st.lists(gaussian_rationals(), min_size=1, max_size=3).map(
+        lambda cs: sum((ExpPoly.constant(c) * var("f0") ** k for k, c in enumerate(cs)),
+                       ExpPoly()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.lists(st.integers(0, 3), max_size=5).map(tuple),
+                       f0_polynomials(), max_size=8))
+def test_evaluate_matches_word_by_word_evaluation(terms):
+    entry = get_entry("g49_0")
+    u = UEAElement(entry.algebra, terms)
+    for assign in entry.representations.values():
+        assert evaluate_uea(assign, u) == evaluate_uea_by_words(assign, u)
+
+
+def test_evaluate_refuses_a_coefficient_in_xi():
+    # xi is the representation's variable, not a constant of U(g_C)
+    entry = get_entry("g49_0")
+    u = symmetrize(var("xi") * var("e0"), entry.algebra)
+    for assign in entry.representations.values():
+        with pytest.raises(PreconditionFailed, match="xi"):
+            evaluate_uea(assign, u)
 
 
 def test_renormalization_strategies_agree():

@@ -1,6 +1,7 @@
 """Structure constants, series, weights, nilradical, exponentiality."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -726,3 +727,23 @@ def test_borel4_in_a_shuffled_basis_keeps_its_output(command, monkeypatch, tmp_p
     assert cli.main([command, "--file", str(path), "--json", *extra]) == 0
     golden = GOLDEN / f"borel4.{command}.json"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_borel4_analyze_checks_each_root_once(monkeypatch, tmp_path, capsys):
+    # analyze reads the roots directly and through is_exponential; the roots
+    # are memoized, so each is checked against the commutator ideal once
+    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+    checked = []
+    vanishes_on = liealg.Root.vanishes_on
+
+    def counted(root, space):
+        checked.append(root)
+        return vanishes_on(root, space)
+
+    monkeypatch.setattr(liealg.Root, "vanishes_on", counted)
+    path = tmp_path / "borel4.alg"
+    path.write_text(BOREL4_ALG, encoding="utf-8")
+    assert cli.main(["analyze", "--file", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "borel4.analyze.json").read_text(encoding="utf-8")
+    assert len(checked) == len(set(checked)) == len(json.loads(out)["result"]["roots"])
