@@ -11,8 +11,9 @@ monomial exponent tuples, and a solution becomes an ExpPoly only at output.
 Closure membership returns certificates: a semi-invariant with a nonzero
 value is an exact disproof of membership, while a sufficiently close orbit
 point found by the seeded search is numeric evidence for membership.  The
-search runs on integer numerators over one denominator per component, and
-builds one Fraction per distance.
+search runs on one integer polynomial per choice of exp atoms, the sum of
+the squared residuals over one denominator, and compares distances as
+integer pairs; a descent builds one Fraction, for the distance it returns.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
+from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -221,51 +224,116 @@ def _fold(compiled, target, atoms):
                                for c, powers in coeffs)
 
 
-def _restrict(folded, assignment, var=None):
-    """[(den, {power of var: numerator})] per folded component, with every other
-    variable's value p/q from assignment put in.
+def _restrict(folded, assignment, var):
+    """{power of var: numerator} for one folded residual, with every other
+    variable's value p/q from assignment put in as p^k * q^(top - k)."""
+    _, degrees, terms = folded
+    at, known = None, []
+    for i, (v, top) in enumerate(degrees):
+        if v == var:
+            at = i
+            continue
+        known.append((i, _powers(assignment[v], top)))
+    coeffs = {}
+    for n, powers in terms:
+        for i, scale in known:
+            n *= scale[powers[i]]
+        k = 0 if at is None else powers[at]
+        coeffs[k] = coeffs.get(k, 0) + n
+    return coeffs
 
-    p/q turns x^k into p^k * q^(top - k) and multiplies den by q^top; each
-    value's (p, q) and these powers are read once for all components.
+
+class _Gram(NamedTuple):
+    """S = sum over residuals of (L / den)^2 * R^2, for one choice of atoms.
+
+    R is a folded residual's integer numerator polynomial with its like
+    monomials merged, and L the lcm of the dens, so the squared distance is
+    S / den with den = L^2.  A term is (coefficient, exponents aligned with
+    the search's poly_vars); tops holds S's top power of each variable, and
+    along[j] the terms as (power of variable j, coefficient, the other
+    (index, exponent) pairs).  linear[j] says whether every folded residual
+    has top power at most 1 in variable j, which picks the closed-form step.
     """
-    scales = {}
-    out = []
-    for den, degrees, terms in folded:
-        at, known = None, []
-        for i, (v, top) in enumerate(degrees):
-            if v == var:
-                at = i
-                continue
-            if (v, top) not in scales:
-                p, q = assignment[v].as_integer_ratio()
-                scales[v, top] = [p ** k * q ** (top - k) for k in range(top + 1)]
-            known.append((i, scales[v, top]))
-            den *= scales[v, top][0]
-        coeffs = {}
+
+    den: int
+    tops: tuple
+    linear: tuple
+    terms: tuple
+    along: tuple
+
+
+def _gram(folded, names) -> _Gram:
+    den = lcm(*(d for d, _, _ in folded))
+    index = {v: i for i, v in enumerate(names)}
+    gram = {}
+    for d, degrees, terms in folded:
+        at = [index[v] for v, _ in degrees]
+        merged = {}
         for n, powers in terms:
-            for i, scale in known:
-                n *= scale[powers[i]]
-            k = 0 if at is None else powers[at]
-            coeffs[k] = coeffs.get(k, 0) + n
-        out.append((den, coeffs))
-    return out
+            key = [0] * len(names)
+            for i, k in zip(at, powers):
+                key[i] = k
+            key = tuple(key)
+            merged[key] = merged.get(key, 0) + n
+        items = [(key, n * (den // d)) for key, n in merged.items() if n]
+        for a, (ka, na) in enumerate(items):
+            for b, (kb, nb) in enumerate(items[a:]):
+                key = tuple(x + y for x, y in zip(ka, kb))
+                gram[key] = gram.get(key, 0) + (na * nb if b == 0 else 2 * na * nb)
+    terms = tuple((n, key) for key, n in gram.items() if n)
+    return _Gram(
+        den * den,
+        tuple(max((key[j] for _, key in terms), default=0) for j in range(len(names))),
+        tuple(max(top for _, degrees, _ in folded for v, top in degrees if v == name) <= 1
+              for name in names),
+        terms,
+        tuple(tuple((key[j], n, tuple((i, e) for i, e in enumerate(key) if i != j))
+                    for n, key in terms) for j in range(len(names))))
 
 
-def _dist2(pairs):
-    """Sum of (numerator / den)^2 over (numerator, den) pairs, as one Fraction."""
-    common = lcm(*(den for _, den in pairs))
-    return Fraction(sum((n * (common // den)) ** 2 for n, den in pairs), common * common)
-
-
-def _restricted_dist2(restrictions, x):
-    """Squared distance at var = x from the restrictions [(den, {power: numerator})]."""
+def _powers(x, top):
+    """[p^k * q^(top - k) for k = 0..top] for x = p/q: x^k homogenised to top."""
     p, q = x.as_integer_ratio()
-    pairs = []
-    for den, coeffs in restrictions:
-        top = max(coeffs)
-        pairs.append((sum(n * p ** k * q ** (top - k) for k, n in coeffs.items()),
-                      den * q ** top))
-    return _dist2(pairs)
+    return [p ** k * q ** (top - k) for k in range(top + 1)]
+
+
+def _step(gram, j, tables, current):
+    """(candidate, den, coeffs) along the j-th variable, the others at the
+    values whose _powers tables are given: S there is
+    sum(coeffs[k] * x^k) / den, and _at gives its value at one x.
+
+    S is grouped by the power of the variable, each coefficient evaluated
+    at the other values over one denominator.  With linear residuals the
+    candidate is the capped minimizer of the quadratic c2 x^2 + c1 x + c0,
+    or the current value when c2 is 0; otherwise it is the closest of the
+    current value, 0, 1 and -1, the first in sorted order on a tie.
+    """
+    top = gram.tops[j]
+    coeffs = [0] * (top + 1)
+    for k, n, others in gram.along[j]:
+        for i, e in others:
+            n *= tables[i][e]
+        coeffs[k] += n
+    den = gram.den
+    for i, table in enumerate(tables):
+        if i != j:
+            den *= table[0]
+    if gram.linear[j]:
+        c2 = coeffs[2] if top == 2 else 0
+        return (current if c2 == 0 else _capped(-coeffs[1], 2 * c2)), den, coeffs
+    # heuristic candidate set for higher degree
+    best = None
+    for x in sorted({current, Fraction(0), Fraction(1), Fraction(-1)}):
+        n, d = _at(den, coeffs, _powers(x, top))
+        if best is None or n * best[2] < best[1] * d:
+            best = (x, n, d)
+    return best[0], den, coeffs
+
+
+def _at(den, coeffs, table):
+    """sum(coeffs[k] * x^k) / den at the x whose _powers table is given, as
+    an unreduced (numerator, positive denominator) pair."""
+    return sum(map(mul, coeffs, table)), den * table[0]
 
 
 # minimizers are rounded to this denominator bound: unbounded exact
@@ -305,35 +373,6 @@ def _capped(n, d):
     return Fraction(p1, q1)
 
 
-def _best_value_for(folded, var, assignment):
-    """(x, dist2): a near-exact minimizer of the squared distance along one
-    coordinate, and that distance as a function of var's value."""
-    restrictions = _restrict(folded, assignment, var)
-    if max((max(c) for _, c in restrictions), default=0) <= 1:
-        # quadratic in var: over the common denominator D, with weights
-        # w = (D / den)^2, the distance at p/q is
-        # (alpha p^2 + 2 beta p q + gamma q^2) / (D q)^2, least at -beta / alpha
-        common = lcm(*(den for den, _ in restrictions))
-        alpha = beta = gamma = 0
-        for den, coeffs in restrictions:
-            a, b, w = coeffs.get(1, 0), coeffs.get(0, 0), (common // den) ** 2
-            alpha += a * a * w
-            beta += a * b * w
-            gamma += b * b * w
-
-        def dist2(x):
-            p, q = x.as_integer_ratio()
-            return Fraction(alpha * p * p + 2 * beta * p * q + gamma * q * q,
-                            (common * q) ** 2)
-        return (assignment[var] if alpha == 0 else _capped(-beta, alpha)), dist2
-
-    def dist2(x):
-        return _restricted_dist2(restrictions, x)
-    # heuristic candidate set for higher degree
-    candidates = sorted({assignment[var], Fraction(0), Fraction(1), Fraction(-1)})
-    return min(candidates, key=dist2), dist2
-
-
 class _Search:
     """Seeded search for an orbit point near the targets.
 
@@ -347,11 +386,14 @@ class _Search:
     budget before each offer and _stopped after each improvement and each
     atom's factors, so a round begun within tolerance tries the first atom.
 
-    A descent step restricts every folded residual to one variable in one
-    _restrict pass.  When all of them are linear in it, the distance is the
-    quadratic (alpha x^2 + 2 beta x + gamma) / D^2 with integer sums, so the
-    minimizer and its distance take no loop over the components; minimizers
-    are rounded by _capped, limit_denominator computed on integers.
+    _offer builds the _Gram polynomial S once per choice of atoms, and the
+    descent evaluates only S: a step groups S by the power of its variable,
+    evaluated at the other values over one denominator.  When every folded
+    residual is linear in the variable, S is the quadratic c2 x^2 + c1 x + c0
+    there, and its minimizer -c1 / (2 c2) is rounded by _capped,
+    limit_denominator computed on integers.  Distances and the running best
+    stay unreduced (numerator, positive denominator) pairs, compared by
+    cross-multiplication, until descend returns.
     """
 
     def __init__(self, om, targets, tol, budget, seed):
@@ -368,31 +410,46 @@ class _Search:
     def _stopped(self):
         return self.evaluations >= self.budget or self.best[0] <= self.tol2
 
-    def dist2(self, assignment, folded):
+    def dist2(self, gram, tables):
+        """One evaluation: S at the values whose _powers tables are given, as
+        an unreduced (numerator, positive denominator) pair."""
         self.evaluations += 1
-        return _dist2([(sum(coeffs.values()), den)
-                       for den, coeffs in _restrict(folded, assignment)])
+        total = 0
+        for n, key in gram.terms:
+            for table, e in zip(tables, key):
+                n *= table[e]
+            total += n
+        den = gram.den
+        for table in tables:
+            den *= table[0]
+        return total, den
 
-    def descend(self, assignment, folded):
-        """Two sweeps of exact coordinate descent from a copy of assignment."""
+    def descend(self, assignment, gram):
+        """Two sweeps of exact coordinate descent from a copy of assignment;
+        returns (distance as a Fraction, assignment)."""
         assignment = dict(assignment)
-        best = self.dist2(assignment, folded)
+        tops = gram.tops
+        tables = [_powers(assignment[v], top) for v, top in zip(self.poly_vars, tops)]
+        best = self.dist2(gram, tables)
         for _ in range(2):
-            sweep_start = best
-            for var in self.poly_vars:
+            improved = False
+            for j, var in enumerate(self.poly_vars):
                 if self.evaluations >= self.budget:
-                    return best, assignment
-                cand, dist2 = _best_value_for(folded, var, assignment)
+                    return Fraction(*best), assignment
+                cand, den, coeffs = _step(gram, j, tables, assignment[var])
                 if cand != assignment[var]:
                     # one evaluation: the distance at cand along var
                     self.evaluations += 1
-                    d = dist2(cand)
-                    if d < best:
-                        best = d
+                    table = _powers(cand, tops[j])
+                    n, d = _at(den, coeffs, table)
+                    if n * best[1] < best[0] * d:
+                        best = (n, d)
                         assignment[var] = cand
-            if best == sweep_start:
+                        tables[j] = table
+                        improved = True
+            if not improved:
                 break
-        return best, assignment
+        return Fraction(*best), assignment
 
     def _random_start(self):
         return {v: Fraction(self.rng.randint(1, 4) * self.rng.choice((-1, 1)),
@@ -410,7 +467,7 @@ class _Search:
         if len(free) != 1 or free[0][1] != 1:
             return None
         var = free[0][0]
-        (_, coeffs), = _restrict([folded], pinned, var)
+        coeffs = _restrict(folded, pinned, var)
         if coeffs[1] == 0:
             return None
         return var, _capped(-coeffs.get(0, 0), coeffs[1])
@@ -461,9 +518,10 @@ class _Search:
         after an exact hit.  Returns whether the record improved."""
         # atoms are fixed within an attempt: fold them in once
         folded = [_fold(c, t, atoms) for c, t in zip(self.compiled, self.targets)]
+        gram = _gram(folded, self.poly_vars)
         record = self.best
         for start in (*extra_starts, *self._pin_starts(atoms, folded)):
-            d, a = self.descend(start, folded)
+            d, a = self.descend(start, gram)
             if self.best is None or d < self.best[0]:
                 self.best = (d, a, atoms)
             if d == 0 or self.evaluations >= self.budget:
@@ -558,19 +616,29 @@ def closure_membership(om: OrbitMap, target, invariants=(),
     evaluation, unless a certificate decides first.
 
     For each choice of atoms, every component minus its target is folded
-    once into integer numerators over one denominator.  A coordinate step
-    along a variable in which every residual is linear reads the distance
-    off one integer quadratic, and rounds its minimizer to the denominator
-    cap with limit_denominator's continued fractions on integers.  This is
-    the exact arithmetic of evaluating on Fractions, so the search visits
-    the same points with the same evaluation count.  A search verdict's
-    witness is evaluated again through the orbit map, and a distance other
-    than squared_distance raises OrbitkitError.
+    once into integer numerators over one denominator, and the squared
+    residuals are summed once into one integer polynomial S over L^2.  Within
+    a descent every distance is S at a point, kept as an unreduced integer
+    pair and compared by cross-multiplication, and the descent returns one
+    Fraction.  A coordinate step along a
+    variable in which every residual is linear reads the distance off S's
+    quadratic coefficients there, and rounds its minimizer to the
+    denominator cap with limit_denominator's continued fractions on
+    integers.  This is the exact arithmetic of evaluating on Fractions, so
+    the search visits the same points with the same evaluation count.  A
+    search verdict's witness is evaluated again through the orbit map, and
+    a distance other than squared_distance raises OrbitkitError.
+
+    A negative tol or a budget below 1 raises PreconditionFailed.
     """
     target = tuple(Fraction(x) for x in target)
     if len(target) != len(om.components):
         raise DimensionMismatch("target length differs from the orbit components")
     tol = Fraction(tol)
+    if tol < 0:
+        raise PreconditionFailed(f"closure tolerance must be at least 0, got {tol}")
+    if budget < 1:
+        raise PreconditionFailed(f"closure search budget must be at least 1, got {budget}")
     for q in invariants:
         if not vanish_on_orbit(q, om):
             raise InvariantNotVanishing(f"{q} does not vanish on the orbit")

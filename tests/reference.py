@@ -1,14 +1,18 @@
 """Reference definitions that tests compare against or check with: the
 Leibniz derivation, monomial coordinates, the general-position test, the
 greedy coordinate complement, the dense bracket and rational Jacobi check,
-word-by-word evaluation of an enveloping-algebra element, and the Leibniz
-sum for composing differential operators.  No orbitkit command needs them."""
+word-by-word evaluation of an enveloping-algebra element, the Leibniz
+sum for composing differential operators, and the closure search's
+coordinate descent on one Fraction per distance.  No orbitkit command needs
+them."""
 
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 from orbitkit.envelop import MINUS_I, PLUS_I, XI, DiffOp, UEAElement
 from orbitkit.errors import DimensionMismatch
 from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, unit_vector, vec
+from orbitkit.invariants import _capped
 from orbitkit.liealg import LieAlgebra
 from orbitkit.symflow import ExpPoly
 
@@ -132,3 +136,97 @@ def leibniz_product(p: DiffOp, q: DiffOp) -> DiffOp:
             for j, bj in enumerate(derivatives):
                 out = out + DiffOp({m - j + k: a * bj * comb(m, j)})
     return out
+
+
+def restrict_each(folded, assignment, var=None):
+    """[(den, {power of var: numerator})] per folded residual, with every
+    other variable's value p/q from assignment put in: x^k becomes
+    p^k * q^(top - k) and den is multiplied by q^top."""
+    out = []
+    for den, degrees, terms in folded:
+        at, known = None, []
+        for i, (v, top) in enumerate(degrees):
+            if v == var:
+                at = i
+                continue
+            p, q = assignment[v].as_integer_ratio()
+            known.append((i, [p ** k * q ** (top - k) for k in range(top + 1)]))
+            den *= q ** top
+        coeffs = {}
+        for n, powers in terms:
+            for i, scale in known:
+                n *= scale[powers[i]]
+            k = 0 if at is None else powers[at]
+            coeffs[k] = coeffs.get(k, 0) + n
+        out.append((den, coeffs))
+    return out
+
+
+def dist2_of_pairs(pairs):
+    """Sum of (numerator / den)^2 over (numerator, den) pairs, as one Fraction."""
+    common = lcm(*(den for _, den in pairs))
+    return Fraction(sum((n * (common // den)) ** 2 for n, den in pairs), common * common)
+
+
+def restricted_dist2(restrictions, x):
+    """Squared distance at var = x from the restrictions [(den, {power: numerator})]."""
+    p, q = x.as_integer_ratio()
+    pairs = []
+    for den, coeffs in restrictions:
+        top = max(coeffs)
+        pairs.append((sum(n * p ** k * q ** (top - k) for k, n in coeffs.items()),
+                      den * q ** top))
+    return dist2_of_pairs(pairs)
+
+
+def best_value_for(folded, var, assignment):
+    """(x, dist2): the capped minimizer of the squared distance along var when
+    every residual is linear in it (the current value when none depends on
+    it), else the closest of the current value, 0, 1 and -1; and the
+    distance as a Fraction-valued function of var's value."""
+    restrictions = restrict_each(folded, assignment, var)
+    if max((max(c) for _, c in restrictions), default=0) <= 1:
+        # (alpha p^2 + 2 beta p q + gamma q^2) / (D q)^2, least at -beta / alpha
+        common = lcm(*(den for den, _ in restrictions))
+        alpha = beta = gamma = 0
+        for den, coeffs in restrictions:
+            a, b, w = coeffs.get(1, 0), coeffs.get(0, 0), (common // den) ** 2
+            alpha += a * a * w
+            beta += a * b * w
+            gamma += b * b * w
+
+        def dist2(x):
+            p, q = x.as_integer_ratio()
+            return Fraction(alpha * p * p + 2 * beta * p * q + gamma * q * q,
+                            (common * q) ** 2)
+        return (assignment[var] if alpha == 0 else _capped(-beta, alpha)), dist2
+
+    def dist2(x):
+        return restricted_dist2(restrictions, x)
+    candidates = sorted({assignment[var], Fraction(0), Fraction(1), Fraction(-1)})
+    return min(candidates, key=dist2), dist2
+
+
+def fraction_descend(search, assignment, folded):
+    """_Search.descend with every distance a Fraction: two sweeps of
+    coordinate descent over search.poly_vars, counting evaluations on search
+    and stopping at its budget.  Returns (distance, assignment)."""
+    assignment = dict(assignment)
+    search.evaluations += 1
+    best = dist2_of_pairs([(sum(coeffs.values()), den)
+                           for den, coeffs in restrict_each(folded, assignment)])
+    for _ in range(2):
+        sweep_start = best
+        for var in search.poly_vars:
+            if search.evaluations >= search.budget:
+                return best, assignment
+            cand, dist2 = best_value_for(folded, var, assignment)
+            if cand != assignment[var]:
+                search.evaluations += 1
+                d = dist2(cand)
+                if d < best:
+                    best = d
+                    assignment[var] = cand
+        if best == sweep_start:
+            break
+    return best, assignment

@@ -6,18 +6,25 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import _poly_to_vector, derivation
+from reference import _poly_to_vector, derivation, fraction_descend
 
 from orbitkit import cli, invariants
 from orbitkit.algfile import parse_algebra
 from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import functional, stabilizer_ideal
-from orbitkit.errors import DimensionMismatch, InvariantNotVanishing, NotIdeal, OrbitkitError
+from orbitkit.errors import (
+    DimensionMismatch,
+    InvariantNotVanishing,
+    NotIdeal,
+    OrbitkitError,
+    PreconditionFailed,
+)
 from orbitkit.exactlin import Matrix, Subspace
 from orbitkit.invariants import (
     CRITICAL,
@@ -34,10 +41,13 @@ from orbitkit.invariants import (
     invariant_space,
     orbit_certificates,
     semi_invariants,
-    _best_value_for,
+    _at,
     _capped,
     _fold,
+    _gram,
+    _powers,
     _Search,
+    _step,
     vanish_on_orbit,
 )
 from orbitkit.liealg import LieAlgebra, b5, g49_zero, heisenberg3
@@ -429,10 +439,29 @@ def test_closure_search_trajectory_is_pinned(label):
 
 
 _Q = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+_BIG = st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+_SEARCH_ORBITS = st.sampled_from(["b5", "axb", "g49_0", "half", "filiform4"])
+
+
+def _fraction(pair):
+    """An integer (numerator, positive denominator) pair as its Fraction."""
+    n, d = pair
+    assert type(n) is int and type(d) is int and d > 0, pair
+    return F(n, d)
+
+
+def _tables(search, gram, assignment):
+    return [_powers(assignment[v], top) for v, top in zip(search.poly_vars, gram.tops)]
+
+
+def _step_dist2(gram, j, tables, current):
+    """(candidate, the Fraction-valued distance along the j-th variable)."""
+    cand, den, coeffs = _step(gram, j, tables, current)
+    return cand, lambda x: _fraction(_at(den, coeffs, _powers(x, gram.tops[j])))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["b5", "axb", "g49_0", "half", "filiform4"]), st.booleans(), st.data())
+@given(_SEARCH_ORBITS, st.booleans(), st.data())
 def test_folded_distance_is_the_fraction_distance(name, integral, data):
     values = st.integers(-9, 9).map(F) if integral else _Q
     atom = st.integers(1, 9).map(F) if integral else st.builds(F, st.integers(1, 9),
@@ -443,14 +472,65 @@ def test_folded_distance_is_the_fraction_distance(name, integral, data):
     assignment = {v: data.draw(values, label=v) for v in search.poly_vars}
     atoms = {v: data.draw(atom, label=v) for v in search.exp_vars}
     folded = [_fold(c, t, atoms) for c, t in zip(search.compiled, target)]
+    gram = _gram(folded, search.poly_vars)
     point = om.evaluate(assignment, {v: u ** search.scales[v] for v, u in atoms.items()})
-    d = search.dist2(assignment, folded)
+    d = _fraction(search.dist2(gram, _tables(search, gram, assignment)))
     assert type(d) is F and d == sum((x - t) ** 2 for x, t in zip(point, target))
-    for var in search.poly_vars:
+    for j, var in enumerate(search.poly_vars):
         x = data.draw(values, label=f"new {var}")
-        _, dist2 = _best_value_for(folded, var, assignment)
+        _, dist2 = _step_dist2(gram, j, _tables(search, gram, assignment), assignment[var])
         d = dist2(x)
-        assert type(d) is F and d == search.dist2({**assignment, var: x}, folded)
+        assert type(d) is F and d == _fraction(
+            search.dist2(gram, _tables(search, gram, {**assignment, var: x})))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEARCH_ORBITS, st.data())
+def test_gram_polynomial_is_the_squared_distance(name, data):
+    """S over L^2, evaluated term by term on Fractions, is the squared
+    distance through the orbit map; its top power in each variable is twice
+    the top power of the residuals once their like monomials are merged."""
+    om, _ = _closure_orbit(name)
+    target = tuple(data.draw(_Q) for _ in om.components)
+    search = _Search(om, target, F(0), 1, 0)
+    assignment = {v: data.draw(_Q, label=v) for v in search.poly_vars}
+    atoms = {v: data.draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)), label=v)
+             for v in search.exp_vars}
+    folded = [_fold(c, t, atoms) for c, t in zip(search.compiled, target)]
+    gram = _gram(folded, search.poly_vars)
+    value = sum((n * prod(assignment[v] ** e for v, e in zip(search.poly_vars, key))
+                 for n, key in gram.terms), F(0)) / gram.den
+    point = om.evaluate(assignment, {v: u ** search.scales[v] for v, u in atoms.items()})
+    assert value == sum((x - t) ** 2 for x, t in zip(point, target))
+    tops = dict.fromkeys(search.poly_vars, 0)
+    for _, degrees, terms in folded:
+        merged = {}
+        for n, powers in terms:
+            merged[powers] = merged.get(powers, 0) + n
+        for powers, n in merged.items():
+            if n:
+                for (v, _), k in zip(degrees, powers):
+                    tops[v] = max(tops[v], k)
+    assert gram.tops == tuple(2 * tops[v] for v in search.poly_vars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SEARCH_ORBITS, st.one_of(st.integers(1, 8), st.just(10 ** 4)), st.data())
+def test_descend_is_the_fraction_descend(name, budget, data):
+    """The integer descent against one on Fractions (tests/reference.py):
+    the same distance, assignment and evaluation count, also when the budget
+    stops it within a sweep."""
+    om, _ = _closure_orbit(name)
+    target = tuple(data.draw(_Q) for _ in om.components)
+    new, old = _Search(om, target, F(0), budget, 0), _Search(om, target, F(0), budget, 0)
+    start = {v: data.draw(st.one_of(_Q, _BIG), label=v) for v in new.poly_vars}
+    atoms = {v: data.draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)), label=v)
+             for v in new.exp_vars}
+    folded = [_fold(c, t, atoms) for c, t in zip(new.compiled, target)]
+    got = new.descend(start, _gram(folded, new.poly_vars))
+    want = fraction_descend(old, start, folded)
+    assert type(got[0]) is F
+    assert (got, new.evaluations) == (want, old.evaluations)
 
 
 def _convergents(x):
@@ -519,9 +599,6 @@ def test_capped_breaks_ties_as_limit_denominator(monkeypatch):
                 assert _capped(n, d) == F(n, d).limit_denominator(cap), (n, d, cap)
 
 
-_BIG = st.builds(F, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["b5", "axb", "g49_0"]), st.data())
 def test_quadratic_step_is_the_fraction_step(name, data):
@@ -535,8 +612,9 @@ def test_quadratic_step_is_the_fraction_step(name, data):
     atoms = {v: data.draw(st.builds(F, st.integers(1, 10 ** 9), st.integers(1, 10 ** 9)),
                           label=v) for v in search.exp_vars}
     folded = [_fold(c, t, atoms) for c, t in zip(search.compiled, target)]
+    gram = _gram(folded, search.poly_vars)
     exp_atoms = {v: u ** search.scales[v] for v, u in atoms.items()}
-    for var in search.poly_vars:
+    for j, var in enumerate(search.poly_vars):
         def residuals(x):
             point = om.evaluate({**assignment, var: x}, exp_atoms)
             return [p - t for p, t in zip(point, target)]
@@ -547,7 +625,7 @@ def test_quadratic_step_is_the_fraction_step(name, data):
         beta = sum(ai * bi for ai, bi in zip(a, b))
         want = (assignment[var] if alpha == 0
                 else (-beta / alpha).limit_denominator(_DENOMINATOR_CAP))
-        cand, dist2 = _best_value_for(folded, var, assignment)
+        cand, dist2 = _step_dist2(gram, j, _tables(search, gram, assignment), assignment[var])
         assert type(cand) is F and cand == want
         d = dist2(cand)
         assert type(d) is F and d == sum(r * r for r in residuals(cand))
@@ -566,6 +644,21 @@ def test_a_search_verdict_rechecks_its_witness(monkeypatch, capsys):
         closure_membership(om, (F(3, 2), F(5, 2)), certs)
     assert cli.main(["closure-test", "--catalog", "axb", "--g", "a=3/2,b=5/2"]) == 2
     assert capsys.readouterr().err.startswith("orbitkit: closure search witness")
+
+
+def test_closure_membership_rejects_a_negative_tolerance():
+    om, certs = _closure_orbit("axb")
+    with pytest.raises(PreconditionFailed, match="tolerance must be at least 0"):
+        closure_membership(om, (F(3, 2), F(5, 2)), certs, tol=F(-1, 10 ** 6))
+    assert closure_membership(om, (F(3, 2), F(5, 2)), certs, tol=F(0)).kind == EXACT_POINT
+
+
+def test_closure_membership_rejects_a_budget_below_one():
+    om, certs = _closure_orbit("axb")
+    for budget in (-5, 0):
+        with pytest.raises(PreconditionFailed, match="budget must be at least 1"):
+            closure_membership(om, (F(3, 2), F(5, 2)), certs, budget=budget)
+    assert closure_membership(om, (F(3, 2), F(5, 2)), certs, budget=1).evaluations >= 1
 
 
 # x, y with ad(a) of charpoly (t - p)(t - q) for 25-digit primes p, q: the
