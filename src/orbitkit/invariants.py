@@ -12,8 +12,10 @@ Closure membership returns certificates: a semi-invariant with a nonzero
 value is an exact disproof of membership, while a sufficiently close orbit
 point found by the seeded search is numeric evidence for membership.  The
 search runs on one integer polynomial per choice of exp atoms, the sum of
-the squared residuals over one denominator, and compares distances as
-integer pairs; a descent builds one Fraction, for the distance it returns.
+the squared residuals over one denominator.  Inside it every value is an
+integer pair (p, q) with q > 0, reduced for a parameter value and unreduced
+for a distance, compared by cross-multiplication; Fractions are built only
+for the record it hands back.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -204,24 +206,30 @@ def _fold(compiled, target, atoms):
     degrees lists (var, top power) per polynomial variable; a term is
     (numerator, powers aligned with degrees), with the atom powers folded in.
     Terms whose numerator is 0 stay, since the search reads the monomials.
+    Each coefficient times its positive atom powers is multiplied out on
+    integers and reduced by one gcd.
     """
-    coeffs = [(-target, {})]
+    coeffs = [(-target.numerator, target.denominator, {})]
     for coeff, mono, exps in compiled:
+        n, d = coeff.numerator, coeff.denominator
         for v, e in exps:
             atom = atoms[v]
-            if abs(e) * (atom.numerator.bit_length() + atom.denominator.bit_length() - 2) \
-                    > _POWER_BITS_CAP:
+            p, q = atom.numerator, atom.denominator
+            if abs(e) * (p.bit_length() + q.bit_length() - 2) > _POWER_BITS_CAP:
                 raise PreconditionFailed(
                     f"exp atom {atom} to the power {e} is past the closure search's "
                     f"size cap of {_POWER_BITS_CAP} bits")
-            coeff = coeff * atom ** e
-        coeffs.append((coeff, dict(mono)))
-    names = sorted({v for _, powers in coeffs for v in powers})
-    degrees = tuple((v, max(powers.get(v, 0) for _, powers in coeffs)) for v in names)
-    den = lcm(*(c.denominator for c, _ in coeffs))
-    return den, degrees, tuple((c.numerator * (den // c.denominator),
-                                tuple(powers.get(v, 0) for v in names))
-                               for c, powers in coeffs)
+            if e < 0:
+                p, q, e = q, p, -e
+            n *= p ** e
+            d *= q ** e
+        g = gcd(n, d)
+        coeffs.append((n // g, d // g, dict(mono)))
+    names = sorted({v for _, _, powers in coeffs for v in powers})
+    degrees = tuple((v, max(powers.get(v, 0) for _, _, powers in coeffs)) for v in names)
+    den = lcm(*(d for _, d, _ in coeffs))
+    return den, degrees, tuple((n * (den // d), tuple(powers.get(v, 0) for v in names))
+                               for n, d, powers in coeffs)
 
 
 def _restrict(folded, assignment, var):
@@ -292,8 +300,9 @@ def _gram(folded, names) -> _Gram:
 
 
 def _powers(x, top):
-    """[p^k * q^(top - k) for k = 0..top] for x = p/q: x^k homogenised to top."""
-    p, q = x.as_integer_ratio()
+    """[p^k * q^(top - k) for k = 0..top] for the pair x = (p, q): x^k
+    homogenised to top."""
+    p, q = x
     return [p ** k * q ** (top - k) for k in range(top + 1)]
 
 
@@ -306,7 +315,8 @@ def _step(gram, j, tables, current):
     at the other values over one denominator.  With linear residuals the
     candidate is the capped minimizer of the quadratic c2 x^2 + c1 x + c0,
     or the current value when c2 is 0; otherwise it is the closest of the
-    current value, 0, 1 and -1, the first in sorted order on a tie.
+    current value, 0, 1 and -1, the smallest value on a tie.  Values are
+    reduced (p, q) pairs.
     """
     top = gram.tops[j]
     coeffs = [0] * (top + 1)
@@ -321,9 +331,12 @@ def _step(gram, j, tables, current):
     if gram.linear[j]:
         c2 = coeffs[2] if top == 2 else 0
         return (current if c2 == 0 else _capped(-coeffs[1], 2 * c2)), den, coeffs
-    # heuristic candidate set for higher degree
+    # heuristic candidate set for higher degree, in increasing order
+    p, q = current
+    below = [x for x in _UNITS if x[0] * q < p]
+    above = [x for x in _UNITS if x[0] * q > p]
     best = None
-    for x in sorted({current, Fraction(0), Fraction(1), Fraction(-1)}):
+    for x in (*below, current, *above):
         n, d = _at(den, coeffs, _powers(x, top))
         if best is None or n * best[2] < best[1] * d:
             best = (x, n, d)
@@ -336,6 +349,8 @@ def _at(den, coeffs, table):
     return sum(map(mul, coeffs, table)), den * table[0]
 
 
+# -1, 0 and 1 as pairs: the extra candidates of a step of degree above 2
+_UNITS = ((-1, 1), (0, 1), (1, 1))
 # minimizers are rounded to this denominator bound: unbounded exact
 # coordinate descent squares denominators every sweep and stalls
 _DENOMINATOR_CAP = 10 ** 24
@@ -346,38 +361,45 @@ _POWER_BITS_CAP = 2 ** 16
 
 
 def _capped(n, d):
-    """Fraction(n, d).limit_denominator(_DENOMINATOR_CAP), computed on integers.
+    """Fraction(n, d).limit_denominator(_DENOMINATOR_CAP) as its reduced
+    (numerator, positive denominator) pair, computed on integers.
 
     This is CPython's continued-fraction algorithm: the last convergent p1/q1
     with q1 <= cap, or the semiconvergent beyond it when that one is closer
     (a tie keeps p1/q1).  With den the denominator n/d starts with, p1/q1 lies
     d / (q1 * den) from it.  An unreduced n/d has the same partial quotients,
     so no gcd is taken first; an expansion that ends within the cap is n/d.
+    Convergents and semiconvergents are in lowest terms already, so only a
+    denominator within the cap takes a gcd.
     """
     if d < 0:
         n, d = -n, -d
     if d <= _DENOMINATOR_CAP:
-        return Fraction(n, d)
+        g = gcd(n, d)
+        return n // g, d // g
     den = d
     p0, q0, p1, q1 = 0, 1, 1, 0
     while d:
-        a = n // d
+        a, r = divmod(n, d)
         q2 = q0 + a * q1
         if q2 > _DENOMINATOR_CAP:
             k = (_DENOMINATOR_CAP - q0) // q1
             if 2 * d * (q0 + k * q1) <= den:
-                return Fraction(p1, q1)
-            return Fraction(p0 + k * p1, q0 + k * q1)
+                return p1, q1
+            return p0 + k * p1, q0 + k * q1
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    return Fraction(p1, q1)
+        n, d = d, r
+    return p1, q1
 
 
 class _Search:
     """Seeded search for an orbit point near the targets.
 
     _offer runs one attempt at fixed atoms and alone replaces the record
-    self.best = (distance, assignment, atoms).  run() offers, in order:
+    self.best = (distance, assignment, atoms).  Parameter values (in the
+    assignment, pins, starts and candidates) are reduced integer pairs
+    (p, q) with q > 0, and the distance an unreduced one; atoms stay
+    Fractions.  run() offers, in order:
     1. pin starts at unit atoms; 2. solved atoms, unless the record is exact;
     3. for a polynomial orbit up to 6 seeded restarts, else rounds scaling
     one atom of the record by each factor, with up to 12 random atom
@@ -391,9 +413,8 @@ class _Search:
     evaluated at the other values over one denominator.  When every folded
     residual is linear in the variable, S is the quadratic c2 x^2 + c1 x + c0
     there, and its minimizer -c1 / (2 c2) is rounded by _capped,
-    limit_denominator computed on integers.  Distances and the running best
-    stay unreduced (numerator, positive denominator) pairs, compared by
-    cross-multiplication, until descend returns.
+    limit_denominator computed on integers.  Distances are compared by
+    cross-multiplication; run() hands the record back on Fractions.
     """
 
     def __init__(self, om, targets, tol, budget, seed):
@@ -408,7 +429,9 @@ class _Search:
         self.best = None
 
     def _stopped(self):
-        return self.evaluations >= self.budget or self.best[0] <= self.tol2
+        n, d = self.best[0]
+        return (self.evaluations >= self.budget
+                or n * self.tol2.denominator <= self.tol2.numerator * d)
 
     def dist2(self, gram, tables):
         """One evaluation: S at the values whose _powers tables are given, as
@@ -426,7 +449,7 @@ class _Search:
 
     def descend(self, assignment, gram):
         """Two sweeps of exact coordinate descent from a copy of assignment;
-        returns (distance as a Fraction, assignment)."""
+        returns (distance as an unreduced pair, assignment)."""
         assignment = dict(assignment)
         tops = gram.tops
         tables = [_powers(assignment[v], top) for v, top in zip(self.poly_vars, tops)]
@@ -435,7 +458,7 @@ class _Search:
             improved = False
             for j, var in enumerate(self.poly_vars):
                 if self.evaluations >= self.budget:
-                    return Fraction(*best), assignment
+                    return best, assignment
                 cand, den, coeffs = _step(gram, j, tables, assignment[var])
                 if cand != assignment[var]:
                     # one evaluation: the distance at cand along var
@@ -449,12 +472,16 @@ class _Search:
                         improved = True
             if not improved:
                 break
-        return Fraction(*best), assignment
+        return best, assignment
 
     def _random_start(self):
-        return {v: Fraction(self.rng.randint(1, 4) * self.rng.choice((-1, 1)),
-                            self.rng.randint(1, 3))
-                for v in self.poly_vars}
+        start = {}
+        for v in self.poly_vars:
+            n = self.rng.randint(1, 4) * self.rng.choice((-1, 1))
+            d = self.rng.randint(1, 3)
+            g = gcd(n, d)
+            start[v] = (n // g, d // g)
+        return start
 
     def _linear_pin(self, folded, pinned):
         """(var, value) when the residual is linear in one unpinned variable.
@@ -491,7 +518,7 @@ class _Search:
                 if got is not None:
                     pinned[got[0]] = got[1]
                     progress = True
-        return {v: pinned.get(v, Fraction(0)) for v in self.poly_vars}
+        return {v: pinned.get(v, (0, 1)) for v in self.poly_vars}
 
     def _pin_starts(self, atoms, folded):
         starts = [self._multipass_pin(folded)]
@@ -500,12 +527,12 @@ class _Search:
         # product breaker: a large dyadic value for the first variable,
         # sized against the smallest atom, unlocks x*y-coupled components
         if self.poly_vars:
-            low = min(atoms.values(), default=Fraction(1))
+            low = min(atoms.values(), default=1)
             h = max(0, (-low.numerator.bit_length() + low.denominator.bit_length() + 1) // 2)
             first = self.poly_vars[0]
             for sign in (1, -1):
                 starts.append(self._multipass_pin(
-                    folded, preset={first: Fraction(sign * 2 ** h)}))
+                    folded, preset={first: (sign * 2 ** h, 1)}))
         unique = []
         for s in starts:
             if s not in unique:
@@ -522,9 +549,9 @@ class _Search:
         record = self.best
         for start in (*extra_starts, *self._pin_starts(atoms, folded)):
             d, a = self.descend(start, gram)
-            if self.best is None or d < self.best[0]:
+            if self.best is None or d[0] * self.best[0][1] < self.best[0][0] * d[1]:
                 self.best = (d, a, atoms)
-            if d == 0 or self.evaluations >= self.budget:
+            if d[0] == 0 or self.evaluations >= self.budget:
                 break
         return self.best is not record
 
@@ -579,16 +606,17 @@ class _Search:
         unit = {v: Fraction(1) for v in self.exp_vars}
         self._offer(unit)
         solved = self._solved_atoms()
-        if self.best[0] and solved != unit:
+        if self.best[0][0] and solved != unit:
             self._offer(solved, (self.best[1],))
         if not self.exp_vars:
             for _ in range(6):
                 if self._stopped():
                     break
                 self._offer(unit, (self._random_start(),))
-        elif self.best[0]:
+        elif self.best[0][0]:
             self._scale_atoms()
-        return self.best
+        (n, d), assignment, atoms = self.best
+        return Fraction(n, d), {v: Fraction(*x) for v, x in assignment.items()}, atoms
 
 
 def closure_membership(om: OrbitMap, target, invariants=(),
@@ -601,7 +629,9 @@ def closure_membership(om: OrbitMap, target, invariants=(),
     NOT-IN-CLOSURE certificate.  Otherwise a seeded coordinate-descent
     search over parameter values and positive rational exp-atom values
     looks for orbit points near the target: exact hit, distance below tol,
-    or an inconclusive budget report.
+    or an inconclusive budget report.  A target equal to the orbit's
+    rational start is an exact hit with no evaluation: every parameter 0,
+    every exp atom 1.
 
     The budget is a soft bound on the evaluations.  The first pin start
     always runs, and phase 2 (atoms solved from single-atom components)
@@ -613,21 +643,22 @@ def closure_membership(om: OrbitMap, target, invariants=(),
     denominators of v's exponent coefficients, so every power it takes is an
     integer; the reported exp_atoms are u_v^L_v = exp(v).  An orbit with a
     complex coefficient or exponent raises PreconditionFailed before any
-    evaluation, unless a certificate decides first.
+    evaluation, unless a certificate or the start decides first.
 
     For each choice of atoms, every component minus its target is folded
     once into integer numerators over one denominator, and the squared
-    residuals are summed once into one integer polynomial S over L^2.  Within
-    a descent every distance is S at a point, kept as an unreduced integer
-    pair and compared by cross-multiplication, and the descent returns one
-    Fraction.  A coordinate step along a
+    residuals are summed once into one integer polynomial S over L^2.  The
+    search keeps every parameter value as a reduced integer pair (p, q)
+    with q > 0 and every distance, S at a point, as an unreduced one, and
+    compares them by cross-multiplication.  A coordinate step along a
     variable in which every residual is linear reads the distance off S's
     quadratic coefficients there, and rounds its minimizer to the
     denominator cap with limit_denominator's continued fractions on
     integers.  This is the exact arithmetic of evaluating on Fractions, so
-    the search visits the same points with the same evaluation count.  A
-    search verdict's witness is evaluated again through the orbit map, and
-    a distance other than squared_distance raises OrbitkitError.
+    the search visits the same points with the same evaluation count;
+    Fractions are built only for the record it returns.  A search
+    verdict's witness is evaluated again through the orbit map, and a
+    distance other than squared_distance raises OrbitkitError.
 
     A negative tol or a budget below 1 raises PreconditionFailed.
     """
@@ -648,6 +679,16 @@ def closure_membership(om: OrbitMap, target, invariants=(),
         if val != 0:
             return ClosureVerdict(kind=NOT_IN_CLOSURE, tolerance=tol, budget=budget,
                                   evaluations=0, invariant=q, invariant_value=val)
+    # the orbit map evaluates to its start at the identity; compared directly,
+    # since evaluating a complex exponent raises
+    if not any(isinstance(x, ExpPoly) for x in om.start) and target == tuple(om.start):
+        return ClosureVerdict(
+            kind=EXACT_POINT, tolerance=tol, budget=budget, evaluations=0,
+            assignment={v: Fraction(0) for v in sorted(
+                set().union(*(c.poly_variables() for c in om.components)))},
+            exp_atoms={v: Fraction(1) for v in sorted(
+                set().union(*(c.exp_variables() for c in om.components)))},
+            squared_distance=Fraction(0))
 
     search = _Search(om, target, tol, budget, seed)
     best_d, best_a, best_u = search.run()

@@ -3,7 +3,7 @@ Leibniz derivation, monomial coordinates, the general-position test, the
 greedy coordinate complement, the dense bracket and rational Jacobi check,
 word-by-word evaluation of an enveloping-algebra element, the Leibniz
 sum for composing differential operators, and the closure search's
-coordinate descent on one Fraction per distance.  No orbitkit command needs
+fold and coordinate descent on Fractions.  No orbitkit command needs
 them."""
 
 from fractions import Fraction
@@ -138,6 +138,23 @@ def leibniz_product(p: DiffOp, q: DiffOp) -> DiffOp:
     return out
 
 
+def fraction_fold(compiled, target, atoms):
+    """invariants._fold on Fractions, without its size cap: component -
+    target as (den, degrees, terms), each coefficient times its atom powers
+    a Fraction product."""
+    coeffs = [(-target, {})]
+    for coeff, mono, exps in compiled:
+        for v, e in exps:
+            coeff = coeff * atoms[v] ** e
+        coeffs.append((coeff, dict(mono)))
+    names = sorted({v for _, powers in coeffs for v in powers})
+    degrees = tuple((v, max(powers.get(v, 0) for _, powers in coeffs)) for v in names)
+    den = lcm(*(c.denominator for c, _ in coeffs))
+    return den, degrees, tuple((c.numerator * (den // c.denominator),
+                                tuple(powers.get(v, 0) for v in names))
+                               for c, powers in coeffs)
+
+
 def restrict_each(folded, assignment, var=None):
     """[(den, {power of var: numerator})] per folded residual, with every
     other variable's value p/q from assignment put in: x^k becomes
@@ -199,7 +216,7 @@ def best_value_for(folded, var, assignment):
             p, q = x.as_integer_ratio()
             return Fraction(alpha * p * p + 2 * beta * p * q + gamma * q * q,
                             (common * q) ** 2)
-        return (assignment[var] if alpha == 0 else _capped(-beta, alpha)), dist2
+        return (assignment[var] if alpha == 0 else Fraction(*_capped(-beta, alpha))), dist2
 
     def dist2(x):
         return restricted_dist2(restrictions, x)

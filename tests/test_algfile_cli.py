@@ -366,9 +366,21 @@ def test_cli_closure_test_on_orbit_target_without_compiled_search(capsys):
     # the e2-motion orbit has complex exponents, which the closure search
     # rejects before any evaluation: a computation error, not a crash
     code, out, err = run_cli(capsys, "closure-test", "--catalog", "e2-motion",
-                             "--g", "a=0,x=1,y=0")
+                             "--g", "a=0,x=0,y=1")
     assert code == 2 and out == ""
     assert err.startswith("orbitkit: ") and "Traceback" not in err
+
+
+def test_cli_closure_test_at_the_orbit_start_needs_no_search(capsys):
+    # the start is an exact point even where the search cannot run
+    code, out, err = run_cli(capsys, "closure-test", "--catalog", "e2-motion",
+                             "--g", "a=0,x=1,y=0", "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert (result["kind"], result["evaluations"], result["squared_distance"]) == (
+        "exact-point", 0, "0")
+    assert set(result["assignment"].values()) == {"0"}
+    assert set(result["exp_atoms"].values()) == {"1"}
 
 
 @pytest.mark.parametrize("target", ["b=2", "b=9/4"])

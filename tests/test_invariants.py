@@ -6,13 +6,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import _poly_to_vector, derivation, fraction_descend
+from reference import _poly_to_vector, derivation, fraction_descend, fraction_fold
 
 from orbitkit import cli, invariants
 from orbitkit.algfile import parse_algebra
@@ -36,6 +36,7 @@ from orbitkit.invariants import (
     NOT_IN_OMEGA,
     SAME_N_ORBIT,
     _DENOMINATOR_CAP,
+    _Gram,
     closure_membership,
     critical_test,
     invariant_space,
@@ -199,6 +200,14 @@ def test_closure_membership_self_is_exact():
     assert verdict.kind == EXACT_POINT
     assert verdict.squared_distance == 0
     assert om.evaluate(verdict.assignment, verdict.exp_atoms) == target
+
+
+def test_a_target_at_the_orbit_start_is_an_exact_point_without_a_search():
+    om, certs = _closure_orbit("b5")
+    v = closure_membership(om, om.start, certs, seed=5)
+    assert (v.kind, v.evaluations, v.assignment, v.exp_atoms, v.squared_distance) == (
+        EXACT_POINT, 0, {"x1": 0, "x2": 0}, {"s": 1, "t": 1}, 0)
+    assert om.evaluate(v.assignment, v.exp_atoms) == om.start
 
 
 def test_closure_membership_critical_certificate():
@@ -450,14 +459,41 @@ def _fraction(pair):
     return F(n, d)
 
 
+def _reduced(pair):
+    """A search value: a (numerator, positive denominator) pair in lowest
+    terms, as its Fraction."""
+    assert gcd(*pair) == 1, pair
+    return _fraction(pair)
+
+
+def _pairs(assignment):
+    return {v: x.as_integer_ratio() for v, x in assignment.items()}
+
+
 def _tables(search, gram, assignment):
+    """The _powers tables of a pair-valued assignment."""
     return [_powers(assignment[v], top) for v, top in zip(search.poly_vars, gram.tops)]
 
 
 def _step_dist2(gram, j, tables, current):
-    """(candidate, the Fraction-valued distance along the j-th variable)."""
+    """(candidate pair, the Fraction-valued distance along the j-th variable
+    at a pair)."""
     cand, den, coeffs = _step(gram, j, tables, current)
     return cand, lambda x: _fraction(_at(den, coeffs, _powers(x, gram.tops[j])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SEARCH_ORBITS, st.data())
+def test_fold_is_the_fraction_fold(name, data):
+    """The integer fold against one that multiplies Fractions
+    (tests/reference.py), with atoms above and below 1."""
+    om, _ = _closure_orbit(name)
+    target = tuple(data.draw(st.one_of(_Q, _BIG)) for _ in om.components)
+    search = _Search(om, target, F(0), 1, 0)
+    atom = st.builds(F, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12))
+    atoms = {v: data.draw(atom, label=v) for v in search.exp_vars}
+    for c, t in zip(search.compiled, target):
+        assert _fold(c, t, atoms) == fraction_fold(c, t, atoms)
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,14 +510,15 @@ def test_folded_distance_is_the_fraction_distance(name, integral, data):
     folded = [_fold(c, t, atoms) for c, t in zip(search.compiled, target)]
     gram = _gram(folded, search.poly_vars)
     point = om.evaluate(assignment, {v: u ** search.scales[v] for v, u in atoms.items()})
-    d = _fraction(search.dist2(gram, _tables(search, gram, assignment)))
+    pairs = _pairs(assignment)
+    d = _fraction(search.dist2(gram, _tables(search, gram, pairs)))
     assert type(d) is F and d == sum((x - t) ** 2 for x, t in zip(point, target))
     for j, var in enumerate(search.poly_vars):
-        x = data.draw(values, label=f"new {var}")
-        _, dist2 = _step_dist2(gram, j, _tables(search, gram, assignment), assignment[var])
+        x = data.draw(values, label=f"new {var}").as_integer_ratio()
+        _, dist2 = _step_dist2(gram, j, _tables(search, gram, pairs), pairs[var])
         d = dist2(x)
         assert type(d) is F and d == _fraction(
-            search.dist2(gram, _tables(search, gram, {**assignment, var: x})))
+            search.dist2(gram, _tables(search, gram, {**pairs, var: x})))
 
 
 @settings(max_examples=40, deadline=None)
@@ -527,9 +564,9 @@ def test_descend_is_the_fraction_descend(name, budget, data):
     atoms = {v: data.draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)), label=v)
              for v in new.exp_vars}
     folded = [_fold(c, t, atoms) for c, t in zip(new.compiled, target)]
-    got = new.descend(start, _gram(folded, new.poly_vars))
+    d, assignment = new.descend(_pairs(start), _gram(folded, new.poly_vars))
+    got = (_fraction(d), {v: _reduced(x) for v, x in assignment.items()})
     want = fraction_descend(old, start, folded)
-    assert type(got[0]) is F
     assert (got, new.evaluations) == (want, old.evaluations)
 
 
@@ -586,8 +623,7 @@ def test_capped_is_limit_denominator(n, d, common, negate):
     n, d = n * common, d * common
     if negate:
         n, d = -n, -d
-    got = _capped(n, d)
-    assert type(got) is F and got == want
+    assert _reduced(_capped(n, d)) == want
 
 
 def test_capped_breaks_ties_as_limit_denominator(monkeypatch):
@@ -596,7 +632,25 @@ def test_capped_breaks_ties_as_limit_denominator(monkeypatch):
         monkeypatch.setattr(invariants, "_DENOMINATOR_CAP", cap)
         for d in range(1, 41):
             for n in range(-80, 81):
-                assert _capped(n, d) == F(n, d).limit_denominator(cap), (n, d, cap)
+                want = F(n, d).limit_denominator(cap)
+                assert _reduced(_capped(n, d)) == want, (n, d, cap)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, -2, 0, 1), (0, 0, 1, -2, 1)])
+def test_a_step_of_higher_degree_breaks_ties_to_the_smallest_value(coeffs):
+    """S(x) = (x^2 - 1)^2 ties at -1 and 1, and x^2 (x - 1)^2 at 0 and 1:
+    from any current value the step takes the smallest closest candidate,
+    as min over sorted Fractions does."""
+    terms = tuple((n, (k,)) for k, n in enumerate(coeffs) if n)
+    gram = _Gram(1, (4,), (False,), terms, (tuple((k, n, ()) for n, (k,) in terms),))
+
+    def value(x):
+        return sum(n * x ** k for k, n in enumerate(coeffs))
+    for current in (F(-1), F(0), F(1), F(1, 2), F(2), F(-3, 2)):
+        pair = current.as_integer_ratio()
+        cand, _, _ = _step(gram, 0, [_powers(pair, 4)], pair)
+        want = min(sorted({current, F(0), F(1), F(-1)}), key=value)
+        assert _reduced(cand) == want, current
 
 
 @settings(max_examples=40, deadline=None)
@@ -625,10 +679,11 @@ def test_quadratic_step_is_the_fraction_step(name, data):
         beta = sum(ai * bi for ai, bi in zip(a, b))
         want = (assignment[var] if alpha == 0
                 else (-beta / alpha).limit_denominator(_DENOMINATOR_CAP))
-        cand, dist2 = _step_dist2(gram, j, _tables(search, gram, assignment), assignment[var])
-        assert type(cand) is F and cand == want
+        pairs = _pairs(assignment)
+        cand, dist2 = _step_dist2(gram, j, _tables(search, gram, pairs), pairs[var])
+        assert _reduced(cand) == want
         d = dist2(cand)
-        assert type(d) is F and d == sum(r * r for r in residuals(cand))
+        assert type(d) is F and d == sum(r * r for r in residuals(want))
 
 
 def test_a_search_verdict_rechecks_its_witness(monkeypatch, capsys):

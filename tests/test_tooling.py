@@ -84,6 +84,59 @@ def test_the_cap_scan_flags_limit_denominator_outside_the_helper():
     assert _limit_denominator_uses("m.py", source) == ["m.py:6: pin", "m.py:7: <module>"]
 
 
+# the closure search's integer kernel: module functions, and _Search methods
+_KERNEL_FUNCTIONS = ("_capped", "_powers", "_step", "_at", "_fold", "_gram", "_restrict")
+_KERNEL_METHODS = ("dist2", "descend", "_linear_pin", "_multipass_pin", "_pin_starts")
+
+
+def _kernel_fraction_calls(name, source):
+    """'file:line: function' for each Fraction(...) call inside the search
+    kernel, and 'file: no function' for a kernel definition not found."""
+    tree = ast.parse(source)
+    kernel = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in _KERNEL_FUNCTIONS}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "_Search":
+            kernel.update((node.name, node) for node in cls.body
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name in _KERNEL_METHODS)
+    out = [f"{name}: no {fn}" for fn in (*_KERNEL_FUNCTIONS, *_KERNEL_METHODS)
+           if fn not in kernel]
+    for fn, node in kernel.items():
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and "Fraction" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                out.append(f"{name}:{call.lineno}: {fn}")
+    return out
+
+
+def test_the_search_kernel_builds_no_fraction():
+    path = SRC / "invariants.py"
+    assert _kernel_fraction_calls(path.name, path.read_text(encoding="utf-8")) == []
+
+
+def test_the_kernel_scan_flags_fraction_calls_in_the_kernel_only():
+    # descend is defined, but on another class
+    functions = "".join(f"def {fn}(x):\n    return x\n" for fn in _KERNEL_FUNCTIONS[1:])
+    methods = "".join(f"    def {fn}(self, x):\n        return x\n"
+                      for fn in _KERNEL_METHODS[2:])
+    source = ("def _capped(n, d):\n"
+              "    return Fraction(n, d)\n"
+              "class _Search:\n"
+              "    def dist2(self, x):\n"
+              "        f = lambda y: fractions.Fraction(y)\n"
+              "        return f(x)\n"
+              "    def run(self):\n"
+              "        return Fraction(1)\n"
+              + methods +
+              "class Other:\n"
+              "    def descend(self, x):\n"
+              "        return Fraction(x)\n"
+              + functions)
+    assert _kernel_fraction_calls("m.py", source) == [
+        "m.py: no descend", "m.py:2: _capped", "m.py:5: dist2"]
+
+
 def _definitions(tree):
     return {node.name for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
