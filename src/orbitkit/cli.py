@@ -81,7 +81,8 @@ def _load(args):
         try:
             entry = get_entry(args.catalog)
         except KeyError as exc:
-            raise SystemExit(_usage_error(str(exc)))
+            # str() of a KeyError is the repr of its message
+            raise SystemExit(_usage_error(exc.args[0]))
         return entry.algebra, entry
     try:
         with open(args.file, "r", encoding="utf-8") as fh:

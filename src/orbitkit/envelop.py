@@ -41,26 +41,25 @@ XI = "xi"
 
 
 @lru_cache(maxsize=None)
-def _normalize_word(g: LieAlgebra, word: tuple, strategy: str):
+def _normalize_word(g: LieAlgebra, word: tuple):
     """Normal ordering of a generator word: {ordered word: rational coeff}.
 
-    strategy picks which inversion to rewrite first; any choice yields the
-    same normal form (checked by the property suite).  A letter outside
+    The leftmost inversion is rewritten first; any choice yields the same
+    normal form (tests compare a right-first rewrite).  A letter outside
     range(dim) raises DimensionMismatch.
     """
     if not all(isinstance(i, int) and 0 <= i < g.dim for i in word):
         raise DimensionMismatch(f"word {word} has a letter outside range({g.dim})")
-    inversions = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
-    if not inversions:
+    pos = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+    if pos is None:
         return {word: Fraction(1)}
-    pos = inversions[0] if strategy == "left" else inversions[-1]
     a, b = word[pos], word[pos + 1]
     swapped = word[:pos] + (b, a) + word[pos + 2:]
-    result = dict(_normalize_word(g, swapped, strategy))
+    result = dict(_normalize_word(g, swapped))
     # e_a e_b = e_b e_a + [e_a, e_b]
     for k, c in g.sparse_table[a][b]:
         contracted = word[:pos] + (k,) + word[pos + 2:]
-        for w, cf in _normalize_word(g, contracted, strategy).items():
+        for w, cf in _normalize_word(g, contracted).items():
             result[w] = result.get(w, Fraction(0)) + c * cf
     return {w: c for w, c in result.items() if c}
 
@@ -73,7 +72,7 @@ class UEAElement:
     def __init__(self, algebra: LieAlgebra, terms=None):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", _combine(
-            (ExpPoly.lift(coeff), _normalize_word(algebra, tuple(word), "left"))
+            (ExpPoly.lift(coeff), _normalize_word(algebra, tuple(word)))
             for word, coeff in (terms or {}).items()))
 
     def __setattr__(self, *args):
@@ -141,9 +140,6 @@ class UEAElement:
         return (isinstance(other, UEAElement) and self.algebra == other.algebra
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
-
     def is_zero(self):
         return not self.terms
 
@@ -161,7 +157,7 @@ class UEAElement:
 def _left_normal(algebra, word, ordered):
     """The normal form of word; an ordered (non-decreasing) word is its own,
     without a _normalize_word lookup."""
-    return {word: Q1} if ordered else _normalize_word(algebra, word, "left")
+    return {word: Q1} if ordered else _normalize_word(algebra, word)
 
 
 def _add_into(acc, word_sum, scale=1):
@@ -290,9 +286,6 @@ class DiffOp:
             other = DiffOp.multiplication(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return DiffOp.multiplication(other) + (-self)
-
     def __neg__(self):
         return DiffOp({k: -c for k, c in self.terms.items()})
 
@@ -323,9 +316,6 @@ class DiffOp:
         if not isinstance(other, DiffOp):
             other = DiffOp.multiplication(other)
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_zero(self):
         return not self.terms

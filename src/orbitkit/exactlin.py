@@ -133,10 +133,6 @@ def vec(entries):
     return tuple(scalar(x) for x in entries)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -205,14 +201,6 @@ class Matrix:
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix([vec_add(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -88,11 +88,11 @@ def _derivation_matrix(a: Matrix, monomials) -> Matrix:
     return Matrix(rows)
 
 
-def invariant_space(m: LieAlgebra, degree_bound: int, module: Subspace | None = None):
+def invariant_space(m: LieAlgebra, degree_bound: int):
     """Basis of the nonconstant polynomial invariants up to the degree bound."""
-    names = m.dual_names(module)
+    names = m.basis_names
     monomials = _monomials(names, degree_bound)
-    mats = [_derivation_matrix(m.ad_matrix(unit_vector(m.dim, i), module), monomials)
+    mats = [_derivation_matrix(m.ad_matrix(unit_vector(m.dim, i)), monomials)
             for i in range(m.dim)]
     space = Subspace.common_kernel(len(monomials), mats)
     return [_vector_to_poly(v, names, monomials) for v in space.basis]

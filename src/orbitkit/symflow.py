@@ -131,12 +131,6 @@ class ExpPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = ExpPoly._operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         return ExpPoly({key: -c for key, c in self._terms.items()})
 
@@ -385,70 +379,12 @@ def _format_linform(lin):
 
 
 # ---------------------------------------------------------------------------
-# flow matrices
+# flows
 # ---------------------------------------------------------------------------
 
-class FlowMatrix:
-    """Square matrix of ExpPoly entries; the value of exp(t*A) as a symbol."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = tuple(tuple(ExpPoly.lift(x) for x in row) for row in entries)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FlowMatrix is immutable")
-
-    @property
-    def dim(self):
-        return len(self.entries)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[ExpPoly.constant(1 if i == j else 0) for j in range(n)]
-                    for i in range(n)])
-
-    def __mul__(self, other):
-        n = self.dim
-        if other.dim != n:
-            raise DimensionMismatch("flow matrix dimensions differ")
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ExpPoly()
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
-        return FlowMatrix(rows)
-
-    def apply(self, vector):
-        vector = [ExpPoly.lift(x) for x in vector]
-        if len(vector) != self.dim:
-            raise DimensionMismatch("vector length differs from flow dimension")
-        out = []
-        for row in self.entries:
-            acc = ExpPoly()
-            for a, x in zip(row, vector):
-                acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
-
-    def substitute(self, mapping):
-        return FlowMatrix([[e.substitute(mapping) for e in row] for row in self.entries])
-
-    def __eq__(self, other):
-        return isinstance(other, FlowMatrix) and self.entries == other.entries
-
-    def __repr__(self):
-        return "FlowMatrix(" + "; ".join(
-            ", ".join(str(e) for e in row) for row in self.entries) + ")"
-
-
-def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
-    """Exact exp(t*A) for rational A with spectrum in Q(i).
+def exp_matrix(a: Matrix, param: str) -> tuple:
+    """Exact exp(t*A) for rational A with spectrum in Q(i), as a tuple of
+    rows, each a tuple of ExpPoly entries.
 
     On the generalized eigenspace of lambda, with N = A - lambda*I,
     exp(t*A) = exp(lambda*t) * sum_k t^k/k! * N^k, and the sum stops at the
@@ -461,7 +397,7 @@ def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
     """
     n = a.rows
     if n == 0:
-        return FlowMatrix([])
+        return ()
     eigs = _gaussian_eigenvalues(a)
     if sum(m for _, m in eigs) != n:
         raise NonRationalSpectrum(
@@ -501,12 +437,13 @@ def exp_matrix(a: Matrix, param: str) -> FlowMatrix:
                         key = (((param, k),) if k else (), expo)
                         table[key] = table.get(key, 0) + v[i] * w
             row.append(ExpPoly(table))
-        rows.append(row)
-    return FlowMatrix(rows)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def one_param_flow(g: LieAlgebra, x, param: str, restrict_to: Subspace | None = None) -> FlowMatrix:
-    """coAd(exp(t*x)) on g* (or on the dual of an ideal, else NotIdeal)."""
+def one_param_flow(g: LieAlgebra, x, param: str, restrict_to: Subspace | None = None) -> tuple:
+    """coAd(exp(t*x)) on g* (or on the dual of an ideal, else NotIdeal), as
+    exp_matrix's rows."""
     if isinstance(x, str):
         x = g.basis_vector(x)
     g.dual_names(restrict_to)  # raises NotIdeal unless restrict_to is an ideal
@@ -531,10 +468,6 @@ class OrbitMap:
 
     def evaluate(self, assignment=None, exp_atoms=None):
         return tuple(comp.evaluate(assignment, exp_atoms) for comp in self.components)
-
-    def __repr__(self):
-        body = ", ".join(f"{n}: {c}" for n, c in zip(self.component_names, self.components))
-        return f"OrbitMap({body})"
 
 
 def _normalize_steps(g: LieAlgebra, steps):
@@ -581,7 +514,9 @@ def orbit_map(g: LieAlgebra, start, steps, restrict_to: Subspace | None = None) 
     # coAd(exp(x_1) ... exp(x_k)) f = F_1(F_2(... F_k(f))): last factor first
     components = tuple(ExpPoly.lift(x) for x in start_list)
     for x, param in reversed(factors):
-        components = one_param_flow(g, x, param, restrict_to).apply(components)
+        flow = one_param_flow(g, x, param, restrict_to)
+        components = tuple(sum((a * c for a, c in zip(row, components)), ExpPoly())
+                           for row in flow)
     params = [param for _, param in factors]
     return OrbitMap(algebra=g, component_names=names, params=tuple(params),
                     components=components, start=tuple(start_list),

@@ -1,10 +1,11 @@
 """Reference definitions that tests compare against or check with: the
 Leibniz derivation, monomial coordinates, the general-position test, the
 greedy coordinate complement, the dense bracket and rational Jacobi check,
-word-by-word evaluation of an enveloping-algebra element, the Leibniz
-sum for composing differential operators, and the closure search's
-fold and coordinate descent on Fractions.  No orbitkit command needs
-them."""
+right-first normal ordering of a generator word, word-by-word evaluation
+of an enveloping-algebra element, the Leibniz sum for composing
+differential operators, identity, product and substitution on flows (rows
+of ExpPoly entries), and the closure search's fold and coordinate descent
+on Fractions.  No orbitkit command needs them."""
 
 from fractions import Fraction
 from math import comb, lcm
@@ -111,6 +112,22 @@ def first_jacobi_defect(table):
     return None
 
 
+def normalize_word_right(g: LieAlgebra, word: tuple) -> dict:
+    """{ordered word: rational coeff} by rewriting the rightmost inversion
+    first; envelop._normalize_word rewrites the leftmost."""
+    inversions = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
+    if not inversions:
+        return {word: Fraction(1)}
+    pos = inversions[-1]
+    a, b = word[pos], word[pos + 1]
+    result = dict(normalize_word_right(g, word[:pos] + (b, a) + word[pos + 2:]))
+    # e_a e_b = e_b e_a + [e_a, e_b]
+    for k, c in g.sparse_table[a][b]:
+        for w, cf in normalize_word_right(g, word[:pos] + (k,) + word[pos + 2:]).items():
+            result[w] = result.get(w, Fraction(0)) + c * cf
+    return {w: c for w, c in result.items() if c}
+
+
 def evaluate_uea_by_words(assign: dict, u: UEAElement) -> DiffOp:
     """The sum over u's words w of c_w * t_w1 o ... o t_wk with t_a =
     i*assign[a], each word's operator built from scratch."""
@@ -136,6 +153,22 @@ def leibniz_product(p: DiffOp, q: DiffOp) -> DiffOp:
             for j, bj in enumerate(derivatives):
                 out = out + DiffOp({m - j + k: a * bj * comb(m, j)})
     return out
+
+
+def identity_rows(n):
+    """The n x n identity as rows of ExpPoly entries: a flow at parameter 0."""
+    return tuple(tuple(ExpPoly.constant(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def rows_product(a, b):
+    """The matrix product of two flows given as rows of ExpPoly entries."""
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ExpPoly()) for col in zip(*b))
+                 for row in a)
+
+
+def substitute_rows(rows, mapping):
+    """Every entry of a flow with ExpPoly.substitute(mapping) applied."""
+    return tuple(tuple(e.substitute(mapping) for e in row) for row in rows)
 
 
 def fraction_fold(compiled, target, atoms):

@@ -188,8 +188,8 @@ def test_cli_file_input(tmp_path, capsys):
 
 
 def test_cli_exit_codes(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--catalog", "not-a-thing")
-    assert code == 1 and "no catalog entry" in err
+    code, _, err = run_cli(capsys, "analyze", "--catalog", "abelian0")
+    assert code == 1 and err == "orbitkit: error: no catalog entry named 'abelian0'\n"
     code, _, err = run_cli(capsys, "analyze")
     assert code == 1
     code, _, err = run_cli(capsys, "stabilizer", "--catalog", "b5", "--f", "zzz=1")

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import evaluate_uea_by_words, leibniz_product
+from reference import evaluate_uea_by_words, leibniz_product, normalize_word_right
 
 from orbitkit.algfile import parse_algebra
 from orbitkit.catalog import get_entry
@@ -338,4 +338,4 @@ def test_renormalization_strategies_agree():
     rng = random.Random(3)
     for _ in range(30):
         word = tuple(rng.choices(range(4), k=rng.randint(0, 4)))
-        assert _normalize_word(m, word, "left") == _normalize_word(m, word, "right")
+        assert _normalize_word(m, word) == normalize_word_right(m, word)

@@ -123,7 +123,7 @@ def test_expoly_ring_operations_store_real_scalars_as_fractions(atoms, ops, c):
 @given(conjugated_block_triangular())
 def test_exp_matrix_stores_real_scalars_as_fractions(a):
     flow = exp_matrix(a, "t")
-    assert all(_in_normal_form(x) for row in flow.entries for e in row
+    assert all(_in_normal_form(x) for row in flow for e in row
                for x in _expoly_scalars(e))
 
 

@@ -166,8 +166,6 @@ def test_dual_of_a_non_ideal_is_rejected():
     with pytest.raises(NotIdeal):
         derivation(g, "d", var("e0"), module=line)
     with pytest.raises(NotIdeal):
-        invariant_space(g, 1, module=line)
-    with pytest.raises(NotIdeal):
         semi_invariants(g, 1, module=line)
 
 

@@ -1,10 +1,12 @@
 """Source checks: exact arithmetic on every path that can decide a verdict,
-one denominator cap, no src definition that only tests reach (outside a
-short allow-list with reasons), no import that nothing uses, no import of a
-package that pyproject.toml does not declare, no sympy import at start-up,
-and every name that the benchmark's tracer wraps still there."""
+one denominator cap, no src function that no command or benchmark run
+enters (outside an allow-list with reasons), no import that nothing uses,
+no import of a package that pyproject.toml does not declare, no sympy
+import at start-up, and every name that the benchmark's tracer wraps still
+there."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -137,116 +139,100 @@ def test_the_kernel_scan_flags_fraction_calls_in_the_kernel_only():
         "m.py: no descend", "m.py:2: _capped", "m.py:5: dist2"]
 
 
-def _definitions(tree):
-    return {node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
-
-
-def _references(tree, skip=frozenset()):
-    """Names, attributes, imported names and strings in tree, outside the
-    bodies of the definitions whose names are in skip."""
-    out = set()
-
-    def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name in skip:
-                return
-        elif isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(tree)
-    return out
-
-
-def _unreached(definition_sources, reference_sources):
-    """Definitions that nothing in reference_sources refers to, where a
-    reference from inside an unreached definition does not count.
-
-    Blind spots: dunder definitions are exempt, so a test-only __eq__ or
-    __hash__ passes; a definition is matched by its bare name, so a method
-    passes when any other name, attribute or string is spelled the same;
-    and two unreached definitions that refer to each other keep each other
-    reached.  The scan is static, so it cannot tell whether a reached
-    definition ever runs.
-    """
-    defined = set().union(*(_definitions(ast.parse(s)) for s in definition_sources))
-    trees = [ast.parse(s) for s in reference_sources]
-    unreached = set()
-    while True:
-        used = set().union(*(_references(t, unreached) for t in trees))
-        if defined - used == unreached:
-            return sorted(unreached)
-        unreached = defined - used
-
-
-# Src definitions that no command and no benchmark reaches, each with the
-# reason it stays in src.
-TESTED_ONLY = {
-    "critical_test": "the paper's B_5 classification of critical functionals; "
-                     "ROADMAP item 2 gives it a critical-test subcommand",
-    "CriticalVerdict": "the result type of critical_test",
+# Src code that no run of tests/reach_run.py enters, by the reason it stays
+REACH_ALLOWED = {
+    "perfbench names it, so it leaves with a change to the benchmark": (
+        "algfile.emit_algebra", "algfile._format_coeff_name", "coadjoint.functional",
+        "exactlin.solve", "exactlin.Matrix.zero", "exactlin.Matrix.row",
+        "exactlin.Subspace.intersect", "exactlin.Subspace.annihilator_matrix",
+        "liealg.LieAlgebra.quotient", "liealg.LieAlgebra.quotient.<locals>.project"),
+    "ROADMAP gives it a caller: critical_test (item 2), verify (item 5)": (
+        "invariants.critical_test", "coadjoint.ConditionRCertificate.verify",
+        "coadjoint.RegularityReport.verify"),
+    "an immutability guard, entered only by a caller's mistake": (
+        "envelop.UEAElement.__setattr__", "envelop.DiffOp.__setattr__",
+        "exactlin.GaussianRational.__setattr__", "exactlin.Matrix.__setattr__",
+        "exactlin.Subspace.__setattr__", "liealg.LieAlgebra.__setattr__",
+        "symflow.ExpPoly.__setattr__"),
+    "a reference operation that tests compare against or assert with": (
+        "envelop.UEAElement.__init__", "envelop.UEAElement.scalar",
+        "envelop.UEAElement.__sub__", "envelop.UEAElement.__rsub__",
+        "envelop.UEAElement.__neg__", "envelop.UEAElement.__mul__",
+        "envelop.UEAElement.__rmul__", "envelop.UEAElement.__eq__",
+        "envelop.UEAElement.__repr__", "envelop.DiffOp.__eq__", "envelop.DiffOp.__repr__",
+        "exactlin.GaussianRational.__repr__", "exactlin.Matrix.__eq__",
+        "exactlin.Matrix.__repr__", "exactlin.Subspace.__hash__",
+        "exactlin.Subspace.__repr__", "symflow.ExpPoly.__hash__", "symflow._linear_form",
+        "symflow.ExpPoly.substitute.<locals>.linear_form"),
 }
 
 
-def _allow_list_problems(unreached, allowed):
-    """Unreached names the allow-list lacks, and allow-list entries that are
-    reached, so that the list cannot go stale."""
-    return ([f"unlisted: {name}" for name in unreached if name not in allowed]
-            + [f"stale: {name}" for name in sorted(set(allowed) - set(unreached))])
+def _code_objects(name, source):
+    """(file name, first line, qualified name) of every function and class
+    body in source, nested ones included; comprehensions, lambdas and the
+    module body are skipped."""
+    out, todo = set(), [compile(source, name, "exec")]
+    while todo:
+        for const in todo.pop().co_consts:
+            if isinstance(const, types.CodeType):
+                todo.append(const)
+                if not const.co_name.startswith("<"):
+                    out.add((name, const.co_firstlineno, const.co_qualname))
+    return out
 
 
-def test_every_definition_is_referenced():
-    # a src definition must be reached from src itself (cli.main is the
-    # entry point) or from the benchmark, whose tracer names the definitions
-    # it wraps in strings; a test is not a caller
-    src = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
-    bench = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert _allow_list_problems(_unreached(src, src + bench), TESTED_ONLY) == []
+def _reach_problems(defined, entered, allowed):
+    """'module.qualname' of each defined code object that was not entered and
+    that allowed does not list, and of each allowed entry that was entered or
+    is not defined, so that the list cannot go stale."""
+    never = {f"{Path(name).stem}.{qualname}" for name, _, qualname in defined - entered}
+    listed = {n for names in allowed.values() for n in names}
+    return ([f"unreached: {n}" for n in sorted(never - listed)]
+            + [f"stale: {n}" for n in sorted(listed - never)])
 
 
-def test_the_reference_scan_flags_a_dead_definition():
-    source = ("import os.path\n"
-              "class Used:\n"
-              "    def method(self):\n"
-              "        return helper()\n"
-              "    def dead(self):\n"
-              "        return os.path\n"
-              "def helper():\n"
-              "    return Used().method, 'named'\n"
-              "def named():\n"
-              "    pass\n"
-              "def __getattr__(name):\n"
-              "    pass\n")
-    assert _unreached([source], [source]) == ["dead"]
+def test_every_src_function_runs_or_is_allowed(tmp_path):
+    # a fresh interpreter, so that every import-time call is seen; the
+    # hash seed fixes the catalog-sweep's closure-test targets
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "reach_run.py"),
+                           str(tmp_path)], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    run = json.loads(proc.stdout)
+    assert run["problems"] == []
+    defined = set().union(*(_code_objects(path.name, path.read_text(encoding="utf-8"))
+                            for path in sorted(SRC.glob("*.py"))))
+    entered = {tuple(code) for code in run["entered"]}
+    assert _reach_problems(defined, entered, REACH_ALLOWED) == []
 
 
-def test_the_reach_scan_flags_test_only_code_and_a_stale_allowance():
-    src = ("def tested():\n"
-           "    return Verdict()\n"
-           "class Verdict:\n"
-           "    pass\n"
-           "def traced():\n"
-           "    pass\n")
-    test = "from m import tested\nassert tested()\n"
-    bench = "LAYERS = {'m': {'functions': ('traced',)}}\n"
-    # Verdict's one reference is inside tested, which only the test calls
-    unreached = _unreached([src], [src, bench])
-    assert unreached == ["Verdict", "tested"]
-    assert _unreached([src], [src, bench, test]) == []
-    assert _unreached([src], [src]) == ["Verdict", "tested", "traced"]
-    reasons = {"tested": "", "Verdict": ""}
-    assert _allow_list_problems(unreached, reasons) == []
-    assert _allow_list_problems(unreached, {"tested": ""}) == ["unlisted: Verdict"]
-    assert _allow_list_problems(unreached, {**reasons, "traced": ""}) == ["stale: traced"]
+_GATE_SOURCE = ("class Used:\n"
+                "    def method(self):\n"
+                "        return [x for x in ()]\n"
+                "    def __eq__(self, other):\n"
+                "        def inner():\n"
+                "            pass\n"
+                "        return lambda: inner\n"
+                "def allowed():\n"
+                "    pass\n")
+
+
+def test_the_code_object_scan_lists_nested_functions_and_skips_comprehensions():
+    assert sorted(_code_objects("m.py", _GATE_SOURCE)) == [
+        ("m.py", 1, "Used"), ("m.py", 2, "Used.method"), ("m.py", 4, "Used.__eq__"),
+        ("m.py", 5, "Used.__eq__.<locals>.inner"), ("m.py", 8, "allowed")]
+
+
+def test_the_reach_gate_flags_unreached_code_and_a_stale_allowance():
+    defined = _code_objects("m.py", _GATE_SOURCE)
+    entered = {c for c in defined if c[2] in ("Used", "Used.method")}
+    reasons = {"why": ("m.allowed",)}
+    assert _reach_problems(defined, entered, reasons) == [
+        "unreached: m.Used.__eq__", "unreached: m.Used.__eq__.<locals>.inner"]
+    assert _reach_problems(defined, defined, reasons) == ["stale: m.allowed"]
+    assert _reach_problems(defined, entered, {"why": ("m.gone",)})[-1] == "stale: m.gone"
 
 
 def _unused_imports(name, source):
@@ -302,14 +288,15 @@ def _undeclared_imports(name, source, allowed):
 
 
 def _importable_modules():
-    """The standard library, orbitkit, the test modules and every package
-    that pyproject.toml declares, as a dependency or in an extra."""
+    """The standard library, orbitkit, the test and benchmark modules (the
+    reach gate's run imports perfbench's workloads) and every package that
+    pyproject.toml declares, as a dependency or in an extra."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     requirements = project["dependencies"] + [
         r for extra in project["optional-dependencies"].values() for r in extra]
     declared = {re.match(r"[\w.-]+", r).group(0).lower().replace("-", "_")
                 for r in requirements}
-    siblings = {path.stem for path in (ROOT / "tests").glob("*.py")}
+    siblings = {path.stem for d in ("tests", "perfbench") for path in (ROOT / d).glob("*.py")}
     return set(sys.stdlib_module_names) | {"orbitkit"} | siblings | declared
 
 
