@@ -293,15 +293,16 @@ class LieAlgebra:
         return self.centralizer(Subspace.full(self.dim))
 
     def subspace_names(self, v: Subspace):
-        """Names for the canonical basis of v: the basis name where a row is a
-        unit vector, b<index> otherwise."""
+        """Names for the canonical basis of v: a unit row's basis name, else
+        b<index> with `_` appended until it is no basis name."""
         names = []
         for idx, row in enumerate(v.basis):
             support = [j for j, x in enumerate(row) if x != 0]
-            if len(support) == 1 and row[support[0]] == 1:
-                names.append(self.basis_names[support[0]])
-            else:
-                names.append(f"b{idx}")
+            unit = len(support) == 1 and row[support[0]] == 1
+            name = self.basis_names[support[0]] if unit else f"b{idx}"
+            while not unit and name in self.basis_names:
+                name += "_"
+            names.append(name)
         return tuple(names)
 
     def descending_central_series(self, m: Subspace):
@@ -491,7 +492,8 @@ class LieAlgebra:
         return result
 
     def _is_nilpotent_ideal_over_commutator(self, v: Subspace) -> bool:
-        return (v.contains_subspace(self.commutator_ideal()) and self.is_ideal(v)
+        """Containing [g, g] is what makes v an ideal: [g, v] <= [g, g] <= v."""
+        return (v.contains_subspace(self.commutator_ideal())
                 and self.descending_central_series(v)[1].dim == 0)
 
     def is_exponential(self) -> ExponentialVerdict:

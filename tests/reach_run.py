@@ -23,7 +23,9 @@ import workloads  # noqa: E402  (imports orbitkit.cli)
 
 # the Killing form of x, y under (1 +- i)*a is zero, so nilradical falls
 # back to triangularization; the 25-digit prime roots pass the eigenvalue
-# search's budget and reach the sympy fallback; f4's orbits are polynomial
+# search's budget and reach the sympy fallback; f4's orbits are polynomial;
+# the stabilizer ideal of b0 in name-clash has a non-unit row that b<index>
+# would name b0
 ALG_FILES = {
     "bad-rational.alg": "basis a b\nbracket a b = 1/0*b\n",
     "not-jacobi.alg": "basis a b c\nbracket a b = a\nbracket a c = b\n",
@@ -32,6 +34,7 @@ ALG_FILES = {
     "large-roots.alg": ("basis a x y\nbracket a x = y\n"
                         "bracket a y = -3000000000000000000000028000000000000000000000049*x"
                         " + 4000000000000000000000014*y\n"),
+    "name-clash.alg": "basis t b0 z\nbracket t b0 = b0\nbracket z b0 = b0\n",
 }
 
 
@@ -48,6 +51,7 @@ def error_runs(workdir):
         (["analyze", "--file", files["not-jacobi.alg"]], 2),
         (["analyze", "--file", files["killing-blind.alg"]], 0),
         (["analyze", "--file", files["large-roots.alg"], "--json"], 0),
+        (["stabilizer", "--file", files["name-clash.alg"], "--f", "b0=1"], 0),
         # off a polynomial orbit, past the degree-1 certificates: the search
         # restarts from random points
         (["closure-test", "--file", files["f4.alg"], "--f", "x4=1",

@@ -4,15 +4,18 @@ greedy coordinate complement, the dense bracket and rational Jacobi check,
 right-first normal ordering of a generator word, word-by-word evaluation
 of an enveloping-algebra element, the Leibniz sum for composing
 differential operators, identity, product and substitution on flows (rows
-of ExpPoly entries), and the closure search's fold and coordinate descent
-on Fractions.  No orbitkit command needs them."""
+of ExpPoly entries), the closure search's fold and coordinate descent on
+Fractions, the upper-triangular algebra b_3, and an algebra in a drawn
+rational basis.  No orbitkit command needs them."""
 
 from fractions import Fraction
 from math import comb, lcm
 
+from hypothesis import strategies as st
+
 from orbitkit.envelop import MINUS_I, PLUS_I, XI, DiffOp, UEAElement
 from orbitkit.errors import DimensionMismatch
-from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, unit_vector, vec
+from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, solve, unit_vector, vec
 from orbitkit.invariants import _capped
 from orbitkit.liealg import LieAlgebra
 from orbitkit.symflow import ExpPoly
@@ -85,6 +88,47 @@ def greedy_complement_coordinates(space: Subspace):
             chosen.append(c)
             current = list(reduced)
     return tuple(chosen)
+
+
+CATALOG_NAMES = ["heisenberg3", "axb", "g49_0", "b5", "e2-motion", "abelian3"]
+
+
+def borel3() -> LieAlgebra:
+    """Upper-triangular 3x3 matrices: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    brackets = {}
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[a + 1:]:
+            terms = {f"E{i}{l}": 1} if j == k else {}
+            if l == i:
+                terms[f"E{k}{j}"] = -1
+            brackets[(f"E{i}{j}", f"E{k}{l}")] = terms
+    return LieAlgebra.construct([f"E{i}{j}" for i, j in pairs], brackets)
+
+
+# a vector coordinate: zero, or a small rational
+COORD = st.one_of(st.just(Fraction(0)),
+                  st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+_SMALL_Q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_NONZERO_Q = st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3))
+
+
+def _change_basis(g, p):
+    """g in the basis of the columns of p: [p e_i, p e_j] in p-coordinates."""
+    n = g.dim
+    cols = [p.column(j) for j in range(n)]
+    table = [[solve(p, g.bracket(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    return LieAlgebra(g.basis_names, table)
+
+
+def draw_basis_change(data, g):
+    """g in a drawn rational basis P = L*U (L unit lower, U invertible upper)."""
+    n = g.dim
+    lower = [[Fraction(int(i == j)) if i <= j else data.draw(_SMALL_Q) for j in range(n)]
+             for i in range(n)]
+    upper = [[data.draw(_NONZERO_Q) if i == j else Fraction(0) if i > j
+              else data.draw(_SMALL_Q) for j in range(n)] for i in range(n)]
+    return _change_basis(g, Matrix(lower) * Matrix(upper))
 
 
 def dense_bracket(g: LieAlgebra, x, y):

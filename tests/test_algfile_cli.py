@@ -10,17 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import CATALOG_NAMES, draw_basis_change
 
 from orbitkit import cli
 from orbitkit.algfile import emit_algebra, parse_algebra, parse_functional
 from orbitkit.catalog import get_entry
 from orbitkit.errors import AntisymmetryViolation, ParseError
-from orbitkit.exactlin import Matrix, solve
-from orbitkit.liealg import LieAlgebra, b5
+from orbitkit.liealg import b5
 
 REPO = Path(__file__).resolve().parent.parent
-
-CATALOG_NAMES = ["heisenberg3", "axb", "g49_0", "b5", "e2-motion", "abelian3"]
 
 
 def test_shipped_b5_file_parses_to_catalog_algebra():
@@ -32,28 +30,6 @@ def test_roundtrip_whole_catalog():
     for name in CATALOG_NAMES:
         g = get_entry(name).algebra
         assert parse_algebra(emit_algebra(g)) == g
-
-
-_SMALL_Q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-_NONZERO_Q = st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3))
-
-
-def _change_basis(g, p):
-    """g in the basis of the columns of p: [p e_i, p e_j] in p-coordinates."""
-    n = g.dim
-    cols = [p.column(j) for j in range(n)]
-    table = [[solve(p, g.bracket(cols[i], cols[j])) for j in range(n)] for i in range(n)]
-    return LieAlgebra(g.basis_names, table)
-
-
-def draw_basis_change(data, g):
-    """g in a drawn rational basis P = L*U (L unit lower, U invertible upper)."""
-    n = g.dim
-    lower = [[Fraction(int(i == j)) if i <= j else data.draw(_SMALL_Q) for j in range(n)]
-             for i in range(n)]
-    upper = [[data.draw(_NONZERO_Q) if i == j else Fraction(0) if i > j
-              else data.draw(_SMALL_Q) for j in range(n)] for i in range(n)]
-    return _change_basis(g, Matrix(lower) * Matrix(upper))
 
 
 @settings(max_examples=30, deadline=None)
@@ -185,6 +161,16 @@ def test_cli_file_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "regularity-report", "--file", str(path))
     assert code == 0
     assert "star-regular" in out
+
+
+def test_cli_stabilizer_ideal_names_avoid_the_basis_names(tmp_path, capsys):
+    # m = span(t - z, b0): the non-unit row must not be named b0 as well
+    path = tmp_path / "clash.alg"
+    path.write_text("basis t b0 z\nbracket t b0 = b0\nbracket z b0 = b0\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "stabilizer", "--file", str(path), "--f", "b0=1", "--json")
+    assert code == 0
+    names = json.loads(out)["result"]["stabilizer_ideal_basis_names"]
+    assert len(names) == 2 and len(set(names)) == 2 and "b0" in names
 
 
 def test_cli_exit_codes(capsys):

@@ -4,12 +4,23 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from reference import in_general_position, largest_ideal_in_kernel
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import (
+    CATALOG_NAMES,
+    COORD,
+    borel3,
+    draw_basis_change,
+    in_general_position,
+    largest_ideal_in_kernel,
+)
 
 from orbitkit import cli
 from orbitkit.algfile import parse_algebra
+from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import (
     CONDITION_R_FAILS,
     PRIMITIVE_STAR_REGULAR,
@@ -77,7 +88,9 @@ def test_stabilizer_has_even_codimension():
             assert codim == rank(form_matrix(g, f))
 
 
-def test_stabilizer_ideal_examples():
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES + ["b3"]), st.booleans(), st.data())
+def test_stabilizer_ideal_examples(name, change, data):
     g, f = ref_b5()
     assert stabilizer_ideal(g, functional(g, {})) == Subspace.full(5)
     m = stabilizer_ideal(g, f)
@@ -87,6 +100,26 @@ def test_stabilizer_ideal_examples():
     assert stabilizer_ideal(h3, functional(h3, {"e3": 1})) == Subspace.full(3)
     with pytest.raises(NotCoabelianIdeal):
         stabilizer_ideal(g, f, span(5, [4]))
+
+    # containing [g, g] makes a subspace an ideal, so stabilizer_ideal, the
+    # nilradical and the cascade run no ideal sweep; a fresh algebra has
+    # nothing memoized that would hide one
+    g = borel3() if name == "b3" else get_entry(name).algebra
+    g = draw_basis_change(data, g) if change else LieAlgebra(g.basis_names, g.table)
+    draw = st.lists(COORD, min_size=g.dim, max_size=g.dim).map(tuple)
+    comm = g.commutator_ideal()
+    extra = data.draw(st.lists(draw, max_size=2), label="extra")
+    assert g.is_ideal(comm + Subspace.from_vectors(g.dim, extra))
+    f = data.draw(draw, label="f")
+    with mock.patch.object(LieAlgebra, "is_ideal", side_effect=AssertionError("swept")):
+        nilrad = g.nilradical()
+        ideals = {n: stabilizer_ideal(g, f, n) for n in (comm, nilrad)}
+        assert stabilizer_ideal(g, f) == ideals[nilrad]
+        condition_R_at(g, f)
+        regularity_report(g)
+    for n, m in ideals.items():
+        assert m == stabilizer(g, f) + n
+        assert g.is_ideal(m)
 
 
 def test_mtilde_examples():

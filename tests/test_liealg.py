@@ -11,10 +11,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense_bracket, first_jacobi_defect
+from reference import (
+    CATALOG_NAMES,
+    COORD,
+    borel3,
+    dense_bracket,
+    draw_basis_change,
+    first_jacobi_defect,
+)
 from sympy import QQ, QQ_I, nextprime
 from sympy.polys.matrices import DomainMatrix
-from test_algfile_cli import CATALOG_NAMES, draw_basis_change
 
 from orbitkit import cli, liealg
 from orbitkit.catalog import get_entry
@@ -232,19 +238,6 @@ def test_nilradical_maximality_probe():
         assert not sub.is_nilpotent()
 
 
-def _borel3():
-    # upper-triangular 3x3 matrices: [E_ij, E_kl] = d_jk E_il - d_li E_kj
-    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-    brackets = {}
-    for a, (i, j) in enumerate(pairs):
-        for k, l in pairs[a + 1:]:
-            terms = {f"E{i}{l}": 1} if j == k else {}
-            if l == i:
-                terms[f"E{k}{j}"] = -1
-            brackets[(f"E{i}{j}", f"E{k}{l}")] = terms
-    return LieAlgebra.construct([f"E{i}{j}" for i, j in pairs], brackets)
-
-
 def _root_kernels(g):
     result = Subspace.full(g.dim)
     for root in g.adjoint_weights():
@@ -265,7 +258,7 @@ def _triangularized(g):
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(CATALOG_NAMES + ["b3"]), st.data())
 def test_killing_nilradical_equals_the_root_kernels_after_a_basis_change(name, data):
-    g = draw_basis_change(data, _borel3() if name == "b3" else get_entry(name).algebra)
+    g = draw_basis_change(data, borel3() if name == "b3" else get_entry(name).algebra)
     nilrad = g.nilradical()
     # the Killing radical certified itself: no triangularization ran
     assert _triangularized(g) == set()
@@ -611,15 +604,12 @@ def test_gaussian_entry_triangularization_keeps_its_output(command, monkeypatch,
 
 # -- the sparse structure table against dense references ---------------------
 
-_COORD = st.one_of(st.just(F(0)), st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
-
-
 def _catalog_or_b3(name):
-    return _borel3() if name == "b3" else get_entry(name).algebra
+    return borel3() if name == "b3" else get_entry(name).algebra
 
 
 def _draw_vector(data, n, label):
-    return tuple(data.draw(st.lists(_COORD, min_size=n, max_size=n), label=label))
+    return tuple(data.draw(st.lists(COORD, min_size=n, max_size=n), label=label))
 
 
 def _draw_subspace(data, n):
