@@ -271,8 +271,8 @@ def _cmd_orbit(args):
 
 def _cmd_invariants(args):
     g, entry = _load(args)
-    inv = invariant_space(g, args.degree)
     semis = semi_invariants(g, args.degree)
+    inv = invariant_space(g, semis)
     payload = {
         "degree_bound": args.degree,
         "invariants": [str(q) for q in inv],

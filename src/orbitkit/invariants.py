@@ -4,9 +4,14 @@ A dual polynomial lives in the coordinate functions of a dual space (the
 basis names of the underlying algebra or of an invariant subspace), possibly
 with extra named rational constants.  The infinitesimal coadjoint action is
 a derivation on these polynomials, given by one matrix A = ad(x) (restricted
-to the ideal when there is one).  Invariants and semi-invariants are found by
-exact linear algebra on the monomial space: the derivation acts directly on
-monomial exponent tuples, and a solution becomes an ExpPoly only at output.
+to the ideal when there is one).  Semi-invariants are found by exact linear
+algebra on the monomials, one total degree at a time: the derivation acts
+directly on monomial exponent tuples and keeps their total degree, so every
+matrix of the search is block-diagonal by degree.  A joint eigenspace is the
+direct sum of its parts of each degree, and the reduced echelon basis of such
+a sum is the union of the parts' bases, so the blocks give the same
+polynomials as the whole monomial span would.  The invariants are the
+weight-zero part.  A solution becomes an ExpPoly only at output.
 
 Closure membership returns certificates: a semi-invariant with a nonzero
 value is an exact disproof of membership, while a sufficiently close orbit
@@ -23,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -88,58 +93,66 @@ def _derivation_matrix(a: Matrix, monomials) -> Matrix:
     return Matrix(rows)
 
 
-def invariant_space(m: LieAlgebra, degree_bound: int):
-    """Basis of the nonconstant polynomial invariants up to the degree bound."""
-    names = m.basis_names
-    monomials = _monomials(names, degree_bound)
-    mats = [_derivation_matrix(m.ad_matrix(unit_vector(m.dim, i)), monomials)
-            for i in range(m.dim)]
-    space = Subspace.common_kernel(len(monomials), mats)
-    return [_vector_to_poly(v, names, monomials) for v in space.basis]
+def invariant_space(g: LieAlgebra, semis):
+    """Basis of the nonconstant polynomial invariants, from the list that
+    semi_invariants(g, degree_bound) returned: its weight-zero members, in
+    the echelon order of their span, by degree and then by leading monomial
+    in _monomials order."""
+    position = {name: i for i, name in enumerate(g.basis_names)}
+
+    def lead(q):
+        return min((sum(k for _, k in mono),
+                    sorted(position[name] for name, k in mono for _ in range(k)))
+                   for mono, _ in q.terms())
+
+    return sorted((q for q, weight in semis if not any(weight)), key=lead)
 
 
 def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = None):
     """Joint rational eigenvectors of the derivation action, with their weights.
 
-    Returns a list of (polynomial, weight covector on g's basis); the weight
-    vanishes on the commutator ideal, and weight zero means invariant.
+    Returns a list of (polynomial, weight covector on g's basis), sorted by
+    weight and then by terms; the weight vanishes on the commutator ideal,
+    and weight zero means invariant.  The search runs on the monomials of
+    each total degree alone (see the module docstring).
     """
     names = g.dual_names(module)
-    monomials = _monomials(names, degree_bound)
-    mats = [_derivation_matrix(g.ad_matrix(unit_vector(g.dim, i), module), monomials)
-            for i in range(g.dim)]
-
+    actions = [g.ad_matrix(unit_vector(g.dim, i), module) for i in range(g.dim)]
     comm = g.commutator_ideal()
-    space = Subspace.common_kernel(len(monomials), [
-        _derivation_matrix(g.ad_matrix(b, module), monomials) for b in comm.basis])
-
-    pieces = [space]
-    for c in comm.complement_coordinates():
-        refined = []
-        for piece in pieces:
-            az = _restrict_to(mats[c], piece)
-            for lam, _ in _gaussian_eigenvalues(az):
-                if lam.imag:
-                    continue
-                eig = kernel(az - Matrix.identity(az.rows).scale(lam))
-                refined.append(Subspace.from_vectors(len(monomials),
-                                                     piece.combinations(eig.basis)))
-        pieces = refined
-
+    comm_actions = [g.ad_matrix(b, module) for b in comm.basis]
+    coords = comm.complement_coordinates()
     results = []
-    for piece in pieces:
-        for lead, v in zip(piece.pivots, piece.basis):
-            # D_x is linear in x and vanishes on the commutator ideal, so v is
-            # an eigenvector of every D_{e_i}; read each weight off one entry
-            weight = []
-            for mat in mats:
-                image = mat.apply(v)
-                lam = image[lead] / v[lead]
-                if image != tuple(lam * c for c in v):
-                    raise PreconditionFailed(
-                        "semi-invariant candidate is not a joint eigenvector")
-                weight.append(lam)
-            results.append((_vector_to_poly(v, names, monomials), tuple(weight)))
+    for _, block in groupby(_monomials(names, degree_bound), key=sum):
+        monomials = list(block)
+        mats = [_derivation_matrix(a, monomials) for a in actions]
+        pieces = [Subspace.common_kernel(
+            len(monomials), [_derivation_matrix(a, monomials) for a in comm_actions])]
+        for c in coords:
+            refined = []
+            for piece in pieces:
+                az = _restrict_to(mats[c], piece)
+                for lam, _ in _gaussian_eigenvalues(az):
+                    if lam.imag:
+                        continue
+                    eig = kernel(az - Matrix.identity(az.rows).scale(lam))
+                    refined.append(Subspace.from_vectors(len(monomials),
+                                                         piece.combinations(eig.basis)))
+            pieces = refined
+
+        for piece in pieces:
+            for lead, v in zip(piece.pivots, piece.basis):
+                # D_x is linear in x and vanishes on the commutator ideal, so v
+                # is an eigenvector of every D_{e_i}; read each weight off one
+                # entry
+                weight = []
+                for mat in mats:
+                    image = mat.apply(v)
+                    lam = image[lead] / v[lead]
+                    if image != tuple(lam * c for c in v):
+                        raise PreconditionFailed(
+                            "semi-invariant candidate is not a joint eigenvector")
+                    weight.append(lam)
+                results.append((_vector_to_poly(v, names, monomials), tuple(weight)))
     results.sort(key=lambda t: (t[1], sorted(t[0].terms().keys())))
     return results
 

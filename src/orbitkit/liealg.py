@@ -306,8 +306,12 @@ class LieAlgebra:
         return tuple(names)
 
     def descending_central_series(self, m: Subspace):
-        """C^1 m = [m, m], C^{k+1} m = [m, C^k m]; returns (series, stable term)."""
-        if not self.is_subalgebra(m):
+        """C^1 m = [m, m], C^{k+1} m = [m, C^k m]; returns (series, stable term).
+
+        m must be a subalgebra.  Containing [g, g] proves it, since then
+        [m, m] <= [g, g] <= m; only other subspaces take the bracket sweep.
+        """
+        if not (m.contains_subspace(self.commutator_ideal()) or self.is_subalgebra(m)):
             raise NotSubalgebra("descending central series needs a subalgebra")
         series = []
         current = self.bracket_span(m, m)

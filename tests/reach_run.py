@@ -25,7 +25,8 @@ import workloads  # noqa: E402  (imports orbitkit.cli)
 # back to triangularization; the 25-digit prime roots pass the eigenvalue
 # search's budget and reach the sympy fallback; f4's orbits are polynomial;
 # the stabilizer ideal of b0 in name-clash has a non-unit row that b<index>
-# would name b0
+# would name b0; ad(a) on jordan has a Jordan block of eigenvalue 1 beside the
+# eigenvalue 0, so its generalized eigenspace takes exp_matrix a second step
 ALG_FILES = {
     "bad-rational.alg": "basis a b\nbracket a b = 1/0*b\n",
     "not-jacobi.alg": "basis a b c\nbracket a b = a\nbracket a c = b\n",
@@ -35,6 +36,7 @@ ALG_FILES = {
                         "bracket a y = -3000000000000000000000028000000000000000000000049*x"
                         " + 4000000000000000000000014*y\n"),
     "name-clash.alg": "basis t b0 z\nbracket t b0 = b0\nbracket z b0 = b0\n",
+    "jordan.alg": "basis a x y z\nbracket a x = x\nbracket a y = x + y\n",
 }
 
 
@@ -52,6 +54,7 @@ def error_runs(workdir):
         (["analyze", "--file", files["killing-blind.alg"]], 0),
         (["analyze", "--file", files["large-roots.alg"], "--json"], 0),
         (["stabilizer", "--file", files["name-clash.alg"], "--f", "b0=1"], 0),
+        (["orbit", "--file", files["jordan.alg"], "--f", "x=1,y=2,z=1"], 0),
         # off a polynomial orbit, past the degree-1 certificates: the search
         # restarts from random points
         (["closure-test", "--file", files["f4.alg"], "--f", "x4=1",

@@ -1,12 +1,14 @@
 """Reference definitions that tests compare against or check with: the
-Leibniz derivation, monomial coordinates, the general-position test, the
-greedy coordinate complement, the dense bracket and rational Jacobi check,
+Leibniz derivation, the invariant and semi-invariant search on the whole
+monomial span at once, the generalized eigenspace from the dense matrix
+power, monomial coordinates, the general-position test, the greedy
+coordinate complement, the dense bracket and rational Jacobi check,
 right-first normal ordering of a generator word, word-by-word evaluation
 of an enveloping-algebra element, the Leibniz sum for composing
 differential operators, identity, product and substitution on flows (rows
 of ExpPoly entries), the closure search's fold and coordinate descent on
-Fractions, the upper-triangular algebra b_3, and an algebra in a drawn
-rational basis.  No orbitkit command needs them."""
+Fractions, the upper-triangular algebra b_3, and a drawn rational basis and
+an algebra in it.  No orbitkit command needs them."""
 
 from fractions import Fraction
 from math import comb, lcm
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 from orbitkit.envelop import MINUS_I, PLUS_I, XI, DiffOp, UEAElement
 from orbitkit.errors import DimensionMismatch
 from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, solve, unit_vector, vec
-from orbitkit.invariants import _capped
-from orbitkit.liealg import LieAlgebra
+from orbitkit.invariants import _capped, _derivation_matrix, _monomials, _vector_to_poly
+from orbitkit.liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
 from orbitkit.symflow import ExpPoly
 
 
@@ -36,6 +38,54 @@ def derivation(m: LieAlgebra, x, q: ExpPoly, module: Subspace | None = None) -> 
                 image = image + ExpPoly.variable(other) * a[mu, nu]
         out = out + q.d_dvar(var) * image
     return out
+
+
+def ungraded_invariant_space(m: LieAlgebra, degree_bound: int):
+    """Canonical basis of the nonconstant invariants up to the degree bound,
+    from one common kernel on the whole monomial span."""
+    names = m.basis_names
+    monomials = _monomials(names, degree_bound)
+    mats = [_derivation_matrix(m.ad_matrix(unit_vector(m.dim, i)), monomials)
+            for i in range(m.dim)]
+    space = Subspace.common_kernel(len(monomials), mats)
+    return [_vector_to_poly(v, names, monomials) for v in space.basis]
+
+
+def ungraded_semi_invariants(g: LieAlgebra, degree_bound: int,
+                             module: Subspace | None = None):
+    """invariants.semi_invariants with every matrix on the whole monomial span
+    of degree 1..degree_bound, in one block."""
+    names = g.dual_names(module)
+    monomials = _monomials(names, degree_bound)
+    mats = [_derivation_matrix(g.ad_matrix(unit_vector(g.dim, i), module), monomials)
+            for i in range(g.dim)]
+    comm = g.commutator_ideal()
+    pieces = [Subspace.common_kernel(len(monomials), [
+        _derivation_matrix(g.ad_matrix(b, module), monomials) for b in comm.basis])]
+    for c in comm.complement_coordinates():
+        refined = []
+        for piece in pieces:
+            az = _restrict_to(mats[c], piece)
+            for lam, _ in _gaussian_eigenvalues(az):
+                if not lam.imag:
+                    eig = kernel(az - Matrix.identity(az.rows).scale(lam))
+                    refined.append(Subspace.from_vectors(len(monomials),
+                                                         piece.combinations(eig.basis)))
+        pieces = refined
+    results = []
+    for piece in pieces:
+        for lead, v in zip(piece.pivots, piece.basis):
+            weight = tuple(mat.apply(v)[lead] / v[lead] for mat in mats)
+            assert all(mat.apply(v) == tuple(lam * c for c in v)
+                       for mat, lam in zip(mats, weight))
+            results.append((_vector_to_poly(v, names, monomials), weight))
+    results.sort(key=lambda t: (t[1], sorted(t[0].terms().keys())))
+    return results
+
+
+def power_generalized_eigenspace(shifted: Matrix, mult: int) -> Subspace:
+    """ker(N^mult) from the dense power N^mult."""
+    return kernel(shifted ** mult)
 
 
 def _poly_to_vector(q: ExpPoly, names, monomials):
@@ -121,14 +171,19 @@ def _change_basis(g, p):
     return LieAlgebra(g.basis_names, table)
 
 
-def draw_basis_change(data, g):
-    """g in a drawn rational basis P = L*U (L unit lower, U invertible upper)."""
-    n = g.dim
+def draw_basis_matrix(data, n):
+    """A drawn invertible rational n x n matrix P = L*U (L unit lower, U
+    invertible upper)."""
     lower = [[Fraction(int(i == j)) if i <= j else data.draw(_SMALL_Q) for j in range(n)]
              for i in range(n)]
     upper = [[data.draw(_NONZERO_Q) if i == j else Fraction(0) if i > j
               else data.draw(_SMALL_Q) for j in range(n)] for i in range(n)]
-    return _change_basis(g, Matrix(lower) * Matrix(upper))
+    return Matrix(lower) * Matrix(upper)
+
+
+def draw_basis_change(data, g):
+    """g in the drawn rational basis of draw_basis_matrix."""
+    return _change_basis(g, draw_basis_matrix(data, g.dim))
 
 
 def dense_bracket(g: LieAlgebra, x, y):

@@ -43,6 +43,7 @@ from orbitkit.invariants import (
     closure_membership,
     invariant_space,
     orbit_certificates,
+    semi_invariants,
     vanish_on_orbit,
 )
 from orbitkit.liealg import LieAlgebra, ax_b, b5, g49_zero, heisenberg3, motion_e2
@@ -158,7 +159,7 @@ def test_criterion_4_decision_branches():
 @criterion(5, "invariant recovery at degree 2 and symbolic vanishing on the orbit")
 def test_criterion_5_invariants():
     m_alg = g49_zero()
-    inv = invariant_space(m_alg, 2)
+    inv = invariant_space(m_alg, semi_invariants(m_alg, 2))
     assert len(inv) == 3  # e3, e0*e3 - e1*e2, e3^2 (nonconstant, degree <= 2)
     e0, e1, e2, e3 = (var(n) for n in m_alg.basis_names)
     from orbitkit.invariants import _monomials

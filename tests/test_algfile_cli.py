@@ -1,6 +1,7 @@
 """Definition-file grammar, round trips, and the command line surface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -19,6 +20,9 @@ from orbitkit.errors import AntisymmetryViolation, ParseError
 from orbitkit.liealg import b5
 
 REPO = Path(__file__).resolve().parent.parent
+# sha256 of stdout and the exit code of each _pinned_runs argv, as in
+# perfbench/digests.json
+OUTPUT_DIGESTS = REPO / "tests" / "golden" / "catalog-output.json"
 
 
 def test_shipped_b5_file_parses_to_catalog_algebra():
@@ -91,6 +95,34 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _pinned_runs():
+    """{key: argv} for the catalog runs whose output is pinned, each in text
+    mode and with --json: invariants at degree 1..4 and orbit on every
+    catalog entry, and closure-test at degree 3 on b5 with one target the
+    search finds near the orbit and one a semi-invariant certifies off it."""
+    runs = [["invariants", "--catalog", name, "--degree", str(d)]
+            for name in CATALOG_NAMES for d in range(1, 5)]
+    runs += [["orbit", "--catalog", name] for name in CATALOG_NAMES]
+    runs += [["closure-test", "--catalog", "b5", "--degree", "3", "--g", g]
+             for g in ("e1=3,e0=5", "e1=1,e2=2")]
+    return {" ".join(argv + mode): argv + mode for argv in runs for mode in ([], ["--json"])}
+
+
+def _output_digest(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    return {"argv": argv, "exit": code,
+            "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+
+
+def test_catalog_output_matches_its_pinned_digests(monkeypatch, capsys):
+    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+    pinned = json.loads(OUTPUT_DIGESTS.read_text(encoding="utf-8"))
+    runs = _pinned_runs()
+    assert sorted(pinned) == sorted(runs)
+    for key, argv in runs.items():
+        assert _output_digest(capsys, argv) == pinned[key], key
 
 
 def test_cli_catalog_lists_entries(capsys):

@@ -12,7 +12,18 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import _poly_to_vector, derivation, fraction_descend, fraction_fold
+from reference import (
+    CATALOG_NAMES,
+    COORD,
+    _poly_to_vector,
+    borel3,
+    derivation,
+    draw_basis_change,
+    fraction_descend,
+    fraction_fold,
+    ungraded_invariant_space,
+    ungraded_semi_invariants,
+)
 
 from orbitkit import cli, invariants
 from orbitkit.algfile import parse_algebra
@@ -108,13 +119,13 @@ def test_derivation_leibniz_and_linearity():
 
 def test_invariant_space_abelian():
     a2 = LieAlgebra.abelian(("u", "v"))
-    inv = invariant_space(a2, 2)
+    inv = invariant_space(a2, semi_invariants(a2, 2))
     assert len(inv) == 5  # u, v, u^2, uv, v^2
 
 
 def test_invariant_space_g49():
     m = g49_zero()
-    inv = invariant_space(m, 2)
+    inv = invariant_space(m, semi_invariants(m, 2))
     assert len(inv) == 3
     e0, e1, e2, e3 = (var(n) for n in m.basis_names)
     assert poly_in_span(e3, inv, m.basis_names, 2)
@@ -126,8 +137,28 @@ def test_invariant_space_g49():
 
 def test_invariant_space_h3_degree_one():
     h3 = heisenberg3()
-    inv = invariant_space(h3, 1)
+    inv = invariant_space(h3, semi_invariants(h3, 1))
     assert inv == [var("e3")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES + ["borel3"]), st.booleans(), st.integers(1, 3),
+       st.booleans(), st.data())
+def test_graded_search_matches_the_whole_monomial_span(name, change, degree, on_module,
+                                                       data):
+    # one block per total degree gives the same list, element for element,
+    # as one block for degrees 1..d; the invariants are its weight-zero part
+    # in the echelon order of the whole span
+    g = borel3() if name == "borel3" else get_entry(name).algebra
+    if change:
+        g = draw_basis_change(data, g)
+    module = None
+    if on_module:
+        module = stabilizer_ideal(g, data.draw(st.tuples(*[COORD] * g.dim)))
+    semis = semi_invariants(g, degree, module)
+    assert semis == ungraded_semi_invariants(g, degree, module)
+    if module is None:
+        assert invariant_space(g, semis) == ungraded_invariant_space(g, degree)
 
 
 def test_semi_invariants_b5_on_stabilizer_dual():

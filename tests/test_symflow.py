@@ -1,20 +1,29 @@
 """Exponential polynomials, one-parameter flows, orbit parametrizations."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import identity_rows, rows_product, substitute_rows
+from reference import (
+    draw_basis_matrix,
+    identity_rows,
+    power_generalized_eigenspace,
+    rows_product,
+    substitute_rows,
+)
 
+from orbitkit import symflow
 from orbitkit.coadjoint import functional
 from orbitkit.errors import (
     InconsistentExponentialAssignment,
     NonlinearExponentSubstitution,
+    NonRationalSpectrum,
     NotIdeal,
 )
 from orbitkit.exactlin import Matrix, Subspace, solve, unit_vector
-from orbitkit.liealg import LieAlgebra, b5, heisenberg3
+from orbitkit.liealg import LieAlgebra, _gaussian_eigenvalues, b5, heisenberg3
 from orbitkit.symflow import (
     ExpPoly,
     _int_root,
@@ -280,6 +289,57 @@ def test_exp_matrix_solves_the_flow_equation(a):
         for j in range(n):
             expected = sum((flow[k][j] * a[i, k] for k in range(n)), ExpPoly())
             assert flow[i][j].d_dvar("t") == expected
+
+
+def _jordan_rotation_zero(data):
+    """A = P J P^-1 of order <= 6, with P from draw_basis_matrix.  J is a
+    Jordan block of size 2 or 3 with a nonzero rational eigenvalue, a
+    rotation block [[a, -b], [b, a]] (eigenvalues a +- bi) and a nilpotent
+    Jordan block of size 1 or 2; or, when single is drawn, one Jordan block
+    of size 2..6 alone."""
+    single = data.draw(st.booleans(), label="single")
+    lam = data.draw(_NONZERO_Q)
+    size = data.draw(st.integers(2, 6 if single else 3))
+    blocks = [[[lam if i == j else F(int(j == i + 1)) for j in range(size)]
+               for i in range(size)]]
+    if not single:
+        a, b = data.draw(_SMALL_Q), data.draw(_NONZERO_Q)
+        zeros = data.draw(st.integers(1, 4 - size))
+        blocks += [[[a, -b], [b, a]],
+                   [[F(int(j == i + 1)) for j in range(zeros)] for i in range(zeros)]]
+    n = sum(len(block) for block in blocks)
+    j_form = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            j_form[start + i][start:start + len(row)] = row
+        start += len(block)
+    p = draw_basis_matrix(data, n)
+    p_inv = Matrix.from_columns([solve(p, unit_vector(n, j)) for j in range(n)])
+    return p * Matrix(j_form) * p_inv
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_generalized_eigenspaces_agree_with_the_dense_power(data):
+    # the first k where ker(N^k) reaches the multiplicity gives ker(N^mult),
+    # basis row for basis row, and so the same flow, entry for entry
+    a = _jordan_rotation_zero(data)
+    for lam, mult in _gaussian_eigenvalues(a):
+        shifted = a - Matrix.identity(a.rows).scale(lam)
+        assert (symflow._generalized_eigenspace(shifted, mult)
+                == power_generalized_eigenspace(shifted, mult))
+    flow = exp_matrix(a, "t")
+    with mock.patch.object(symflow, "_generalized_eigenspace", power_generalized_eigenspace):
+        assert flow == exp_matrix(a, "t")
+
+
+def test_exp_matrix_refuses_a_chain_longer_than_the_multiplicity(monkeypatch):
+    # a wrong spectrum, the single eigenvalue 0 of an invertible matrix, makes
+    # the whole space its generalized eigenspace; no chain there ever ends
+    monkeypatch.setattr(symflow, "_gaussian_eigenvalues", lambda a: [(F(0), a.rows)])
+    with pytest.raises(NonRationalSpectrum):
+        exp_matrix(Matrix([[1, 0], [0, 2]]), "t")
 
 
 def test_int_root_is_exact_beyond_float_range():
