@@ -230,18 +230,16 @@ class Matrix:
         return tuple(vec_dot(r, v) for r in self.entries)
 
     def __pow__(self, k):
-        """self^k by repeated squaring, with no product by the identity and
-        none past the top bit of k: the first power is self itself."""
         if self.rows != self.cols:
             raise DimensionMismatch("power of a non-square matrix")
-        out, base = None, self
+        out = Matrix.identity(self.rows)
+        base = self
         while k:
             if k & 1:
-                out = base if out is None else out * base
+                out = out * base
+            base = base * base
             k >>= 1
-            if k:
-                base = base * base
-        return Matrix.identity(self.rows) if out is None else out
+        return out
 
     def is_zero(self):
         return not any(x for row in self.entries for x in row)

@@ -386,19 +386,14 @@ def _generalized_eigenspace(shifted: Matrix, mult: int) -> Subspace:
     """ker(N^mult) for N = A - lambda*I, lambda of algebraic multiplicity mult.
 
     With mult the order of A, N is nilpotent and the kernel is the whole
-    space.  Otherwise ker(N^k) grows strictly with k until it is the
-    generalized eigenspace, of dimension mult, so the search stops at the
-    first k where the dimension is mult: k = 1, with no product, when
-    lambda is semisimple.
+    space.  When lambda is semisimple, ker(N) already has dimension mult and
+    no power is formed; only a defective lambda takes the dense power N^mult.
     """
     n = shifted.rows
     if mult == n:
         return Subspace.full(n)
-    for k in range(1, mult):
-        space = kernel(shifted ** k)
-        if space.dim == mult:
-            return space
-    return kernel(shifted ** mult)
+    space = kernel(shifted)
+    return space if space.dim == mult else kernel(shifted ** mult)
 
 
 def exp_matrix(a: Matrix, param: str) -> tuple:
@@ -407,14 +402,15 @@ def exp_matrix(a: Matrix, param: str) -> tuple:
 
     On the generalized eigenspace of lambda, with N = A - lambda*I,
     exp(t*A) = exp(lambda*t) * sum_k t^k/k! * N^k, and the sum stops at the
-    first k with N^k u = 0.  The generalized eigenspace is ker(N^k) at the
-    first k where its dimension is lambda's multiplicity, or the whole space
-    when lambda is the only eigenvalue.  With U the matrix whose columns are
-    a basis u_b of the generalized eigenspaces, exp(t*A) = E * U^-1, so entry
-    (i, j) has the coefficient sum_b (N^k u_b)[i] * U^-1[b][j] / k! at the
-    term t^k * exp(lambda*t).  Each entry is built from that table of terms;
-    the functions t^k * exp(lambda*t) are linearly independent, so the table
-    is the entry's normal form.
+    first k with N^k u = 0.  The generalized eigenspace is the whole space
+    when lambda is the only eigenvalue, ker(N) when its dimension is
+    lambda's multiplicity, and ker(N^mult) otherwise.  With U the matrix
+    whose columns are a basis u_b of the generalized eigenspaces,
+    exp(t*A) = E * U^-1, so entry (i, j) has the coefficient
+    sum_b (N^k u_b)[i] * U^-1[b][j] / k! at the term t^k * exp(lambda*t).
+    Each entry is built from that table of terms; the functions
+    t^k * exp(lambda*t) are linearly independent, so the table is the
+    entry's normal form.
     """
     n = a.rows
     if n == 0:

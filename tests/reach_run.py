@@ -26,7 +26,7 @@ import workloads  # noqa: E402  (imports orbitkit.cli)
 # search's budget and reach the sympy fallback; f4's orbits are polynomial;
 # the stabilizer ideal of b0 in name-clash has a non-unit row that b<index>
 # would name b0; ad(a) on jordan has a Jordan block of eigenvalue 1 beside the
-# eigenvalue 0, so its generalized eigenspace takes exp_matrix a second step
+# eigenvalue 0, so exp_matrix takes the power of its shifted matrix
 ALG_FILES = {
     "bad-rational.alg": "basis a b\nbracket a b = 1/0*b\n",
     "not-jacobi.alg": "basis a b c\nbracket a b = a\nbracket a c = b\n",

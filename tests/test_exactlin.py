@@ -203,15 +203,6 @@ def test_rank_nullity_on_random_matrices():
         assert rank(m) + kernel(m).dim == cols
 
 
-@settings(max_examples=30, deadline=None)
-@given(conjugated_block_triangular(), st.integers(0, 6))
-def test_matrix_power_is_the_repeated_product(a, k):
-    product = Matrix.identity(a.rows)
-    for _ in range(k):
-        product = product * a
-    assert a ** k == product
-
-
 def test_complement_coordinates_greedy():
     s = Subspace.from_vectors(2, [(1, 1)])
     assert s.complement_coordinates() == (0,)

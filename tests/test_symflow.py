@@ -322,8 +322,8 @@ def _jordan_rotation_zero(data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_generalized_eigenspaces_agree_with_the_dense_power(data):
-    # the first k where ker(N^k) reaches the multiplicity gives ker(N^mult),
-    # basis row for basis row, and so the same flow, entry for entry
+    # the whole space, or ker(N) at full dimension, is ker(N^mult), basis row
+    # for basis row, and so gives the same flow, entry for entry
     a = _jordan_rotation_zero(data)
     for lam, mult in _gaussian_eigenvalues(a):
         shifted = a - Matrix.identity(a.rows).scale(lam)
