@@ -134,11 +134,14 @@ def vec(entries):
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b if b else a for a, b in zip(u, v))
 
 
 def vec_scale(c, u):
-    return tuple(c * a for a in u)
+    # a scale by 1 and the zero entries are left as they are
+    if c == 1:
+        return tuple(u)
+    return tuple(c * a if a else a for a in u)
 
 
 def vec_dot(u, v):
@@ -265,7 +268,9 @@ def rref(rows):
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
+        # zeros and a pivot of 1 divide to themselves
+        if pv != 1:
+            work[r] = [x / pv if x else x for x in work[r]]
         for i in range(nrows):
             if i != r and work[i][c]:
                 f = work[i][c]
@@ -433,7 +438,7 @@ class Subspace:
             v = [Q0] * self.ambient_dim
             for c, row in zip(coeffs, self.basis):
                 if c:
-                    v = [a + c * b for a, b in zip(v, row)]
+                    v = [a + c * b if b else a for a, b in zip(v, row)]
             out.append(tuple(v))
         return out
 

@@ -10,7 +10,12 @@ directly on monomial exponent tuples and keeps their total degree, so every
 matrix of the search is block-diagonal by degree.  A joint eigenspace is the
 direct sum of its parts of each degree, and the reduced echelon basis of such
 a sum is the union of the parts' bases, so the blocks give the same
-polynomials as the whole monomial span would.  The invariants are the
+polynomials as the whole monomial span would.  Each derivation is built
+once per degree as sparse columns, {row: value} with only the nonzero cells
+(a derivation moves a monomial to a few others), and these give the rows of
+the commutator common kernel, the action on each piece and the weights.  A
+piece on which an action is lam*I is kept as it is: ker(0) is the whole
+piece, and its basis is already reduced.  The invariants are the
 weight-zero part.  A solution becomes an ExpPoly only at output.
 
 Closure membership returns certificates: a semi-invariant with a nonzero
@@ -39,8 +44,8 @@ from .errors import (
     OrbitkitError,
     PreconditionFailed,
 )
-from .exactlin import Matrix, Q0, Subspace, kernel, unit_vector
-from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
+from .exactlin import Matrix, Q0, Subspace, kernel, unit_vector, vec_scale
+from .liealg import LieAlgebra, _gaussian_eigenvalues
 from .symflow import ExpPoly, OrbitMap, orbit_map, _exact_root
 
 NOT_IN_CLOSURE = "not-in-closure"
@@ -71,15 +76,16 @@ def _vector_to_poly(v, names, monomials):
                     for c, expo in zip(v, monomials) if c})
 
 
-def _derivation_matrix(a: Matrix, monomials) -> Matrix:
-    """Matrix of the derivation with action matrix a on the monomial span.
+def _derivation_columns(a: Matrix, monomials, index):
+    """The derivation with action matrix a on the monomials, one sparse column
+    {row: value} per monomial, with only the nonzero cells.
 
-    x^alpha goes to sum over nu, mu of alpha_nu * a[mu][nu] * x^(alpha - e_nu + e_mu).
+    x^alpha goes to sum over nu, mu of alpha_nu * a[mu][nu] * x^(alpha - e_nu + e_mu);
+    index maps each monomial to its row.
     """
-    index = {m: i for i, m in enumerate(monomials)}
-    n = len(monomials)
-    rows = [[Q0] * n for _ in range(n)]
-    for col, alpha in enumerate(monomials):
+    columns = []
+    for alpha in monomials:
+        column = {}
         for nu, k in enumerate(alpha):
             if not k:
                 continue
@@ -89,8 +95,41 @@ def _derivation_matrix(a: Matrix, monomials) -> Matrix:
                     beta = list(alpha)
                     beta[nu] -= 1
                     beta[mu] += 1
-                    rows[index[tuple(beta)]][col] += k * c
-    return Matrix(rows)
+                    row = index[tuple(beta)]
+                    column[row] = column.get(row, Q0) + k * c
+        columns.append({row: x for row, x in column.items() if x})
+    return columns
+
+
+def _apply(columns, v):
+    """The image of the vector v under the map with these sparse columns."""
+    image = [Q0] * len(columns)
+    for x, column in zip(v, columns):
+        if x:
+            for row, c in column.items():
+                image[row] += x * c
+    return tuple(image)
+
+
+def _restrict_columns(columns, space: Subspace):
+    """The map with these sparse columns on an invariant subspace, as its
+    columns in the subspace's canonical basis."""
+    out = []
+    for b in space.basis:
+        coords = space.coordinates_of(_apply(columns, b))
+        if coords is None:
+            raise PreconditionFailed("subspace is not invariant")
+        out.append(coords)
+    return out
+
+
+def _dense_rows(columns):
+    """The nonzero rows of the map with these sparse columns."""
+    rows = {}
+    for j, column in enumerate(columns):
+        for row, c in column.items():
+            rows.setdefault(row, [Q0] * len(columns))[j] = c
+    return list(rows.values())
 
 
 def invariant_space(g: LieAlgebra, semis):
@@ -114,7 +153,9 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
     Returns a list of (polynomial, weight covector on g's basis), sorted by
     weight and then by terms; the weight vanishes on the commutator ideal,
     and weight zero means invariant.  The search runs on the monomials of
-    each total degree alone (see the module docstring).
+    each total degree alone, with each derivation as sparse columns; a piece
+    whose action is lam*I is kept whole, and only the others go to the
+    eigenvalue search (see the module docstring).
     """
     names = g.dual_names(module)
     actions = [g.ad_matrix(unit_vector(g.dim, i), module) for i in range(g.dim)]
@@ -124,19 +165,28 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
     results = []
     for _, block in groupby(_monomials(names, degree_bound), key=sum):
         monomials = list(block)
-        mats = [_derivation_matrix(a, monomials) for a in actions]
-        pieces = [Subspace.common_kernel(
-            len(monomials), [_derivation_matrix(a, monomials) for a in comm_actions])]
+        n = len(monomials)
+        index = {m: i for i, m in enumerate(monomials)}
+        mats = [_derivation_columns(a, monomials, index) for a in actions]
+        comm_rows = [row for a in comm_actions
+                     for row in _dense_rows(_derivation_columns(a, monomials, index))]
+        pieces = [Subspace.common_kernel(n, [Matrix(comm_rows, n)])]
         for c in coords:
             refined = []
             for piece in pieces:
-                az = _restrict_to(mats[c], piece)
+                cols = _restrict_columns(mats[c], piece)
+                # a scalar action lam*I (lam rational, as every entry is) keeps
+                # the piece whole: ker(0) is all of it, and its basis is reduced
+                if all(x == (cols[0][0] if i == j else Q0)
+                       for j, col in enumerate(cols) for i, x in enumerate(col)):
+                    refined.append(piece)
+                    continue
+                az = Matrix.from_columns(cols)
                 for lam, _ in _gaussian_eigenvalues(az):
                     if lam.imag:
                         continue
                     eig = kernel(az - Matrix.identity(az.rows).scale(lam))
-                    refined.append(Subspace.from_vectors(len(monomials),
-                                                         piece.combinations(eig.basis)))
+                    refined.append(Subspace.from_vectors(n, piece.combinations(eig.basis)))
             pieces = refined
 
         for piece in pieces:
@@ -146,9 +196,9 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
                 # entry
                 weight = []
                 for mat in mats:
-                    image = mat.apply(v)
+                    image = _apply(mat, v)
                     lam = image[lead] / v[lead]
-                    if image != tuple(lam * c for c in v):
+                    if image != vec_scale(lam, v):
                         raise PreconditionFailed(
                             "semi-invariant candidate is not a joint eigenvector")
                     weight.append(lam)

@@ -419,11 +419,11 @@ def exp_matrix(a: Matrix, param: str) -> tuple:
     if sum(m for _, m in eigs) != n:
         raise NonRationalSpectrum(
             "matrix spectrum is not contained in the Gaussian rationals")
-    ident = Matrix.identity(n)
     basis_vectors = []
     chains = []  # per basis vector u: (exponent form of lambda, [N^k u / k!])
     for lam, mult in eigs:
-        shifted = a - ident.scale(lam)
+        shifted = Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
+                          for i, row in enumerate(a.entries)])
         gen_space = _generalized_eigenspace(shifted, mult)
         expo = ((param, lam),) if lam else ()
         for u in gen_space.basis:

@@ -1,6 +1,7 @@
 """Reference definitions that tests compare against or check with: the
-Leibniz derivation, the invariant and semi-invariant search on the whole
-monomial span at once, the generalized eigenspace from the dense matrix
+Leibniz derivation, the dense derivation matrix, and the invariant and
+semi-invariant search on the whole monomial span at once with every piece
+refined, the generalized eigenspace from the dense matrix
 power, monomial coordinates, the general-position test, the greedy
 coordinate complement, the dense bracket and rational Jacobi check,
 right-first normal ordering of a generator word, word-by-word evaluation
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from orbitkit.envelop import MINUS_I, PLUS_I, XI, DiffOp, UEAElement
 from orbitkit.errors import DimensionMismatch
 from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, solve, unit_vector, vec
-from orbitkit.invariants import _capped, _derivation_matrix, _monomials, _vector_to_poly
+from orbitkit.invariants import _capped, _monomials, _vector_to_poly
 from orbitkit.liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
 from orbitkit.symflow import ExpPoly
 
@@ -40,6 +41,28 @@ def derivation(m: LieAlgebra, x, q: ExpPoly, module: Subspace | None = None) -> 
     return out
 
 
+def _derivation_matrix(a: Matrix, monomials) -> Matrix:
+    """Matrix of the derivation with action matrix a on the monomial span.
+
+    x^alpha goes to sum over nu, mu of alpha_nu * a[mu][nu] * x^(alpha - e_nu + e_mu).
+    """
+    index = {m: i for i, m in enumerate(monomials)}
+    n = len(monomials)
+    rows = [[Q0] * n for _ in range(n)]
+    for col, alpha in enumerate(monomials):
+        for nu, k in enumerate(alpha):
+            if not k:
+                continue
+            for mu in range(a.rows):
+                c = a[mu, nu]
+                if c:
+                    beta = list(alpha)
+                    beta[nu] -= 1
+                    beta[mu] += 1
+                    rows[index[tuple(beta)]][col] += k * c
+    return Matrix(rows)
+
+
 def ungraded_invariant_space(m: LieAlgebra, degree_bound: int):
     """Canonical basis of the nonconstant invariants up to the degree bound,
     from one common kernel on the whole monomial span."""
@@ -53,8 +76,9 @@ def ungraded_invariant_space(m: LieAlgebra, degree_bound: int):
 
 def ungraded_semi_invariants(g: LieAlgebra, degree_bound: int,
                              module: Subspace | None = None):
-    """invariants.semi_invariants with every matrix on the whole monomial span
-    of degree 1..degree_bound, in one block."""
+    """invariants.semi_invariants with every matrix dense on the whole
+    monomial span of degree 1..degree_bound, in one block, and every piece
+    refined through its eigenvalues, scalar actions included."""
     names = g.dual_names(module)
     monomials = _monomials(names, degree_bound)
     mats = [_derivation_matrix(g.ad_matrix(unit_vector(g.dim, i), module), monomials)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import greedy_complement_coordinates
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 from test_symflow import conjugated_block_triangular
 
 from orbitkit.errors import DimensionMismatch
@@ -16,8 +18,11 @@ from orbitkit.exactlin import (
     Subspace,
     kernel,
     rank,
+    rref,
     solve,
     unit_vector,
+    vec_scale,
+    vec_sub,
 )
 from orbitkit.symflow import ExpPoly, exp_matrix
 
@@ -311,3 +316,64 @@ def test_intersection_lies_in_both_and_has_the_dimension_formula(pair):
 def test_common_kernel_rejects_a_matrix_of_another_width():
     with pytest.raises(DimensionMismatch):
         Subspace.common_kernel(3, [Matrix.identity(3), Matrix.zero(0, 2)])
+
+
+# -- rref against sympy's DomainMatrix.rref -------------------------------------
+
+_NONZERO = st.builds(F, st.integers(1, 6) | st.integers(-6, -1), st.integers(1, 4))
+_NONREAL = st.builds(GaussianRational, st.integers(-3, 3), st.integers(1, 3) | st.integers(-3, -1))
+
+
+def _sparse_entries(nonzero):
+    """Zero half the time, else 1, -1 or a drawn nonzero value."""
+    return st.one_of(st.just(F(0)), st.sampled_from([F(1), F(-1)]) | nonzero)
+
+
+@st.composite
+def _sparse_rows(draw, nonzero):
+    """1-8 rows of 1-8 columns, mostly zero, with some rows all zero."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = _sparse_entries(nonzero)
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        m[i] = [F(0)] * cols
+    return m
+
+
+def _to_sympy(x, domain):
+    re = QQ(x.real.numerator, x.real.denominator)
+    return re if domain is QQ else QQ_I(re, QQ(x.imag.numerator, x.imag.denominator))
+
+
+def _from_sympy(z, domain):
+    if domain is QQ:
+        return F(z.numerator, z.denominator)
+    return GaussianRational(F(z.x.numerator, z.x.denominator),
+                            F(z.y.numerator, z.y.denominator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, QQ_I]).flatmap(
+    lambda domain: st.tuples(st.just(domain), _sparse_rows(
+        _NONZERO if domain is QQ else _NONZERO | _NONREAL))))
+def test_rref_matches_sympy_domain_matrix(case):
+    domain, m = case
+    rows, pivots = rref(m)
+    expected, expected_pivots = DomainMatrix(
+        [[_to_sympy(x, domain) for x in row] for row in m], (len(m), len(m[0])),
+        domain).rref()
+    assert pivots == expected_pivots
+    assert [list(row) for row in rows] == [
+        [_from_sympy(z, domain) for z in row] for row in expected.to_list()[:len(pivots)]]
+    assert all(_in_normal_form(x) for row in rows for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_entries(_NONZERO | _NONREAL),
+       st.lists(st.tuples(*[_sparse_entries(_NONZERO | _NONREAL)] * 2), max_size=8))
+def test_vec_scale_and_vec_sub_match_the_plain_comprehension(c, pairs):
+    u, v = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    for got, plain in ((vec_scale(c, u), tuple(c * a for a in u)),
+                       (vec_sub(u, v), tuple(a - b for a, b in zip(u, v)))):
+        assert got == plain
+        assert [type(x) for x in got] == [type(x) for x in plain]

@@ -62,7 +62,7 @@ from orbitkit.invariants import (
     _step,
     vanish_on_orbit,
 )
-from orbitkit.liealg import LieAlgebra, b5, g49_zero, heisenberg3
+from orbitkit.liealg import LieAlgebra, _gaussian_eigenvalues, b5, g49_zero, heisenberg3
 from orbitkit.symflow import ExpPoly, orbit_map
 
 F = Fraction
@@ -146,9 +146,10 @@ def test_invariant_space_h3_degree_one():
        st.booleans(), st.data())
 def test_graded_search_matches_the_whole_monomial_span(name, change, degree, on_module,
                                                        data):
-    # one block per total degree gives the same list, element for element,
-    # as one block for degrees 1..d; the invariants are its weight-zero part
-    # in the echelon order of the whole span
+    # sparse columns one total degree at a time, with scalar pieces kept
+    # whole, give the same list, element for element, as dense matrices on
+    # one block for degrees 1..d with every piece refined; the invariants
+    # are its weight-zero part in the echelon order of the whole span
     g = borel3() if name == "borel3" else get_entry(name).algebra
     if change:
         g = draw_basis_change(data, g)
@@ -159,6 +160,26 @@ def test_graded_search_matches_the_whole_monomial_span(name, change, degree, on_
     assert semis == ungraded_semi_invariants(g, degree, module)
     if module is None:
         assert invariant_space(g, semis) == ungraded_invariant_space(g, degree)
+
+
+def test_only_a_scalar_action_keeps_a_piece_whole(monkeypatch):
+    # every action the search refines is non-scalar, and b5's diag(1, 2) on
+    # a degree-2 piece is refined.  Keeping that diagonal piece whole would
+    # give the same list (each of its basis rows is already an eigenvector,
+    # and later pieces split along them), so the rule is pinned by the
+    # matrices handed to the eigenvalue search rather than by the output
+    refined = []
+
+    def recording(m):
+        refined.append(m.entries)
+        return _gaussian_eigenvalues(m)
+
+    monkeypatch.setattr(invariants, "_gaussian_eigenvalues", recording)
+    semi_invariants(b5(), 2)
+    assert ((F(1), F(0)), (F(0), F(2))) in refined
+    assert not any(all(x == (rows[0][0] if i == j else 0)
+                       for i, row in enumerate(rows) for j, x in enumerate(row))
+                   for rows in refined)
 
 
 def test_semi_invariants_b5_on_stabilizer_dual():
