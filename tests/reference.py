@@ -167,8 +167,9 @@ def greedy_complement_coordinates(space: Subspace):
 CATALOG_NAMES = ["heisenberg3", "axb", "g49_0", "b5", "e2-motion", "abelian3"]
 
 
-def borel3() -> LieAlgebra:
-    """Upper-triangular 3x3 matrices: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+def borel3(order=None) -> LieAlgebra:
+    """Upper-triangular 3x3 matrices: [E_ij, E_kl] = d_jk E_il - d_li E_kj,
+    with the basis E_ij listed in `order` (names), else by (i, j)."""
     pairs = [(i, j) for i in range(3) for j in range(i, 3)]
     brackets = {}
     for a, (i, j) in enumerate(pairs):
@@ -177,7 +178,20 @@ def borel3() -> LieAlgebra:
             if l == i:
                 terms[f"E{k}{j}"] = -1
             brackets[(f"E{i}{j}", f"E{k}{l}")] = terms
-    return LieAlgebra.construct([f"E{i}{j}" for i, j in pairs], brackets)
+    return LieAlgebra.construct(order or [f"E{i}{j}" for i, j in pairs], brackets)
+
+
+# ad(a) and ad(b) act on x, y, u, v by rotation blocks, ad(b) between the two
+# blocks: the flag search meets eigenvalues and matrix entries in Q(i)
+GAUSSIAN_WEIGHTS_ALG = """\
+basis a b x y u v
+bracket a x = y
+bracket a y = -x
+bracket a u = v
+bracket a v = -u
+bracket b x = u + v
+bracket b y = -u + v
+"""
 
 
 # a vector coordinate: zero, or a small rational

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import CATALOG_NAMES, draw_basis_change
+from reference import CATALOG_NAMES, GAUSSIAN_WEIGHTS_ALG, borel3, draw_basis_change
 
 from orbitkit import cli
 from orbitkit.algfile import emit_algebra, parse_algebra, parse_functional
@@ -23,6 +23,8 @@ REPO = Path(__file__).resolve().parent.parent
 # sha256 of stdout and the exit code of each _pinned_runs argv, as in
 # perfbench/digests.json
 OUTPUT_DIGESTS = REPO / "tests" / "golden" / "catalog-output.json"
+# sha256 of stdout and stderr and the exit code of each _eigen_path_runs argv
+EIGEN_PATH_DIGESTS = REPO / "tests" / "golden" / "eigen-paths.json"
 
 
 def test_shipped_b5_file_parses_to_catalog_algebra():
@@ -123,6 +125,61 @@ def test_catalog_output_matches_its_pinned_digests(monkeypatch, capsys):
     assert sorted(pinned) == sorted(runs)
     for key, argv in runs.items():
         assert _output_digest(capsys, argv) == pinned[key], key
+
+
+_B3_NAMES = ["E00", "E01", "E02", "E11", "E12", "E22"]
+# algebras whose adjoint spectra take each branch of the eigenspace split:
+# roots +-sqrt(2) outside Q(i), a rotation, Gaussian weights, a Jordan block,
+# a Killing form blind to the nilradical, a non-integer weight, a nilpotent
+# filiform, and b_3 in three basis orders
+EIGEN_PATH_FILES = {
+    "sqrt2.alg": "basis a x y\nbracket a x = y\nbracket a y = 2*x\n",
+    "rotation.alg": "basis a x y\nbracket a x = y\nbracket a y = -x\n",
+    "gaussian-weights.alg": GAUSSIAN_WEIGHTS_ALG,
+    "jordan.alg": "basis a x y z\nbracket a x = x\nbracket a y = x + y\n",
+    "killing-blind.alg": "basis a x y\nbracket a x = x + y\nbracket a y = -x + y\n",
+    "half.alg": "basis a b\nbracket a b = 1/2*b\n",
+    "f4.alg": "basis x1 x2 x3 x4\nbracket x1 x2 = x3\nbracket x1 x3 = x4\n",
+    "b3.alg": emit_algebra(borel3()),
+    "b3-reversed.alg": emit_algebra(borel3(_B3_NAMES[::-1])),
+    "b3-diagonal-first.alg": emit_algebra(borel3(sorted(_B3_NAMES,
+                                                        key=lambda e: (e[2] > e[1], e)))),
+}
+
+
+def _eigen_path_runs(workdir):
+    """{key: argv} of analyze, invariants at degree 1..3, orbit, polarize and
+    regularity-report on each EIGEN_PATH_FILES algebra, in text mode and with
+    --json; orbit and polarize at a fixed functional.  A key names the file
+    by its name alone."""
+    runs = {}
+    for name, text in EIGEN_PATH_FILES.items():
+        path = workdir / name
+        path.write_text(text, encoding="utf-8")
+        basis = parse_algebra(text).basis_names
+        f = ",".join(f"{e}={v}" for e, v in zip(basis, ["1", "-2", "3/2", "1/3", "-1", "2"]))
+        commands = [["analyze"], ["regularity-report"], ["orbit", "--f", f], ["polarize", "--f", f]]
+        commands += [["invariants", "--degree", str(d)] for d in (1, 2, 3)]
+        for command in commands:
+            for mode in ([], ["--json"]):
+                runs[" ".join([command[0], name, *command[1:], *mode])] = [
+                    command[0], "--file", str(path), *command[1:], *mode]
+    return runs
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_eigen_paths_match_their_pinned_digests(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+    pinned = json.loads(EIGEN_PATH_DIGESTS.read_text(encoding="utf-8"))
+    runs = _eigen_path_runs(tmp_path)
+    assert sorted(pinned) == sorted(runs)
+    for key, argv in runs.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert str(tmp_path) not in out + err, key
+        assert {"exit": code, "stdout": _sha256(out), "stderr": _sha256(err)} == pinned[key], key
 
 
 def test_cli_catalog_lists_entries(capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from reference import (
     CATALOG_NAMES,
     COORD,
+    GAUSSIAN_WEIGHTS_ALG,
     borel3,
     dense_bracket,
     draw_basis_change,
@@ -567,17 +568,6 @@ def test_a_permuted_triangular_matrix_peels_to_an_empty_core(data):
         eigs = _gaussian_eigenvalues(m)
     search.assert_called_once_with([])
     assert eigs == sorted(Counter(diag).items(), key=lambda t: (t[0].real, t[0].imag))
-
-
-GAUSSIAN_WEIGHTS_ALG = """\
-basis a b x y u v
-bracket a x = y
-bracket a y = -x
-bracket a u = v
-bracket a v = -u
-bracket b x = u + v
-bracket b y = -u + v
-"""
 
 
 @pytest.mark.parametrize("command", ["analyze", "regularity-report"])
