@@ -109,7 +109,7 @@ def vergne_polarization(g: LieAlgebra, flag, f) -> Subspace:
     result = Subspace.zero(g.dim)
     for gk in chain:
         gram = Matrix([[vec_dot(f, g.bracket(vm, wj)) for vm in gk.basis] for wj in gk.basis])
-        result = result + Subspace.from_vectors(g.dim, gk.combinations(kernel(gram).basis))
+        result = result + gk.kernel_of(gram)
     return result
 
 

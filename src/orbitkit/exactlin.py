@@ -133,10 +133,6 @@ def vec(entries):
     return tuple(scalar(x) for x in entries)
 
 
-def vec_sub(u, v):
-    return tuple(a - b if b else a for a, b in zip(u, v))
-
-
 def vec_scale(c, u):
     # a scale by 1 and the zero entries are left as they are
     if c == 1:
@@ -189,10 +185,6 @@ class Matrix:
     def from_columns(cls, columns):
         return cls(list(zip(*columns)), len(columns))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def row(self, i):
         return self.entries[i]
 
@@ -205,17 +197,19 @@ class Matrix:
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
 
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Matrix([vec_sub(a, b) for a, b in zip(self.entries, other.entries)], self.cols)
-
     def __neg__(self):
-        return Matrix([vec_scale(-Q1, r) for r in self.entries], self.cols)
+        return self.scale(-1)
 
     def scale(self, c):
         c = scalar(c)
         return Matrix([vec_scale(c, r) for r in self.entries], self.cols)
+
+    def shifted(self, lam):
+        """A - lam*I, with lam subtracted on the diagonal alone."""
+        if self.rows != self.cols:
+            raise DimensionMismatch("shift of a non-square matrix")
+        return Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(self.entries)], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -431,16 +425,25 @@ class Subspace:
         return Subspace.common_kernel(self.ambient_dim, [self.annihilator_matrix(),
                                                          other.annihilator_matrix()])
 
-    def combinations(self, rows):
-        """Ambient vectors sum_k c_k * basis_k, one per coefficient row c."""
-        out = []
-        for coeffs in rows:
+    def kernel_of(self, a: Matrix) -> Subspace:
+        """The vectors of the subspace whose coordinates a kills: the sum v_j
+        of c_j[k] * basis_k over k for each basis row c_j of ker(a), no rref.
+
+        Both bases are reduced, so the v_j are too.  With p_k the pivot of
+        basis_k and q_j that of c_j, only the basis_k with k >= q_j enter v_j,
+        so v_j is zero before p_(q_j); its entry at each p_i is c_j[i], so it
+        is 1 at p_(q_j) and 0 at the pivot p_(q_i) of every other v_i.
+        """
+        if a.cols != self.dim:
+            raise DimensionMismatch("matrix width differs from subspace dimension")
+        rows = []
+        for coeffs in kernel(a).basis:
             v = [Q0] * self.ambient_dim
             for c, row in zip(coeffs, self.basis):
                 if c:
-                    v = [a + c * b if b else a for a, b in zip(v, row)]
-            out.append(tuple(v))
-        return out
+                    v = [x + c * b if b else x for x, b in zip(v, row)]
+            rows.append(tuple(v))
+        return Subspace(self.ambient_dim, rows)
 
     def complement_coordinates(self):
         """Lexicographically first coordinate subset completing the basis.

@@ -14,9 +14,11 @@ polynomials as the whole monomial span would.  Each derivation is built
 once per degree as sparse columns, {row: value} with only the nonzero cells
 (a derivation moves a monomial to a few others), and these give the rows of
 the commutator common kernel, the action on each piece and the weights.  A
-piece on which an action is lam*I is kept as it is: ker(0) is the whole
-piece, and its basis is already reduced.  The invariants are the
-weight-zero part.  A solution becomes an ExpPoly only at output.
+piece on which an action A is lam*I is kept as it is: ker(0) is the whole
+piece, and its basis is already reduced.  Any other piece splits into
+piece.kernel_of(A.shifted(lam)) for each real eigenvalue lam.  The
+invariants are the weight-zero part.  A solution becomes an ExpPoly only
+at output.
 
 Closure membership returns certificates: a semi-invariant with a nonzero
 value is an exact disproof of membership, while a sufficiently close orbit
@@ -33,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, groupby
 from math import gcd, lcm
 from operator import mul
@@ -45,7 +48,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .exactlin import Matrix, Q0, Subspace, kernel, unit_vector, vec_scale
-from .liealg import LieAlgebra, _gaussian_eigenvalues
+from .liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
 from .symflow import ExpPoly, OrbitMap, orbit_map, _exact_root
 
 NOT_IN_CLOSURE = "not-in-closure"
@@ -83,15 +86,13 @@ def _derivation_columns(a: Matrix, monomials, index):
     x^alpha goes to sum over nu, mu of alpha_nu * a[mu][nu] * x^(alpha - e_nu + e_mu);
     index maps each monomial to its row.
     """
+    a_columns = [[(mu, c) for mu, c in enumerate(col) if c] for col in zip(*a.entries)]
     columns = []
     for alpha in monomials:
         column = {}
         for nu, k in enumerate(alpha):
-            if not k:
-                continue
-            for mu in range(a.rows):
-                c = a[mu, nu]
-                if c:
+            if k:
+                for mu, c in a_columns[nu]:
                     beta = list(alpha)
                     beta[nu] -= 1
                     beta[mu] += 1
@@ -109,18 +110,6 @@ def _apply(columns, v):
             for row, c in column.items():
                 image[row] += x * c
     return tuple(image)
-
-
-def _restrict_columns(columns, space: Subspace):
-    """The map with these sparse columns on an invariant subspace, as its
-    columns in the subspace's canonical basis."""
-    out = []
-    for b in space.basis:
-        coords = space.coordinates_of(_apply(columns, b))
-        if coords is None:
-            raise PreconditionFailed("subspace is not invariant")
-        out.append(coords)
-    return out
 
 
 def _dense_rows(columns):
@@ -174,19 +163,15 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
         for c in coords:
             refined = []
             for piece in pieces:
-                cols = _restrict_columns(mats[c], piece)
+                az = _restrict_to(partial(_apply, mats[c]), piece)
                 # a scalar action lam*I (lam rational, as every entry is) keeps
                 # the piece whole: ker(0) is all of it, and its basis is reduced
-                if all(x == (cols[0][0] if i == j else Q0)
-                       for j, col in enumerate(cols) for i, x in enumerate(col)):
+                if all(x == (az.entries[0][0] if i == j else Q0)
+                       for i, row in enumerate(az.entries) for j, x in enumerate(row)):
                     refined.append(piece)
                     continue
-                az = Matrix.from_columns(cols)
-                for lam, _ in _gaussian_eigenvalues(az):
-                    if lam.imag:
-                        continue
-                    eig = kernel(az - Matrix.identity(az.rows).scale(lam))
-                    refined.append(Subspace.from_vectors(n, piece.combinations(eig.basis)))
+                refined += [piece.kernel_of(az.shifted(lam))
+                            for lam, _ in _gaussian_eigenvalues(az) if not lam.imag]
             pieces = refined
 
         for piece in pieces:

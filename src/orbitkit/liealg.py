@@ -255,8 +255,8 @@ class LieAlgebra:
         derivation of x sends the dual coordinate e_nu to sum_mu A[mu][nu] e_mu.
         """
         cols = [self.bracket(x, unit_vector(self.dim, j)) for j in range(self.dim)]
-        a = Matrix.from_columns(cols) if cols else Matrix([])
-        return a if ideal is None else _restrict_to(a, ideal)
+        a = Matrix.from_columns(cols)
+        return a if ideal is None else _restrict_to(a.apply, ideal)
 
     def dual_names(self, ideal: Subspace | None = None):
         """Names of the coordinates on g*, or on the dual of an ideal; raises
@@ -415,7 +415,7 @@ class LieAlgebra:
                     break
                 if basis_mats[c].is_zero():
                     continue  # every vector is a 0-eigenvector: w_space stays whole
-                az = _restrict_to(induce(basis_mats[c]), w_space)
+                az = _restrict_to(induce(basis_mats[c]).apply, w_space)
                 eigs = _gaussian_eigenvalues(az)
                 if not eigs:
                     raise NonRationalSpectrum(
@@ -423,8 +423,7 @@ class LieAlgebra:
                         "eigenvalue on the current invariant subspace",
                         witness=self.basis_names[c])
                 # the first in (real, imag) order, as _gaussian_eigenvalues sorts
-                eig_kernel = kernel(az - Matrix.identity(az.rows).scale(eigs[0][0]))
-                w_space = Subspace.from_vectors(q, w_space.combinations(eig_kernel.basis))
+                w_space = w_space.kernel_of(az.shifted(eigs[0][0]))
             v_quot, lead = w_space.basis[0], w_space.pivots[0]
             placed = dict(zip(np_coords, v_quot))
             lifted = tuple(placed.get(c, Q0) for c in range(n))
@@ -535,16 +534,16 @@ def mtilde(g: LieAlgebra, m: Subspace) -> Subspace:
 _BUDGET = 20000
 
 
-def _restrict_to(mat: Matrix, space: Subspace) -> Matrix:
-    """Matrix of mat on an invariant subspace, in the subspace's canonical basis."""
+def _restrict_to(apply, space: Subspace) -> Matrix:
+    """Matrix of the linear map `apply` (a Matrix's apply, or any function of
+    ambient vectors) on an invariant subspace, in its canonical basis."""
     cols = []
     for b in space.basis:
-        image = mat.apply(b)
-        coords = space.coordinates_of(image)
+        coords = space.coordinates_of(apply(b))
         if coords is None:
             raise PreconditionFailed("subspace is not invariant")
         cols.append(coords)
-    return Matrix.from_columns(cols) if cols else Matrix([])
+    return Matrix.from_columns(cols)
 
 
 def _eigen_ratio(image, v, lead, name):

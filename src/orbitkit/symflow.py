@@ -422,8 +422,7 @@ def exp_matrix(a: Matrix, param: str) -> tuple:
     basis_vectors = []
     chains = []  # per basis vector u: (exponent form of lambda, [N^k u / k!])
     for lam, mult in eigs:
-        shifted = Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
-                          for i, row in enumerate(a.entries)])
+        shifted = a.shifted(lam)
         gen_space = _generalized_eigenspace(shifted, mult)
         expo = ((param, lam),) if lam else ()
         for u in gen_space.basis:

@@ -8,8 +8,9 @@ right-first normal ordering of a generator word, word-by-word evaluation
 of an enveloping-algebra element, the Leibniz sum for composing
 differential operators, identity, product and substitution on flows (rows
 of ExpPoly entries), the closure search's fold and coordinate descent on
-Fractions, the upper-triangular algebra b_3, and a drawn rational basis and
-an algebra in it.  No orbitkit command needs them."""
+Fractions, the upper-triangular algebra b_3 in any basis order, the
+gaussian-weights algebra as .alg text, and a drawn rational basis and an
+algebra in it.  No orbitkit command needs them."""
 
 from fractions import Fraction
 from math import comb, lcm
@@ -35,8 +36,8 @@ def derivation(m: LieAlgebra, x, q: ExpPoly, module: Subspace | None = None) -> 
             continue
         image = ExpPoly()
         for mu, other in enumerate(names):
-            if a[mu, nu]:
-                image = image + ExpPoly.variable(other) * a[mu, nu]
+            if a.entries[mu][nu]:
+                image = image + ExpPoly.variable(other) * a.entries[mu][nu]
         out = out + q.d_dvar(var) * image
     return out
 
@@ -54,7 +55,7 @@ def _derivation_matrix(a: Matrix, monomials) -> Matrix:
             if not k:
                 continue
             for mu in range(a.rows):
-                c = a[mu, nu]
+                c = a.entries[mu][nu]
                 if c:
                     beta = list(alpha)
                     beta[nu] -= 1
@@ -89,12 +90,14 @@ def ungraded_semi_invariants(g: LieAlgebra, degree_bound: int,
     for c in comm.complement_coordinates():
         refined = []
         for piece in pieces:
-            az = _restrict_to(mats[c], piece)
+            az = _restrict_to(mats[c].apply, piece)
             for lam, _ in _gaussian_eigenvalues(az):
                 if not lam.imag:
-                    eig = kernel(az - Matrix.identity(az.rows).scale(lam))
-                    refined.append(Subspace.from_vectors(len(monomials),
-                                                         piece.combinations(eig.basis)))
+                    eig = kernel(Matrix([[x - lam if i == j else x for j, x in enumerate(row)]
+                                         for i, row in enumerate(az.entries)]))
+                    refined.append(Subspace.from_vectors(len(monomials), [
+                        [sum((c * b for c, b in zip(coeffs, column)), Q0)
+                         for column in zip(*piece.basis)] for coeffs in eig.basis]))
         pieces = refined
     results = []
     for piece in pieces:

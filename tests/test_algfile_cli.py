@@ -158,8 +158,8 @@ def _eigen_path_runs(workdir):
         path.write_text(text, encoding="utf-8")
         basis = parse_algebra(text).basis_names
         f = ",".join(f"{e}={v}" for e, v in zip(basis, ["1", "-2", "3/2", "1/3", "-1", "2"]))
-        commands = [["analyze"], ["regularity-report"], ["orbit", "--f", f], ["polarize", "--f", f]]
-        commands += [["invariants", "--degree", str(d)] for d in (1, 2, 3)]
+        commands = [["analyze"], ["regularity-report"], ["orbit", "--f", f],
+                    ["polarize", "--f", f], *(["invariants", "--degree", str(d)] for d in (1, 2, 3))]
         for command in commands:
             for mode in ([], ["--json"]):
                 runs[" ".join([command[0], name, *command[1:], *mode])] = [

@@ -59,8 +59,8 @@ def test_form_matrix_examples():
     g, f = ref_b5()
     b = form_matrix(g, f)
     i = {n: g.index_of(n) for n in g.basis_names}
-    assert b[i["d"], i["e3"]] == 1 and b[i["e3"], i["d"]] == -1
-    assert b[i["e1"], i["e2"]] == 1 and b[i["e2"], i["e1"]] == -1
+    assert b.entries[i["d"]][i["e3"]] == 1 and b.entries[i["e3"]][i["d"]] == -1
+    assert b.entries[i["e1"]][i["e2"]] == 1 and b.entries[i["e2"]][i["e1"]] == -1
     assert b == -b.transpose()
 
     h3 = heisenberg3()

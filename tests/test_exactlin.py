@@ -22,7 +22,6 @@ from orbitkit.exactlin import (
     solve,
     unit_vector,
     vec_scale,
-    vec_sub,
 )
 from orbitkit.symflow import ExpPoly, exp_matrix
 
@@ -370,10 +369,67 @@ def test_rref_matches_sympy_domain_matrix(case):
 
 @settings(max_examples=300, deadline=None)
 @given(_sparse_entries(_NONZERO | _NONREAL),
-       st.lists(st.tuples(*[_sparse_entries(_NONZERO | _NONREAL)] * 2), max_size=8))
-def test_vec_scale_and_vec_sub_match_the_plain_comprehension(c, pairs):
-    u, v = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
-    for got, plain in ((vec_scale(c, u), tuple(c * a for a in u)),
-                       (vec_sub(u, v), tuple(a - b for a, b in zip(u, v)))):
-        assert got == plain
-        assert [type(x) for x in got] == [type(x) for x in plain]
+       st.lists(_sparse_entries(_NONZERO | _NONREAL), max_size=8))
+def test_vec_scale_and_vec_sub_match_the_plain_comprehension(c, u):
+    got, plain = vec_scale(c, u), tuple(c * a for a in u)
+    assert got == plain
+    assert [type(x) for x in got] == [type(x) for x in plain]
+
+
+def _entries_over(data):
+    """Sparse entries over QQ or, when drawn, over QQ(i)."""
+    gaussian = data.draw(st.booleans(), label="gaussian")
+    return _sparse_entries(_NONZERO | _NONREAL if gaussian else _NONZERO)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_of_is_the_reduced_span_of_the_basis_combinations(data):
+    entry = _entries_over(data)
+    n = data.draw(st.integers(1, 7), label="n")
+    s = Subspace.from_vectors(n, data.draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n), label="rows"))
+    d = s.dim
+    random_rows = st.lists(st.lists(entry, min_size=d, max_size=d), max_size=4)
+    # a drawn matrix, the zero one (the full kernel) or one of full column
+    # rank (the zero kernel)
+    a = data.draw(st.one_of(
+        random_rows.map(lambda rows: Matrix(rows, d)),
+        st.integers(0, 3).map(lambda rows: Matrix.zero(rows, d)),
+        random_rows.map(lambda rows: Matrix(list(Matrix.identity(d).entries) + rows, d))),
+        label="a")
+    combos = [[sum((c * b for c, b in zip(coeffs, column)), F(0)) for column in zip(*s.basis)]
+              for coeffs in kernel(a).basis]
+    got = s.kernel_of(a)
+    assert got == Subspace.from_vectors(n, combos)
+    assert got.pivots == _leading_columns(got)
+    assert all(_in_normal_form(x) for row in got.basis for x in row)
+    assert all(not any(a.apply(s.coordinates_of(v))) for v in got.basis)
+
+
+def test_kernel_of_rejects_a_matrix_of_another_width():
+    with pytest.raises(DimensionMismatch):
+        Subspace.full(3).kernel_of(Matrix.identity(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shifted_is_the_dense_difference(data):
+    entry = _entries_over(data)
+    n = data.draw(st.integers(0, 6), label="n")
+    a = Matrix(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n, max_size=n), label="a"), n)
+    lam = data.draw(_sparse_entries(_NONZERO | _NONREAL), label="lam")
+    lam_i = Matrix.identity(n).scale(lam)
+    dense = [[x - y for x, y in zip(row, lam_row)]
+             for row, lam_row in zip(a.entries, lam_i.entries)]
+    got = a.shifted(lam)
+    assert (got.rows, got.cols) == (n, n)
+    assert [list(row) for row in got.entries] == dense
+    assert [[type(x) for x in row] for row in got.entries] == [
+        [type(x) for x in row] for row in dense]
+
+
+def test_shifted_rejects_a_non_square_matrix():
+    with pytest.raises(DimensionMismatch):
+        Matrix.zero(2, 3).shifted(1)

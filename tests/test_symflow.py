@@ -136,7 +136,7 @@ def test_flow_derivative_at_zero_is_generator():
         for i in range(5):
             for j in range(5):
                 deriv = flow[i][j].d_dvar("t").substitute({"t": 0})
-                assert deriv == ExpPoly.constant(a[i, j])
+                assert deriv == ExpPoly.constant(a.entries[i][j])
 
 
 def test_orbit_map_empty_sequence_is_constant():
@@ -287,7 +287,7 @@ def test_exp_matrix_solves_the_flow_equation(a):
     assert substitute_rows(flow, {"t": 0}) == identity_rows(n)
     for i in range(n):
         for j in range(n):
-            expected = sum((flow[k][j] * a[i, k] for k in range(n)), ExpPoly())
+            expected = sum((flow[k][j] * a.entries[i][k] for k in range(n)), ExpPoly())
             assert flow[i][j].d_dvar("t") == expected
 
 
@@ -326,7 +326,7 @@ def test_generalized_eigenspaces_agree_with_the_dense_power(data):
     # for basis row, and so gives the same flow, entry for entry
     a = _jordan_rotation_zero(data)
     for lam, mult in _gaussian_eigenvalues(a):
-        shifted = a - Matrix.identity(a.rows).scale(lam)
+        shifted = a.shifted(lam)
         assert (symflow._generalized_eigenspace(shifted, mult)
                 == power_generalized_eigenspace(shifted, mult))
     flow = exp_matrix(a, "t")
