@@ -170,10 +170,10 @@ def greedy_complement_coordinates(space: Subspace):
 CATALOG_NAMES = ["heisenberg3", "axb", "g49_0", "b5", "e2-motion", "abelian3"]
 
 
-def borel3(order=None) -> LieAlgebra:
-    """Upper-triangular 3x3 matrices: [E_ij, E_kl] = d_jk E_il - d_li E_kj,
-    with the basis E_ij listed in `order` (names), else by (i, j)."""
-    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+def borel(n, order=None) -> LieAlgebra:
+    """Upper-triangular n x n matrices (n <= 10): [E_ij, E_kl] = d_jk E_il -
+    d_li E_kj, with the basis E_ij listed in `order` (names), else by (i, j)."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     brackets = {}
     for a, (i, j) in enumerate(pairs):
         for k, l in pairs[a + 1:]:
@@ -182,6 +182,10 @@ def borel3(order=None) -> LieAlgebra:
                 terms[f"E{k}{j}"] = -1
             brackets[(f"E{i}{j}", f"E{k}{l}")] = terms
     return LieAlgebra.construct(order or [f"E{i}{j}" for i, j in pairs], brackets)
+
+
+def borel3(order=None) -> LieAlgebra:
+    return borel(3, order)
 
 
 # ad(a) and ad(b) act on x, y, u, v by rotation blocks, ad(b) between the two

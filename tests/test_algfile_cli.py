@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import CATALOG_NAMES, GAUSSIAN_WEIGHTS_ALG, borel3, draw_basis_change
+from reference import CATALOG_NAMES, GAUSSIAN_WEIGHTS_ALG, borel, borel3, draw_basis_change
 
 from orbitkit import cli
 from orbitkit.algfile import emit_algebra, parse_algebra, parse_functional
@@ -25,6 +26,8 @@ REPO = Path(__file__).resolve().parent.parent
 OUTPUT_DIGESTS = REPO / "tests" / "golden" / "catalog-output.json"
 # sha256 of stdout and stderr and the exit code of each _eigen_path_runs argv
 EIGEN_PATH_DIGESTS = REPO / "tests" / "golden" / "eigen-paths.json"
+# sha256 of stdout and stderr and the exit code of each _borel_path_runs argv
+BOREL_PATH_DIGESTS = REPO / "tests" / "golden" / "borel-paths.json"
 
 
 def test_shipped_b5_file_parses_to_catalog_algebra():
@@ -175,6 +178,52 @@ def test_eigen_paths_match_their_pinned_digests(monkeypatch, tmp_path, capsys):
     monkeypatch.delenv("ORBITKIT_SEED", raising=False)
     pinned = json.loads(EIGEN_PATH_DIGESTS.read_text(encoding="utf-8"))
     runs = _eigen_path_runs(tmp_path)
+    assert sorted(pinned) == sorted(runs)
+    for key, argv in runs.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert str(tmp_path) not in out + err, key
+        assert {"exit": code, "stdout": _sha256(out), "stderr": _sha256(err)} == pinned[key], key
+
+
+def _borel_orders(n):
+    """{label: basis order} of b_n: by (i, j), reversed and seeded-shuffled
+    for n <= 5; seeded-shuffled alone for b_6."""
+    names = list(borel(n).basis_names)
+    shuffled = names[:]
+    random.Random(f"borel-paths:{n}").shuffle(shuffled)
+    if n == 6:
+        return {"shuffled": shuffled}
+    return {"natural": names, "reversed": names[::-1], "shuffled": shuffled}
+
+
+def _borel_path_runs(workdir):
+    """{key: argv} of analyze, stabilizer, condition-r, polarize, orbit and
+    regularity-report --seed 0 on b_2..b_6 (three basis orders each, one for
+    b_6), in text mode and with --json; the commands that take a functional
+    get one seeded per file, with entries p/q, p in -3..3 and q in 1..3."""
+    runs = {}
+    for n in range(2, 7):
+        for label, order in _borel_orders(n).items():
+            name = f"b{n}-{label}.alg"
+            path = workdir / name
+            path.write_text(emit_algebra(borel(n, order)), encoding="utf-8")
+            rng = random.Random(name)
+            f = ",".join(f"{e}={Fraction(rng.randint(-3, 3), rng.randint(1, 3))}"
+                         for e in order)
+            commands = [["analyze"], ["regularity-report", "--seed", "0"],
+                        *([c, "--f", f] for c in ("stabilizer", "condition-r", "polarize",
+                                                  "orbit"))]
+            for command in commands:
+                for mode in ([], ["--json"]):
+                    runs[" ".join([command[0], name, *mode])] = [
+                        command[0], "--file", str(path), *command[1:], *mode]
+    return runs
+
+
+def test_borel_paths_match_their_pinned_digests(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+    pinned = json.loads(BOREL_PATH_DIGESTS.read_text(encoding="utf-8"))
+    runs = _borel_path_runs(tmp_path)
     assert sorted(pinned) == sorted(runs)
     for key, argv in runs.items():
         code, out, err = run_cli(capsys, *argv)
