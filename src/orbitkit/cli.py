@@ -25,14 +25,12 @@ from .catalog import catalog_names, get_entry
 from .coadjoint import (
     check_polarization,
     condition_R_at,
-    form_matrix,
     regularity_report,
     stabilizer,
     stabilizer_ideal,
     vergne_polarization,
 )
 from .errors import OrbitkitError, ParseError
-from .exactlin import rank
 from .invariants import (
     closure_membership,
     invariant_space,
@@ -187,13 +185,12 @@ def _cmd_stabilizer(args):
     g, entry = _load(args)
     f = _require_functional(args, g, entry)
     names = g.basis_names
-    b = form_matrix(g, f)
     gf = stabilizer(g, f)
     m = stabilizer_ideal(g, f)
     sub, _ = g.subalgebra(m)
     payload = {
         "functional": report.functional_json(f, names),
-        "form_rank": rank(b),
+        "form_rank": g.dim - gf.dim,  # rank-nullity on B_f
         "stabilizer": report.subspace_json(gf, names),
         "stabilizer_ideal": report.subspace_json(m, names),
         "stabilizer_ideal_basis_names": list(sub.basis_names),

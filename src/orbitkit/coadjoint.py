@@ -94,7 +94,8 @@ def vergne_polarization(g: LieAlgebra, flag, f) -> Subspace:
     """Sum of the stepwise stabilizers along a complete flag of ideals.
 
     flag must be a chain 0 = g_0 < g_1 < ... < g_n = g of ideals with
-    dim g_k = k (the leading zero term may be omitted).
+    dim g_k = k (the leading zero term may be omitted).  Each member's Gram
+    f([v, w]) = -w.B_f.v is read off B_f, formed once, on the supports.
     """
     f = vec(f)
     chain = [s for s in flag if s.dim > 0]
@@ -106,9 +107,12 @@ def vergne_polarization(g: LieAlgebra, flag, f) -> Subspace:
     for small, big in zip(chain, chain[1:]):
         if not big.contains_subspace(small):
             raise FlagInvalid("flag is not a chain")
+    b = form_matrix(g, f).entries
     result = Subspace.zero(g.dim)
     for gk in chain:
-        gram = Matrix([[vec_dot(f, g.bracket(vm, wj)) for vm in gk.basis] for wj in gk.basis])
+        vs = [[(i, x) for i, x in enumerate(v) if x] for v in gk.basis]
+        gram = Matrix([[-sum((y * b[j][i] * x for j, y in w for i, x in v if b[j][i]), Q0)
+                        for v in vs] for w in vs])
         result = result + gk.kernel_of(gram)
     return result
 

@@ -51,15 +51,21 @@ from .exactlin import (
     GaussianRational,
     Matrix,
     Q0,
+    Q1,
     Subspace,
     kernel,
-    rref,
+    rank,
     solve,
     unit_vector,
     vec,
     vec_scale,
     zero_vector,
 )
+
+
+def _support(v):
+    """The (index, value) pairs of the nonzero coordinates of v."""
+    return [(i, x) for i, x in enumerate(v) if x]
 
 
 @dataclass(frozen=True)
@@ -235,11 +241,12 @@ class LieAlgebra:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatch("vector length differs from algebra dimension")
-        out = list(zero_vector(n))
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+        return self._bracket_of_supports(_support(x), _support(y))
+
+    def _bracket_of_supports(self, xs, ys):
+        """[x, y] from the supports of x and y, reading only nonzero cells."""
+        out = [Q0] * self.dim
+        for i, xi in xs:
             row = self.sparse_table[i]
             for j, yj in ys:
                 cell = row[j]
@@ -254,9 +261,22 @@ class LieAlgebra:
         ideal, the matrix of ad(x) on it in its canonical basis.  The
         derivation of x sends the dual coordinate e_nu to sum_mu A[mu][nu] e_mu.
         """
-        cols = [self.bracket(x, unit_vector(self.dim, j)) for j in range(self.dim)]
-        a = Matrix.from_columns(cols)
+        if len(x) != self.dim:
+            raise DimensionMismatch("vector length differs from algebra dimension")
+        xs = _support(x)
+        if len(xs) == 1 and xs[0][1] == 1:
+            a = self._basis_ad_matrices()[xs[0][0]]
+        else:
+            a = self._ad_of_support(xs)
         return a if ideal is None else _restrict_to(a.apply, ideal)
+
+    def _ad_of_support(self, xs):
+        return Matrix.from_columns([self._bracket_of_supports(xs, ((j, Q1),))
+                                    for j in range(self.dim)])
+
+    @_memoized
+    def _basis_ad_matrices(self):
+        return tuple(self._ad_of_support(((i, Q1),)) for i in range(self.dim))
 
     def dual_names(self, ideal: Subspace | None = None):
         """Names of the coordinates on g*, or on the dual of an ideal; raises
@@ -268,7 +288,8 @@ class LieAlgebra:
         return self.subspace_names(ideal)
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        vectors = (self.bracket(u, v) for u in a.basis for v in b.basis)
+        bs = [_support(v) for v in b.basis]
+        vectors = (self._bracket_of_supports(_support(u), v) for u in a.basis for v in bs)
         return Subspace.from_vectors(self.dim, [w for w in vectors if any(w)])
 
     @_memoized
@@ -277,12 +298,13 @@ class LieAlgebra:
         return self.bracket_span(full, full)
 
     def is_subalgebra(self, v: Subspace) -> bool:
-        brackets = (self.bracket(a, b) for a, b in itertools.combinations(v.basis, 2))
+        vs = [_support(b) for b in v.basis]
+        brackets = (self._bracket_of_supports(a, b) for a, b in itertools.combinations(vs, 2))
         return all(v.contains(w) for w in brackets if any(w))
 
     def is_ideal(self, v: Subspace) -> bool:
-        brackets = (self.bracket(unit_vector(self.dim, i), b)
-                    for i in range(self.dim) for b in v.basis)
+        vs = [_support(b) for b in v.basis]
+        brackets = (self._bracket_of_supports(((i, Q1),), b) for i in range(self.dim) for b in vs)
         return all(v.contains(w) for w in brackets if any(w))
 
     def centralizer(self, v: Subspace) -> Subspace:
@@ -384,30 +406,33 @@ class LieAlgebra:
         vectors stay rational: a real eigenvalue is a Fraction, so Gaussian
         rationals appear only when a non-real eigenvalue is chosen.  Raises
         NonRationalSpectrum when an eigenvalue escapes Q(i).
+
+        The action of each basis and commutator ad-matrix on g/flag is kept
+        as q x q rows over the coordinates that are no flag pivot.  When v,
+        1 at its lead, joins the flag, M[r][c] -= v[r]*M[lead][c], then row
+        and column lead go.  That is the reduction modulo the new flag: its
+        pivots are the old ones and the lead, where the new columns vanish,
+        and a residue vanishing on the pivots is unique.  _eigen_ratio checks
+        each weight, read off the basis matrix times v.
         """
         if not self.is_solvable():
             raise PreconditionFailed("adjoint weights are defined for solvable algebras")
         n = self.dim
         comm = self.commutator_ideal()
         comp_coords = comm.complement_coordinates()
-        comm_mats = [self.ad_matrix(b) for b in comm.basis]
-        basis_mats = [self.ad_matrix(unit_vector(n, i)) for i in range(n)]
+        basis_mats = self._basis_ad_matrices()
+        actions = [[list(row) for row in a.entries]
+                   for a in basis_mats + tuple(self.ad_matrix(b) for b in comm.basis)]
+        free = list(range(n))  # the coordinates that are no flag pivot
 
-        flag_vectors = []
-        weights = []
-        flag = Subspace.zero(n)
-        while flag.dim < n:
-            np_coords = [c for c in range(n) if c not in flag.pivots]
-            q = len(np_coords)
+        def act(rows, v):
+            vs = _support(v)
+            return tuple(sum((row[c] * x for c, x in vs if row[c]), Q0) for row in rows)
 
-            def induce(mat):
-                cols = []
-                for c in np_coords:
-                    w = flag.reduce(mat.column(c))
-                    cols.append(tuple(w[p] for p in np_coords))
-                return Matrix.from_columns(cols)
-
-            w_space = Subspace.common_kernel(q, [induce(mat) for mat in comm_mats])
+        flag_vectors, weights = [], []
+        while free:
+            rows = [row for m in actions[n:] for row in m if any(row)]
+            w_space = Subspace.common_kernel(len(free), [Matrix(rows, len(free))])
             if w_space.dim == 0:
                 raise PreconditionFailed("no common null vector for the commutator action")
             for c in comp_coords:
@@ -415,7 +440,7 @@ class LieAlgebra:
                     break
                 if basis_mats[c].is_zero():
                     continue  # every vector is a 0-eigenvector: w_space stays whole
-                az = _restrict_to(induce(basis_mats[c]).apply, w_space)
+                az = _restrict_to(functools.partial(act, actions[c]), w_space)
                 eigs = _gaussian_eigenvalues(az)
                 if not eigs:
                     raise NonRationalSpectrum(
@@ -424,18 +449,21 @@ class LieAlgebra:
                         witness=self.basis_names[c])
                 # the first in (real, imag) order, as _gaussian_eigenvalues sorts
                 w_space = w_space.kernel_of(az.shifted(eigs[0][0]))
-            v_quot, lead = w_space.basis[0], w_space.pivots[0]
-            placed = dict(zip(np_coords, v_quot))
-            lifted = tuple(placed.get(c, Q0) for c in range(n))
-            # induce(ad e_i) applied to v_quot is ad(e_i)*lifted reduced modulo the flag
-            weight = []
-            for i in range(n):
-                image = flag.reduce(basis_mats[i].apply(lifted))
-                weight.append(_eigen_ratio(tuple(image[p] for p in np_coords), v_quot, lead,
-                                           self.basis_names[i]))
-            flag_vectors.append(lifted)
-            flag = Subspace.from_vectors(n, flag.basis + (lifted,))
-            weights.append(tuple(weight))
+            v, lead = w_space.basis[0], w_space.pivots[0]
+            weights.append(tuple(_eigen_ratio(act(actions[i], v), v, lead, name)
+                                 for i, name in enumerate(self.basis_names)))
+            placed = dict(zip(free, v))
+            flag_vectors.append(tuple(placed.get(c, Q0) for c in range(n)))
+            del free[lead]
+            for m in actions:
+                top = [(c, y) for c, y in enumerate(m[lead]) if y]
+                for r, x in _support(v):  # row lead becomes zero, and goes
+                    row = m[r]
+                    for c, y in top:
+                        row[c] = row[c] - x * y
+                del m[lead]
+                for row in m:
+                    del row[lead]
         return tuple(flag_vectors), tuple(weights)
 
     def adjoint_weights(self):
@@ -479,20 +507,26 @@ class LieAlgebra:
     def nilradical(self) -> Subspace:
         """Maximal nilpotent ideal of a solvable algebra.
 
-        The radical of the Killing form k_ij = sum_{k,l} c_ik^l c_jl^k is an
+        The radical of the Killing form k_ij = sum_{k,l} c_ik^l c_jl^k, which
+        _killing_form sums over the nonzero structure constants alone, is an
         ideal containing it, and is it when nilpotent; else (roots (1 +- i)*t
         have k(x, x) = 0) it is the common kernel of the roots (de Graaf 2000).
         """
-        n, c, s = self.dim, self.table, self.sparse_table
-        result = kernel(Matrix([[sum((x * c[j][l][k] for k, cell in enumerate(s[i])
-                                      for l, x in cell), Q0)
-                                 for j in range(n)] for i in range(n)]))
+        result = kernel(self._killing_form())
         if not self._is_nilpotent_ideal_over_commutator(result):
-            result = mtilde(self, Subspace.zero(n))  # every root vanishes on 0
+            result = mtilde(self, Subspace.zero(self.dim))  # every root vanishes on 0
             if not self._is_nilpotent_ideal_over_commutator(result):
                 raise PreconditionFailed("computed nilradical is not a nilpotent ideal "
                                          "containing the commutator ideal")
         return result
+
+    def _killing_form(self) -> Matrix:
+        """k_ij = tr(ad e_i ad e_j) from the nonzero cells: the constant
+        c_ik^l at cell (k, l) of row i meets c_jl^k at cell (l, k) of row j."""
+        cells = [{(k, l): x for k, cell in enumerate(row) for l, x in cell}
+                 for row in self.sparse_table]
+        return Matrix([[sum((x * cj[l, k] for (k, l), x in ci.items() if (l, k) in cj), Q0)
+                        for cj in cells] for ci in cells])
 
     def _is_nilpotent_ideal_over_commutator(self, v: Subspace) -> bool:
         """Containing [g, g] is what makes v an ideal: [g, v] <= [g, g] <= v."""
@@ -510,7 +544,7 @@ class LieAlgebra:
             im_zero = all(x == 0 for x in root.im)
             if im_zero:
                 continue
-            if re_zero or len(rref([root.re, root.im])[0]) != 1:
+            if re_zero or rank(Matrix([root.re, root.im])) != 1:
                 return ExponentialVerdict(
                     "not-exponential", witness=root,
                     detail="imaginary part of a root is not a rational multiple "

@@ -3,12 +3,14 @@ Leibniz derivation, the dense derivation matrix, and the invariant and
 semi-invariant search on the whole monomial span at once with every piece
 refined, the generalized eigenspace from the dense matrix
 power, monomial coordinates, the general-position test, the greedy
-coordinate complement, the dense bracket and rational Jacobi check,
+coordinate complement, the dense bracket, ad-matrix, bracket span, ideal
+and subalgebra tests, Killing form and rational Jacobi check, the flag
+search that reduces every column modulo the flag at each step,
 right-first normal ordering of a generator word, word-by-word evaluation
 of an enveloping-algebra element, the Leibniz sum for composing
 differential operators, identity, product and substitution on flows (rows
 of ExpPoly entries), the closure search's fold and coordinate descent on
-Fractions, the upper-triangular algebra b_3 in any basis order, the
+Fractions, the upper-triangular algebra b_n in any basis order, the
 gaussian-weights algebra as .alg text, and a drawn rational basis and an
 algebra in it.  No orbitkit command needs them."""
 
@@ -18,10 +20,10 @@ from math import comb, lcm
 from hypothesis import strategies as st
 
 from orbitkit.envelop import MINUS_I, PLUS_I, XI, DiffOp, UEAElement
-from orbitkit.errors import DimensionMismatch
+from orbitkit.errors import DimensionMismatch, NonRationalSpectrum, PreconditionFailed
 from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, solve, unit_vector, vec
 from orbitkit.invariants import _capped, _monomials, _vector_to_poly
-from orbitkit.liealg import LieAlgebra, _gaussian_eigenvalues, _restrict_to
+from orbitkit.liealg import LieAlgebra, _eigen_ratio, _gaussian_eigenvalues, _restrict_to
 from orbitkit.symflow import ExpPoly
 
 
@@ -236,6 +238,86 @@ def dense_bracket(g: LieAlgebra, x, y):
     n = g.dim
     return tuple(sum((x[i] * y[j] * g.table[i][j][k] for i in range(n) for j in range(n)), Q0)
                  for k in range(n))
+
+
+def dense_ad_matrix(g: LieAlgebra, x) -> Matrix:
+    """A[k][j] = sum_i x_i c_ij^k over every cell of the dense table."""
+    n = g.dim
+    return Matrix([[sum((x[i] * g.table[i][j][k] for i in range(n)), Q0) for j in range(n)]
+                   for k in range(n)])
+
+
+def dense_bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
+    return Subspace.from_vectors(g.dim, [dense_bracket(g, u, v)
+                                         for u in a.basis for v in b.basis])
+
+
+def dense_is_ideal(g: LieAlgebra, v: Subspace) -> bool:
+    return all(v.contains(dense_bracket(g, unit_vector(g.dim, i), b))
+               for i in range(g.dim) for b in v.basis)
+
+
+def dense_is_subalgebra(g: LieAlgebra, v: Subspace) -> bool:
+    return all(v.contains(dense_bracket(g, a, b)) for a in v.basis for b in v.basis)
+
+
+def dense_killing_form(g: LieAlgebra) -> Matrix:
+    """k_ij = sum over every k, l of c_ik^l c_jl^k in the dense table."""
+    c, n = g.table, g.dim
+    return Matrix([[sum((c[i][k][l] * c[j][l][k] for k in range(n) for l in range(n)), Q0)
+                    for j in range(n)] for i in range(n)])
+
+
+def triangularize_by_induce(g: LieAlgebra):
+    """The flag search with the dense ad-matrices, reducing every column of
+    each modulo the flag and rebuilding the flag's echelon basis at every
+    step; the same (flag vectors, weights) as LieAlgebra._triangularize."""
+    n = g.dim
+    comm = g.commutator_ideal()
+    comp_coords = comm.complement_coordinates()
+    comm_mats = [dense_ad_matrix(g, b) for b in comm.basis]
+    basis_mats = [dense_ad_matrix(g, unit_vector(n, i)) for i in range(n)]
+    flag_vectors, weights = [], []
+    flag = Subspace.zero(n)
+    while flag.dim < n:
+        np_coords = [c for c in range(n) if c not in flag.pivots]
+        q = len(np_coords)
+
+        def induce(mat):
+            cols = []
+            for c in np_coords:
+                w = flag.reduce(mat.column(c))
+                cols.append(tuple(w[p] for p in np_coords))
+            return Matrix.from_columns(cols)
+
+        w_space = Subspace.common_kernel(q, [induce(mat) for mat in comm_mats])
+        if w_space.dim == 0:
+            raise PreconditionFailed("no common null vector for the commutator action")
+        for c in comp_coords:
+            if w_space.dim == 1:
+                break
+            if basis_mats[c].is_zero():
+                continue
+            az = _restrict_to(induce(basis_mats[c]).apply, w_space)
+            eigs = _gaussian_eigenvalues(az)
+            if not eigs:
+                raise NonRationalSpectrum(
+                    f"ad({g.basis_names[c]}) has no Gaussian-rational "
+                    "eigenvalue on the current invariant subspace",
+                    witness=g.basis_names[c])
+            w_space = w_space.kernel_of(az.shifted(eigs[0][0]))
+        v_quot, lead = w_space.basis[0], w_space.pivots[0]
+        placed = dict(zip(np_coords, v_quot))
+        lifted = tuple(placed.get(c, Q0) for c in range(n))
+        weight = []
+        for i in range(n):
+            image = flag.reduce(basis_mats[i].apply(lifted))
+            weight.append(_eigen_ratio(tuple(image[p] for p in np_coords), v_quot, lead,
+                                       g.basis_names[i]))
+        flag_vectors.append(lifted)
+        flag = Subspace.from_vectors(n, flag.basis + (lifted,))
+        weights.append(tuple(weight))
+    return tuple(flag_vectors), tuple(weights)
 
 
 def first_jacobi_defect(table):

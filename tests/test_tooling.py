@@ -144,6 +144,7 @@ REACH_ALLOWED = {
     "perfbench names it, so it leaves with a change to the benchmark": (
         "algfile.emit_algebra", "algfile._format_coeff_name", "coadjoint.functional",
         "exactlin.solve", "exactlin.Matrix.zero", "exactlin.Matrix.row",
+        "exactlin.Matrix.column",
         "exactlin.Subspace.intersect", "exactlin.Subspace.annihilator_matrix",
         "liealg.LieAlgebra.quotient", "liealg.LieAlgebra.quotient.<locals>.project"),
     "ROADMAP gives it a caller: critical_test (item 2), verify (item 5)": (
