@@ -622,10 +622,31 @@ def _flag_ideals(g):
         return []
 
 
+# beside the catalog and b_2..b_4: the spiral (roots (1 +- i)*a), the
+# gaussian-weights algebra and roots +-sqrt(2), which leave Q(i)
+_SPARSE_CASES = {
+    "b2": lambda: borel(2), "b3": borel3, "b4": lambda: borel(4),
+    "spiral": _killing_blind,
+    "gaussian-weights": lambda: parse_algebra(GAUSSIAN_WEIGHTS_ALG),
+    "sqrt2": lambda: LieAlgebra.construct(("a", "x", "y"),
+                                          {("a", "x"): {"y": 1}, ("a", "y"): {"x": 2}}),
+}
+SPARSE_CASES = CATALOG_NAMES + list(_SPARSE_CASES)
+
+
+def _sparse_algebra(name):
+    return _SPARSE_CASES[name]() if name in _SPARSE_CASES else get_entry(name).algebra
+
+
+def _sparse_case(name, data):
+    g = _sparse_algebra(name)
+    return draw_basis_change(data, g) if data.draw(st.booleans(), label="change") else g
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(CATALOG_NAMES + ["b3"]), st.data())
+@given(st.sampled_from(SPARSE_CASES), st.data())
 def test_bracket_equals_the_dense_reference_after_a_basis_change(name, data):
-    g = draw_basis_change(data, _catalog_or_b3(name))
+    g = draw_basis_change(data, _sparse_algebra(name))
     for _ in range(3):
         x, y = _draw_vector(data, g.dim, "x"), _draw_vector(data, g.dim, "y")
         assert g.bracket(x, y) == dense_bracket(g, x, y)
@@ -648,30 +669,12 @@ def test_ideal_and_subalgebra_tests_agree_with_the_bracket_span(name, change, da
     assert all(g.is_ideal(v) and g.is_subalgebra(v) for v in flag)
 
 
-# beside the catalog and b_2..b_4: the spiral (roots (1 +- i)*a), the
-# gaussian-weights algebra and roots +-sqrt(2), which leave Q(i)
-_SPARSE_CASES = {
-    "b2": lambda: borel(2), "b3": borel3, "b4": lambda: borel(4),
-    "spiral": _killing_blind,
-    "gaussian-weights": lambda: parse_algebra(GAUSSIAN_WEIGHTS_ALG),
-    "sqrt2": lambda: LieAlgebra.construct(("a", "x", "y"),
-                                          {("a", "x"): {"y": 1}, ("a", "y"): {"x": 2}}),
-}
-SPARSE_CASES = CATALOG_NAMES + list(_SPARSE_CASES)
-
-
-def _sparse_case(name, data):
-    g = _SPARSE_CASES[name]() if name in _SPARSE_CASES else get_entry(name).algebra
-    return draw_basis_change(data, g) if data.draw(st.booleans(), label="change") else g
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SPARSE_CASES), st.data())
 def test_sparse_structure_sweeps_equal_their_dense_references(name, data):
     g = _sparse_case(name, data)
     n = g.dim
-    x, y = _draw_vector(data, n, "x"), _draw_vector(data, n, "y")
-    assert g.bracket(x, y) == dense_bracket(g, x, y)
+    x = _draw_vector(data, n, "x")
     for v in (x, unit_vector(n, data.draw(st.integers(0, n - 1), label="i"))):
         assert g.ad_matrix(v) == dense_ad_matrix(g, v)
     for a in [_draw_subspace(data, n) for _ in range(2)] + [span(n, [n - 1])]:
@@ -687,26 +690,31 @@ def test_killing_form_equals_the_dense_triple_sum(name, data):
     assert g._killing_form() == dense_killing_form(g)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(SPARSE_CASES), st.data())
-def test_flag_search_equals_the_search_that_reduces_every_column(name, data):
-    g = _sparse_case(name, data)
+def _same_flag_search(g):
+    """Assert that the flag search gives the reference's flag and weights, or
+    raises its NonRationalSpectrum; True when there is a flag."""
     try:
         expected = triangularize_by_induce(g)
     except NonRationalSpectrum as exc:
         with pytest.raises(NonRationalSpectrum) as err:
             g._triangularize()
         assert (str(err.value), err.value.witness) == (str(exc), exc.witness)
-        return
+        return False
     assert g._triangularize() == expected
+    return True
 
 
-def test_the_flag_search_reference_meets_every_kind_of_spectrum():
-    # the draws above see non-real weights and a spectrum outside Q(i)
-    weights = triangularize_by_induce(_SPARSE_CASES["gaussian-weights"]())[1]
-    assert any(lam.imag for w in weights for lam in w)
-    with pytest.raises(NonRationalSpectrum):
-        triangularize_by_induce(_SPARSE_CASES["sqrt2"]())
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SPARSE_CASES), st.data())
+def test_flag_search_equals_the_search_that_reduces_every_column(name, data):
+    _same_flag_search(_sparse_case(name, data))
+
+
+def test_flag_search_equals_the_reference_on_non_real_and_irrational_spectra():
+    g = _sparse_algebra("gaussian-weights")
+    assert _same_flag_search(g)
+    assert any(lam.imag for w in g._triangularize()[1] for lam in w)
+    assert not _same_flag_search(_sparse_algebra("sqrt2"))
 
 
 @settings(max_examples=60, deadline=None)
