@@ -187,7 +187,9 @@ def borel(n, order=None) -> LieAlgebra:
 
 
 def borel3(order=None) -> LieAlgebra:
+    """b_3, which the tests sample beside the catalog."""
     return borel(3, order)
+
 
 
 # ad(a) and ad(b) act on x, y, u, v by rotation blocks, ad(b) between the two

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import CATALOG_NAMES, GAUSSIAN_WEIGHTS_ALG, borel, borel3, draw_basis_change
+from reference import CATALOG_NAMES, GAUSSIAN_WEIGHTS_ALG, borel, draw_basis_change
 
 from orbitkit import cli
 from orbitkit.algfile import emit_algebra, parse_algebra, parse_functional
@@ -143,9 +143,9 @@ EIGEN_PATH_FILES = {
     "killing-blind.alg": "basis a x y\nbracket a x = x + y\nbracket a y = -x + y\n",
     "half.alg": "basis a b\nbracket a b = 1/2*b\n",
     "f4.alg": "basis x1 x2 x3 x4\nbracket x1 x2 = x3\nbracket x1 x3 = x4\n",
-    "b3.alg": emit_algebra(borel3()),
-    "b3-reversed.alg": emit_algebra(borel3(_B3_NAMES[::-1])),
-    "b3-diagonal-first.alg": emit_algebra(borel3(sorted(_B3_NAMES,
+    "b3.alg": emit_algebra(borel(3)),
+    "b3-reversed.alg": emit_algebra(borel(3, _B3_NAMES[::-1])),
+    "b3-diagonal-first.alg": emit_algebra(borel(3, sorted(_B3_NAMES,
                                                         key=lambda e: (e[2] > e[1], e)))),
 }
 

@@ -16,7 +16,6 @@ from reference import (
     COORD,
     GAUSSIAN_WEIGHTS_ALG,
     borel,
-    borel3,
     dense_ad_matrix,
     dense_bracket,
     dense_bracket_span,
@@ -267,7 +266,7 @@ def _triangularized(g):
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(CATALOG_NAMES + ["b3"]), st.data())
 def test_killing_nilradical_equals_the_root_kernels_after_a_basis_change(name, data):
-    g = draw_basis_change(data, borel3() if name == "b3" else get_entry(name).algebra)
+    g = draw_basis_change(data, borel(3) if name == "b3" else get_entry(name).algebra)
     nilrad = g.nilradical()
     # the Killing radical certified itself: no triangularization ran
     assert _triangularized(g) == set()
@@ -603,7 +602,7 @@ def test_gaussian_entry_triangularization_keeps_its_output(command, monkeypatch,
 # -- the sparse structure table against dense references ---------------------
 
 def _catalog_or_b3(name):
-    return borel3() if name == "b3" else get_entry(name).algebra
+    return borel(3) if name == "b3" else get_entry(name).algebra
 
 
 def _draw_vector(data, n, label):
@@ -625,7 +624,7 @@ def _flag_ideals(g):
 # beside the catalog and b_2..b_4: the spiral (roots (1 +- i)*a), the
 # gaussian-weights algebra and roots +-sqrt(2), which leave Q(i)
 _SPARSE_CASES = {
-    "b2": lambda: borel(2), "b3": borel3, "b4": lambda: borel(4),
+    "b2": lambda: borel(2), "b3": lambda: borel(3), "b4": lambda: borel(4),
     "spiral": _killing_blind,
     "gaussian-weights": lambda: parse_algebra(GAUSSIAN_WEIGHTS_ALG),
     "sqrt2": lambda: LieAlgebra.construct(("a", "x", "y"),
