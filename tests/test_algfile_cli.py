@@ -21,8 +21,7 @@ from orbitkit.errors import AntisymmetryViolation, ParseError
 from orbitkit.liealg import b5
 
 REPO = Path(__file__).resolve().parent.parent
-# sha256 of stdout and the exit code of each _pinned_runs argv, as in
-# perfbench/digests.json
+# sha256 of stdout and stderr and the exit code of each _pinned_runs argv
 OUTPUT_DIGESTS = REPO / "tests" / "golden" / "catalog-output.json"
 # sha256 of stdout and stderr and the exit code of each _eigen_path_runs argv
 EIGEN_PATH_DIGESTS = REPO / "tests" / "golden" / "eigen-paths.json"
@@ -102,32 +101,51 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_CATALOG_COMMANDS = [["analyze"], ["stabilizer"], ["condition-r"], ["polarize"], ["orbit"],
+                     ["regularity-report", "--seed", "0"],
+                     *(["invariants", "--degree", str(d)] for d in range(1, 5))]
+# argv that end in a usage error (exit 1) or a computation error (exit 2)
+_FAILING_RUNS = [["analyze", "--catalog", "abelian0"], ["analyze"],
+                 ["condition-r", "--catalog", "b5", "--f", "e3=1,e3=2"],
+                 ["closure-test", "--catalog", "b5", "--g", "e3=1", "--budget", "0"],
+                 ["regularity-report", "--catalog", "b5", "--seed", "x"],
+                 ["closure-test", "--catalog", "e2-motion", "--g", "a=0,x=0,y=1"]]
+
+
 def _pinned_runs():
     """{key: argv} for the catalog runs whose output is pinned, each in text
-    mode and with --json: invariants at degree 1..4 and orbit on every
-    catalog entry, and closure-test at degree 3 on b5 with one target the
-    search finds near the orbit and one a semi-invariant certifies off it."""
-    runs = [["invariants", "--catalog", name, "--degree", str(d)]
-            for name in CATALOG_NAMES for d in range(1, 5)]
-    runs += [["orbit", "--catalog", name] for name in CATALOG_NAMES]
+    mode and with --json: every subcommand but closure-test on every catalog
+    entry (invariants at degree 1..4), closure-test at degree 3 on b5 with
+    four targets (one the search finds near the orbit, one an exact point
+    and two a semi-invariant certifies off it), catalog, and _FAILING_RUNS."""
+    runs = [command[:1] + ["--catalog", name] + command[1:]
+            for name in CATALOG_NAMES for command in _CATALOG_COMMANDS]
     runs += [["closure-test", "--catalog", "b5", "--degree", "3", "--g", g]
-             for g in ("e1=3,e0=5", "e1=1,e2=2")]
+             for g in ("e1=3,e0=5", "e1=1,e2=2", "e0=1/3,e3=1", "e1=3,e0=5,e3=1/2")]
+    runs += [["catalog"], *_FAILING_RUNS]
     return {" ".join(argv + mode): argv + mode for argv in runs for mode in ([], ["--json"])}
 
 
-def _output_digest(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
-    return {"argv": argv, "exit": code,
-            "sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _replay(capsys, digests, runs, workdir=None):
+    """Run each argv of runs and compare its exit code and the sha256 of its
+    stdout and stderr with the record of its key in the digests file; a run
+    on a file in workdir must not print that directory."""
+    pinned = json.loads(digests.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(runs)
+    for key, argv in runs.items():
+        code, out, err = run_cli(capsys, *argv)
+        if workdir is not None:
+            assert str(workdir) not in out + err, key
+        assert {"exit": code, "stdout": _sha256(out), "stderr": _sha256(err)} == pinned[key], key
 
 
 def test_catalog_output_matches_its_pinned_digests(monkeypatch, capsys):
     monkeypatch.delenv("ORBITKIT_SEED", raising=False)
-    pinned = json.loads(OUTPUT_DIGESTS.read_text(encoding="utf-8"))
-    runs = _pinned_runs()
-    assert sorted(pinned) == sorted(runs)
-    for key, argv in runs.items():
-        assert _output_digest(capsys, argv) == pinned[key], key
+    _replay(capsys, OUTPUT_DIGESTS, _pinned_runs())
 
 
 _B3_NAMES = ["E00", "E01", "E02", "E11", "E12", "E22"]
@@ -170,19 +188,9 @@ def _eigen_path_runs(workdir):
     return runs
 
 
-def _sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def test_eigen_paths_match_their_pinned_digests(monkeypatch, tmp_path, capsys):
     monkeypatch.delenv("ORBITKIT_SEED", raising=False)
-    pinned = json.loads(EIGEN_PATH_DIGESTS.read_text(encoding="utf-8"))
-    runs = _eigen_path_runs(tmp_path)
-    assert sorted(pinned) == sorted(runs)
-    for key, argv in runs.items():
-        code, out, err = run_cli(capsys, *argv)
-        assert str(tmp_path) not in out + err, key
-        assert {"exit": code, "stdout": _sha256(out), "stderr": _sha256(err)} == pinned[key], key
+    _replay(capsys, EIGEN_PATH_DIGESTS, _eigen_path_runs(tmp_path), tmp_path)
 
 
 def _borel_orders(n):
@@ -222,13 +230,7 @@ def _borel_path_runs(workdir):
 
 def test_borel_paths_match_their_pinned_digests(monkeypatch, tmp_path, capsys):
     monkeypatch.delenv("ORBITKIT_SEED", raising=False)
-    pinned = json.loads(BOREL_PATH_DIGESTS.read_text(encoding="utf-8"))
-    runs = _borel_path_runs(tmp_path)
-    assert sorted(pinned) == sorted(runs)
-    for key, argv in runs.items():
-        code, out, err = run_cli(capsys, *argv)
-        assert str(tmp_path) not in out + err, key
-        assert {"exit": code, "stdout": _sha256(out), "stderr": _sha256(err)} == pinned[key], key
+    _replay(capsys, BOREL_PATH_DIGESTS, _borel_path_runs(tmp_path), tmp_path)
 
 
 def test_cli_catalog_lists_entries(capsys):
