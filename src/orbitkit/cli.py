@@ -5,6 +5,10 @@ Algebras come from --catalog <name> or --file <path>; functionals use the
 syntax --f "e3=1,e0=2/3".  --json switches to the machine-readable report
 format.  ORBITKIT_SEED sets the default seed.
 
+Each _cmd_* returns (payload, lines): the result that --json wraps in the
+report envelope, and the text-mode lines, yielded lazily so that a --json run
+formats none.  main alone writes stdout, once the whole output is formatted.
+
 Exit codes: 0 completed (verdicts are in the payload), 1 usage error, 2
 computation error.  Every failure is exit 1 or exit 2: bad arguments, bad
 numbers, an unreadable or malformed file, or a bad ORBITKIT_SEED end in a
@@ -116,31 +120,33 @@ def _orbit_steps(g, entry):
     return [(g.basis_vector(name), f"s{i+1}") for i, name in enumerate(g.basis_names)]
 
 
-def _print_subspace(label, s, names):
+def _subspace_line(label, s, names):
     rows = [" + ".join(f"{x}*{n}" for x, n in zip(row, names) if x != 0) or "0"
             for row in s.basis]
-    print(f"{label}: dim {s.dim}" + (" span{" + "; ".join(rows) + "}" if rows else ""))
+    return f"{label}: dim {s.dim}" + (" span{" + "; ".join(rows) + "}" if rows else "")
+
+
+def _certificate_lines(cert, names, m_label, stable_label, values_label):
+    """Text lines of a condition (R) certificate: m, its stable term, f there."""
+    yield _subspace_line(m_label, cert.m, names)
+    yield _subspace_line(stable_label, cert.m_infinity, names)
+    yield f"{values_label}: " + ", ".join(str(x) for x in cert.values_on_m_infinity)
 
 
 # -- commands ----------------------------------------------------------------
 
 def _cmd_catalog(args):
-    payload = []
+    entries = []
     for name in catalog_names():
         if name == "abelian<n>":
-            payload.append({"name": name, "dim": None,
-                            "description": "abelian algebra of any dimension"})
-            continue
-        entry = get_entry(name)
-        payload.append({"name": name, "dim": entry.algebra.dim,
-                        "description": entry.description})
-    if args.json:
-        sys.stdout.write(report.envelope("catalog", {"entries": payload}))
-    else:
-        for item in payload:
-            dim = "?" if item["dim"] is None else item["dim"]
-            print(f"{item['name']:12s} dim {dim:>2}  {item['description']}")
-    return 0
+            dim, description = None, "abelian algebra of any dimension"
+        else:
+            entry = get_entry(name)
+            dim, description = entry.algebra.dim, entry.description
+        entries.append({"name": name, "dim": dim, "description": description})
+    return {"entries": entries}, (
+        f"{item['name']:12s} dim {'?' if item['dim'] is None else item['dim']:>2}  "
+        f"{item['description']}" for item in entries)
 
 
 def _cmd_analyze(args):
@@ -158,27 +164,23 @@ def _cmd_analyze(args):
         "exponential": report.exponential_json(exp),
     }
     try:
-        roots = g.adjoint_weights()
-        payload["roots"] = [report.root_json(r) for r in roots]
+        payload["roots"] = [report.root_json(r) for r in g.adjoint_weights()]
         nilrad = g.nilradical()
         payload["nilradical"] = report.subspace_json(nilrad, names)
     except OrbitkitError as exc:
         payload["roots_error"] = str(exc)
-    if args.json:
-        sys.stdout.write(report.envelope("analyze", payload))
-        return 0
-    print(f"dimension: {g.dim}  basis: {' '.join(names)}")
-    print(f"solvable: {payload['solvable']}  nilpotent: {payload['nilpotent']}")
-    _print_subspace("commutator ideal", comm, names)
-    _print_subspace("center", center, names)
-    if "nilradical" in payload:
-        _print_subspace("nilradical", nilrad, names)
-        print("roots (re; im as covectors):")
-        for r in roots:
-            print(f"  re={tuple(map(str, r.re))} im={tuple(map(str, r.im))} "
-                  f"x{r.multiplicity}")
-    print(f"exponential: {exp.kind}" + (f" ({exp.detail})" if exp.detail else ""))
-    return 0
+    def lines():
+        yield f"dimension: {g.dim}  basis: {' '.join(names)}"
+        yield f"solvable: {payload['solvable']}  nilpotent: {payload['nilpotent']}"
+        yield _subspace_line("commutator ideal", comm, names)
+        yield _subspace_line("center", center, names)
+        if "nilradical" in payload:
+            yield _subspace_line("nilradical", nilrad, names)
+            yield "roots (re; im as covectors):"
+            for r in payload["roots"]:
+                yield f"  re={tuple(r['re'])} im={tuple(r['im'])} x{r['multiplicity']}"
+        yield f"exponential: {exp.kind}" + (f" ({exp.detail})" if exp.detail else "")
+    return payload, lines()
 
 
 def _cmd_stabilizer(args):
@@ -195,98 +197,79 @@ def _cmd_stabilizer(args):
         "stabilizer_ideal": report.subspace_json(m, names),
         "stabilizer_ideal_basis_names": list(sub.basis_names),
     }
-    if args.json:
-        sys.stdout.write(report.envelope("stabilizer", payload))
-        return 0
-    print(f"form rank: {payload['form_rank']} (orbit dimension)")
-    _print_subspace("stabilizer g_f", gf, names)
-    _print_subspace("stabilizer ideal m = g_f + n", m, names)
-    print("bracket table of m:")
-    for i in range(sub.dim):
-        for j in range(i + 1, sub.dim):
-            cell = sub.sparse_table[i][j]
-            if cell:
-                text = " + ".join(f"{c}*{sub.basis_names[k]}" for k, c in cell)
-                print(f"  [{sub.basis_names[i]},{sub.basis_names[j]}] = {text}")
-    return 0
+    def lines():
+        yield f"form rank: {payload['form_rank']} (orbit dimension)"
+        yield _subspace_line("stabilizer g_f", gf, names)
+        yield _subspace_line("stabilizer ideal m = g_f + n", m, names)
+        yield "bracket table of m:"
+        for i in range(sub.dim):
+            for j in range(i + 1, sub.dim):
+                cell = sub.sparse_table[i][j]
+                if cell:
+                    text = " + ".join(f"{c}*{sub.basis_names[k]}" for k, c in cell)
+                    yield f"  [{sub.basis_names[i]},{sub.basis_names[j]}] = {text}"
+    return payload, lines()
 
 
 def _cmd_condition_r(args):
     g, entry = _load(args)
     f = _require_functional(args, g, entry)
     holds, cert = condition_R_at(g, f)
-    if args.json:
-        sys.stdout.write(report.envelope(
-            "condition-r", report.condition_r_json(cert, g.basis_names)))
-        return 0
-    print(f"condition (R) at f: {'holds' if holds else 'FAILS'}")
-    _print_subspace("stabilizer ideal m", cert.m, g.basis_names)
-    _print_subspace("stable term of the central series", cert.m_infinity,
-                    g.basis_names)
-    print("values of f on the stable term: "
-          + ", ".join(str(x) for x in cert.values_on_m_infinity))
-    return 0
+    def lines():
+        yield f"condition (R) at f: {'holds' if holds else 'FAILS'}"
+        yield from _certificate_lines(cert, g.basis_names, "stabilizer ideal m",
+                                      "stable term of the central series",
+                                      "values of f on the stable term")
+    return report.condition_r_json(cert, g.basis_names), lines()
 
 
 def _cmd_polarize(args):
     g, entry = _load(args)
     f = _require_functional(args, g, entry)
-    if entry is not None and entry.ideal_flag is not None:
-        flag = entry.ideal_flag
-    else:
-        flag = g.composition_flag()
-    p = vergne_polarization(g, flag, f)
+    catalog_flag = entry is not None and entry.ideal_flag is not None
+    p = vergne_polarization(g, entry.ideal_flag if catalog_flag else g.composition_flag(), f)
     rep = check_polarization(g, f, p)
-    if args.json:
-        sys.stdout.write(report.envelope(
-            "polarize", report.polarization_json(rep, g.basis_names)))
-        return 0
-    _print_subspace("Vergne polarization", p, g.basis_names)
-    print(f"subalgebra: {rep.is_subalgebra}  isotropic: {rep.is_isotropic}  "
-          f"dimension: {rep.dimension_ok}  contains stabilizer: "
-          f"{rep.contains_stabilizer}")
-    print(f"certified: {rep.certified}")
-    return 0
+    def lines():
+        yield _subspace_line("Vergne polarization", p, g.basis_names)
+        yield (f"subalgebra: {rep.is_subalgebra}  isotropic: {rep.is_isotropic}  "
+               f"dimension: {rep.dimension_ok}  contains stabilizer: "
+               f"{rep.contains_stabilizer}")
+        yield f"certified: {rep.certified}"
+    return report.polarization_json(rep, g.basis_names), lines()
 
 
 def _cmd_orbit(args):
     g, entry = _load(args)
-    steps = _orbit_steps(g, entry)
     if entry is not None and entry.symbolic_start is not None and args.f is None:
         start = entry.symbolic_start
     else:
         start = _require_functional(args, g, entry)
-    om = orbit_map(g, start, steps)
-    if args.json:
-        sys.stdout.write(report.envelope("orbit", report.orbit_json(om)))
-        return 0
-    print("coadjoint orbit map (coordinates of the second kind):")
-    for n, c in zip(om.component_names, om.components):
-        print(f"  {n}: {c}")
-    return 0
+    payload = report.orbit_json(orbit_map(g, start, _orbit_steps(g, entry)))
+    def lines():
+        yield "coadjoint orbit map (coordinates of the second kind):"
+        for n, c in payload["components"].items():
+            yield f"  {n}: {c}"
+    return payload, lines()
 
 
 def _cmd_invariants(args):
     g, entry = _load(args)
     semis = semi_invariants(g, args.degree)
-    inv = invariant_space(g, semis)
     payload = {
         "degree_bound": args.degree,
-        "invariants": [str(q) for q in inv],
+        "invariants": [str(q) for q in invariant_space(g, semis)],
         "semi_invariants": [{"polynomial": str(q),
                              "weight": [report.rational_str(x) for x in w]}
                             for q, w in semis],
     }
-    if args.json:
-        sys.stdout.write(report.envelope("invariants", payload))
-        return 0
-    print(f"invariant polynomials up to degree {args.degree}:")
-    for q in inv:
-        print(f"  {q}")
-    print("semi-invariants (with weight covector):")
-    for q, w in semis:
-        print(f"  {q}   weight {tuple(map(str, w))}")
-    return 0
+    def lines():
+        yield f"invariant polynomials up to degree {args.degree}:"
+        for q in payload["invariants"]:
+            yield f"  {q}"
+        yield "semi-invariants (with weight covector):"
+        for semi in payload["semi_invariants"]:
+            yield f"  {semi['polynomial']}   weight {tuple(semi['weight'])}"
+    return payload, lines()
 
 
 def _cmd_closure_test(args):
@@ -298,30 +281,24 @@ def _cmd_closure_test(args):
     f = _require_functional(args, g, entry)
     if not args.g:
         raise SystemExit(_usage_error("--g is required for closure-test"))
-    steps = _orbit_steps(g, entry)
-    if entry is not None and entry.stabilizer_names is not None:
-        # test in the dual of the stabilizer ideal, as the worked example does
-        m = stabilizer_ideal(g, f)
-        om = orbit_map(g, f, steps, restrict_to=m)
-    else:
-        om = orbit_map(g, f, steps)
+    # test in the dual of the stabilizer ideal where the worked example does
+    m = None if entry is None or entry.stabilizer_names is None else stabilizer_ideal(g, f)
+    om = orbit_map(g, f, _orbit_steps(g, entry), restrict_to=m)
     target = _parse_functional_arg(args.g, om.component_names)
     certs = orbit_certificates(g, f, om, args.degree)
-    verdict = closure_membership(om, target, certs,
-                                 tol=Fraction(1, 10 ** args.tol_exponent),
-                                 budget=args.budget, seed=args.seed)
-    if args.json:
-        sys.stdout.write(report.envelope("closure-test", report.closure_json(verdict)))
-        return 0
-    print(f"verdict: {verdict.kind}")
-    if verdict.invariant is not None:
-        print(f"certificate: invariant {verdict.invariant} has value "
-              f"{verdict.invariant_value} at the target")
-    if verdict.squared_distance is not None:
-        print(f"squared distance: {verdict.squared_distance} "
-              f"(~{report.decimal_str_sqrt(verdict.squared_distance)}), "
-              f"evaluations: {verdict.evaluations}")
-    return 0
+    payload = report.closure_json(closure_membership(
+        om, target, certs, tol=Fraction(1, 10 ** args.tol_exponent),
+        budget=args.budget, seed=args.seed))
+    def lines():
+        yield f"verdict: {payload['kind']}"
+        if "invariant" in payload:
+            yield (f"certificate: invariant {payload['invariant']} has value "
+                   f"{payload['invariant_value']} at the target")
+        if "squared_distance" in payload:
+            yield (f"squared distance: {payload['squared_distance']} "
+                   f"(~{payload['distance_decimal']}), "
+                   f"evaluations: {payload['evaluations']}")
+    return payload, lines()
 
 
 def _cmd_regularity_report(args):
@@ -332,24 +309,18 @@ def _cmd_regularity_report(args):
     if entry is not None and entry.reference_functional is not None:
         samples.append(entry.reference_functional)
     rep = regularity_report(g, samples, seed=args.seed)
-    if args.json:
-        sys.stdout.write(report.envelope(
-            "regularity-report", report.regularity_json(rep, g.basis_names)))
-        return 0
-    print(f"verdict: {rep.verdict}")
-    print(f"reason: {rep.reason}")
-    for note in rep.notes:
-        print(f"note: {note}")
-    if rep.certificate is not None:
-        _print_subspace("certificate stabilizer ideal", rep.certificate.m,
-                        g.basis_names)
-        _print_subspace("certificate stable term", rep.certificate.m_infinity,
-                        g.basis_names)
-        print("values on stable term: "
-              + ", ".join(str(x) for x in rep.certificate.values_on_m_infinity))
-    if rep.samples_checked:
-        print(f"functionals sampled: {rep.samples_checked}")
-    return 0
+    def lines():
+        yield f"verdict: {rep.verdict}"
+        yield f"reason: {rep.reason}"
+        for note in rep.notes:
+            yield f"note: {note}"
+        if rep.certificate is not None:
+            yield from _certificate_lines(rep.certificate, g.basis_names,
+                                          "certificate stabilizer ideal",
+                                          "certificate stable term", "values on stable term")
+        if rep.samples_checked:
+            yield f"functionals sampled: {rep.samples_checked}"
+    return report.regularity_json(rep, g.basis_names), lines()
 
 
 def build_parser() -> _Parser:
@@ -412,15 +383,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
-        return args.func(args)
+        payload, lines = args.func(args)
+        out = (report.envelope(args.command, payload) if args.json
+               else "".join(f"{line}\n" for line in lines))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except OrbitkitError as exc:
         print(f"orbitkit: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out)
+    return 0
 
 
 if __name__ == "__main__":

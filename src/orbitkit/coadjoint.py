@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FlagInvalid, NotCoabelianIdeal
-from .exactlin import Matrix, Q0, Subspace, kernel, vec, vec_dot
+from .exactlin import Matrix, Q0, Subspace, kernel, vec
 from .liealg import LieAlgebra
 
 # numerators and denominators of seeded random functionals are bounded by this
@@ -90,31 +90,37 @@ def condition_R_at(g: LieAlgebra, f):
                                         values_on_m_infinity=values, holds=holds)
 
 
+def _gram(b, vectors) -> Matrix:
+    """f([v, w]) = v.B_f.w over v, w in vectors, read off the entries b of B_f
+    on the supports of the vectors."""
+    supports = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+    return Matrix([[sum((x * b[i][j] * y for i, x in v for j, y in w if b[i][j]), Q0)
+                    for w in supports] for v in supports])
+
+
 def vergne_polarization(g: LieAlgebra, flag, f) -> Subspace:
     """Sum of the stepwise stabilizers along a complete flag of ideals.
 
     flag must be a chain 0 = g_0 < g_1 < ... < g_n = g of ideals with
-    dim g_k = k (the leading zero term may be omitted).  Each member's Gram
-    f([v, w]) = -w.B_f.v is read off B_f, formed once, on the supports.
+    dim g_k = k (the leading zero term may be omitted).  Given the chain up
+    to g_k, g_k = g_(k-1) + Qv for its basis row v whose pivot g_(k-1) lacks,
+    so if g_(k-1) is an ideal, g_k is one iff it holds every [e_i, v]: n^2
+    brackets for the flag.  Each member's stabilizer is the kernel of its
+    Gram, read off B_f, formed once.
     """
-    f = vec(f)
     chain = [s for s in flag if s.dim > 0]
     if [s.dim for s in chain] != list(range(1, g.dim + 1)):
         raise FlagInvalid("flag dimensions must be exactly 1..dim")
-    for s in chain:
-        if not g.is_ideal(s):
-            raise FlagInvalid("every flag member must be an ideal")
-    for small, big in zip(chain, chain[1:]):
+    units = Matrix.identity(g.dim).entries
+    for small, big in zip([Subspace.zero(g.dim)] + chain, chain):
         if not big.contains_subspace(small):
             raise FlagInvalid("flag is not a chain")
+        v = next(row for row, p in zip(big.basis, big.pivots) if p not in small.pivots)
+        if not all(big.contains(g.bracket(e, v)) for e in units):
+            raise FlagInvalid("every flag member must be an ideal")
     b = form_matrix(g, f).entries
-    result = Subspace.zero(g.dim)
-    for gk in chain:
-        vs = [[(i, x) for i, x in enumerate(v) if x] for v in gk.basis]
-        gram = Matrix([[-sum((y * b[j][i] * x for j, y in w for i, x in v if b[j][i]), Q0)
-                        for v in vs] for w in vs])
-        result = result + gk.kernel_of(gram)
-    return result
+    return Subspace.from_vectors(g.dim, [v for gk in chain
+                                         for v in gk.kernel_of(_gram(b, gk.basis)).basis])
 
 
 @dataclass(frozen=True)
@@ -136,14 +142,12 @@ class PolarizationReport:
 def check_polarization(g: LieAlgebra, f, p: Subspace) -> PolarizationReport:
     """Check subalgebra, isotropy f([p,p]) = 0, dim p = (dim g + dim g_f)/2,
     and g_f <= p."""
-    f = vec(f)
-    gf = stabilizer(g, f)
-    isotropic = all(vec_dot(f, g.bracket(u, v)) == 0
-                    for u in p.basis for v in p.basis)
+    b = form_matrix(g, f)
+    gf = kernel(b)
     return PolarizationReport(
         subspace=p,
         is_subalgebra=g.is_subalgebra(p),
-        is_isotropic=isotropic,
+        is_isotropic=_gram(b.entries, p.basis).is_zero(),
         dimension_ok=2 * p.dim == g.dim + gf.dim,
         contains_stabilizer=p.contains_subspace(gf),
     )

@@ -58,6 +58,7 @@ from .exactlin import (
     solve,
     unit_vector,
     vec,
+    vec_dot,
     vec_scale,
     zero_vector,
 )
@@ -77,9 +78,7 @@ class Root:
     multiplicity: int = 1
 
     def value(self, v):
-        re = sum((a * b for a, b in zip(self.re, v)), Q0)
-        im = sum((a * b for a, b in zip(self.im, v)), Q0)
-        return GaussianRational(re, im)
+        return GaussianRational(vec_dot(self.re, v), vec_dot(self.im, v))
 
     def vanishes_on(self, space: Subspace) -> bool:
         return all(not self.value(b) for b in space.basis)

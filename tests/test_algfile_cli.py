@@ -313,6 +313,13 @@ def test_cli_stabilizer_ideal_names_avoid_the_basis_names(tmp_path, capsys):
     assert len(names) == 2 and len(set(names)) == 2 and "b0" in names
 
 
+@pytest.mark.parametrize("argv", _FAILING_RUNS, ids=" ".join)
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_failing_runs_write_nothing_to_stdout(capsys, argv, mode):
+    code, out, err = run_cli(capsys, *argv, *mode)
+    assert code in (1, 2) and out == "" and err
+
+
 def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "analyze", "--catalog", "abelian0")
     assert code == 1 and err == "orbitkit: error: no catalog entry named 'abelian0'\n"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reference import (
     CATALOG_NAMES,
     COORD,
+    borel,
     borel3,
     draw_basis_change,
     in_general_position,
@@ -191,6 +192,12 @@ def test_vergne_polarization_examples():
         vergne_polarization(h3, [span(3, [0]), Subspace.full(3)], (0, 0, 1))
     with pytest.raises(FlagInvalid):
         vergne_polarization(h3, [span(3, [2]), Subspace.full(3)], (0, 0, 1))
+    # a chain with the right dimensions whose first member is not an ideal:
+    # span(a) in axb, [b, a] = -b, and span(e1) in h3, [e2, e1] = -e3
+    with pytest.raises(FlagInvalid):
+        vergne_polarization(ax_b(), [span(2, [0]), Subspace.full(2)], (0, 1))
+    with pytest.raises(FlagInvalid):
+        vergne_polarization(h3, [span(3, c) for c in ([0], [0, 2], [0, 1, 2])], (0, 0, 1))
 
 
 def test_vergne_output_is_polarization_on_catalog():
@@ -208,6 +215,58 @@ def test_vergne_output_is_polarization_on_catalog():
         p = vergne_polarization(g, flag, f)
         report = check_polarization(g, f, p)
         assert report.certified
+
+
+# the algebras with a composition flag: the catalog but e2-motion, and b_2..b_4
+_FLAG_ALGEBRAS = [*(name for name in CATALOG_NAMES if name != "e2-motion"), 2, 3, 4]
+
+
+def _reference_flag_check(g, flag):
+    """Dimensions 1..n, nested, and every member an ideal."""
+    chain = [s for s in flag if s.dim > 0]
+    return ([s.dim for s in chain] == list(range(1, g.dim + 1))
+            and all(big.contains_subspace(small) for small, big in zip(chain, chain[1:]))
+            and all(g.is_ideal(s) for s in chain))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_FLAG_ALGEBRAS), st.sampled_from(["valid", "random vector",
+                                                         "swap vectors", "swap members"]),
+       st.data())
+def test_flag_invalid_exactly_when_the_reference_rejects_the_flag(which, kind, data):
+    """b_n in a drawn basis order, a catalog algebra in a drawn basis or its
+    own; a member's new vector swapped for a random vector of the next
+    member, two new vectors swapped (and the members after them rebuilt), or
+    two members swapped."""
+    if isinstance(which, int):
+        g = borel(which, data.draw(st.permutations(borel(which).basis_names), label="order"))
+    else:
+        g = get_entry(which).algebra
+        if data.draw(st.booleans(), label="change"):
+            g = draw_basis_change(data, g)
+    n = g.dim
+    flag = g.composition_flag()[1:]
+    # the new vector of each member: a vector of it outside the member before
+    vectors = [next(v for v in big.basis if not small.contains(v))
+               for small, big in zip([Subspace.zero(n)] + flag, flag)]
+    k = data.draw(st.integers(0, n - 1), label="member")
+    j = data.draw(st.integers(0, n - 1), label="other member")
+    if kind == "random vector":
+        coeffs = data.draw(st.lists(COORD, min_size=k + 2, max_size=k + 2), label="coeffs")
+        r = [sum((c * v[i] for c, v in zip(coeffs, vectors)), F(0)) for i in range(n)]
+        flag[k] = Subspace.from_vectors(n, vectors[:k] + [r])
+    elif kind == "swap vectors":
+        vectors[k], vectors[j] = vectors[j], vectors[k]
+        flag = [Subspace.from_vectors(n, vectors[:i + 1]) for i in range(n)]
+    elif kind == "swap members":
+        flag[k], flag[j] = flag[j], flag[k]
+    f = data.draw(st.tuples(*[COORD] * n), label="f")
+    try:
+        vergne_polarization(g, flag, f)
+    except FlagInvalid:
+        assert not _reference_flag_check(g, flag)
+    else:
+        assert _reference_flag_check(g, flag)
 
 
 def test_check_polarization_flags():

@@ -2,8 +2,8 @@
 one denominator cap, no src function that no command or benchmark run
 enters (outside an allow-list with reasons), no import that nothing uses,
 no import of a package that pyproject.toml does not declare, no sympy
-import at start-up, and every name that the benchmark's tracer wraps still
-there."""
+import at start-up, every name that the benchmark's tracer wraps still
+there, and no stdout write outside the command line's main."""
 
 import ast
 import json
@@ -234,6 +234,52 @@ def test_the_reach_gate_flags_unreached_code_and_a_stale_allowance():
         "unreached: m.Used.__eq__", "unreached: m.Used.__eq__.<locals>.inner"]
     assert _reach_problems(defined, defined, reasons) == ["stale: m.allowed"]
     assert _reach_problems(defined, entered, {"why": ("m.gone",)})[-1] == "stale: m.gone"
+
+
+def _stdout_writes(name, source):
+    """'file:line: function' for each print without file=sys.stderr, and each
+    use of sys.stdout outside main in cli.py."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            if not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                       for kw in node.keywords):
+                out.append(f"{name}:{node.lineno}: {where}")
+        elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__")
+              and (name, where) != ("cli.py", "main")):
+            out.append(f"{name}:{node.lineno}: {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_only_the_cli_main_writes_stdout():
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in _stdout_writes(path.name, path.read_text(encoding="utf-8"))]
+    assert found == []
+    cli_source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert cli_source.count("sys.stdout.write(") == 1
+
+
+def test_the_stdout_scan_flags_writes_outside_the_cli_main():
+    source = ("import sys\n"
+              "def main():\n"
+              "    sys.stdout.write('x')\n"
+              "    print('x', file=sys.stderr)\n"
+              "    print('x')\n"
+              "class Report:\n"
+              "    def show(self):\n"
+              "        print('x', file=out)\n"
+              "        return sys.__stdout__\n")
+    assert _stdout_writes("cli.py", source) == ["cli.py:5: main", "cli.py:8: show",
+                                                "cli.py:9: show"]
+    assert _stdout_writes("report.py", source) == ["report.py:3: main", "report.py:5: main",
+                                                   "report.py:8: show", "report.py:9: show"]
 
 
 def _unused_imports(name, source):
