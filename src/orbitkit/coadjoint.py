@@ -49,8 +49,8 @@ def stabilizer(g: LieAlgebra, f) -> Subspace:
 
 
 def stabilizer_ideal(g: LieAlgebra, f, n: Subspace | None = None) -> Subspace:
-    """m = g_f + n for a coabelian ideal n (defaults to the nilradical).  Containing
-    [g, g] is what makes n and m ideals: [g, v] <= [g, g] <= v for every v >= [g, g]."""
+    """m = g_f + n for a coabelian ideal n (defaults to the nilradical).  n must
+    contain [g, g], which makes n and m ideals (see LieAlgebra.is_ideal)."""
     if n is None:
         n = g.nilradical()
     if not n.contains_subspace(g.commutator_ideal()):

@@ -672,14 +672,16 @@ def closure_membership(om: OrbitMap, target, invariants=(),
                        budget: int = 10 ** 4, seed: int = 0) -> ClosureVerdict:
     """Certificate-producing test for target in the closure of the orbit.
 
-    Every supplied invariant must vanish identically on the orbit (checked
-    symbolically).  A nonzero invariant value at the target is an exact
-    NOT-IN-CLOSURE certificate.  Otherwise a seeded coordinate-descent
-    search over parameter values and positive rational exp-atom values
-    looks for orbit points near the target: exact hit, distance below tol,
-    or an inconclusive budget report.  A target equal to the orbit's
-    rational start is an exact hit with no evaluation: every parameter 0,
-    every exp atom 1.
+    Every supplied invariant must vanish identically on the orbit.  This is
+    the one place that checks it, symbolically, for orbit_certificates'
+    candidates and a caller's own alike: a nonvanishing one raises
+    InvariantNotVanishing before any is trusted.  A nonzero invariant value
+    at the target is an exact NOT-IN-CLOSURE certificate.  Otherwise a
+    seeded coordinate-descent search over parameter values and positive
+    rational exp-atom values looks for orbit points near the target: exact
+    hit, distance below tol, or an inconclusive budget report.  A target
+    equal to the orbit's rational start is an exact hit with no evaluation:
+    every parameter 0, every exp atom 1.
 
     The budget is a soft bound on the evaluations.  The first pin start
     always runs, and phase 2 (atoms solved from single-atom components)
@@ -768,8 +770,8 @@ def orbit_certificates(g: LieAlgebra, f, om: OrbitMap, degree: int = 2):
 
     Weight-zero semi-invariants are constant along the orbit, so q - q(f)
     qualifies; within each nonzero weight the combinations vanishing at f
-    vanish on the whole orbit.  Everything returned is re-verified
-    symbolically against the orbit map.
+    vanish on the whole orbit.  They are returned unchecked:
+    closure_membership checks each one symbolically before it trusts it.
     """
     module = om.restricted_to
     start_point = dict(zip(om.component_names,
@@ -785,18 +787,11 @@ def orbit_certificates(g: LieAlgebra, f, om: OrbitMap, degree: int = 2):
     for weight, polys in sorted(by_weight.items()):
         values = [q.evaluate(start_point) for q in polys]
         if weight == zero_weight:
-            candidates.extend(q - v for q, v in zip(polys, values)
-                              if not (q - v).is_zero())
+            candidates += [q - v for q, v in zip(polys, values)]
         else:
-            rows = [values]
-            rel = kernel(Matrix(rows))
-            for coeffs in rel.basis:
-                q = ExpPoly()
-                for c, poly in zip(coeffs, polys):
-                    q = q + poly * c
-                if not q.is_zero():
-                    candidates.append(q)
-    return [q for q in candidates if vanish_on_orbit(q, om)]
+            candidates += [sum((poly * c for c, poly in zip(coeffs, polys)), ExpPoly())
+                           for coeffs in kernel(Matrix([values])).basis]
+    return [q for q in candidates if not q.is_zero()]
 
 
 CRITICAL = "critical"

@@ -297,11 +297,19 @@ class LieAlgebra:
         return self.bracket_span(full, full)
 
     def is_subalgebra(self, v: Subspace) -> bool:
+        """Is [v, v] <= v?  A v containing [g, g] is an ideal (see is_ideal),
+        so it is one at once; only other subspaces take the bracket sweep."""
+        if v.contains_subspace(self.commutator_ideal()):
+            return True
         vs = [_support(b) for b in v.basis]
         brackets = (self._bracket_of_supports(a, b) for a, b in itertools.combinations(vs, 2))
         return all(v.contains(w) for w in brackets if any(w))
 
     def is_ideal(self, v: Subspace) -> bool:
+        """Is [g, v] <= v?  Containing [g, g] proves it, since then
+        [g, v] <= [g, g] <= v; only other subspaces take the bracket sweep."""
+        if v.contains_subspace(self.commutator_ideal()):
+            return True
         vs = [_support(b) for b in v.basis]
         brackets = (self._bracket_of_supports(((i, Q1),), b) for i in range(self.dim) for b in vs)
         return all(v.contains(w) for w in brackets if any(w))
@@ -329,10 +337,9 @@ class LieAlgebra:
     def descending_central_series(self, m: Subspace):
         """C^1 m = [m, m], C^{k+1} m = [m, C^k m]; returns (series, stable term).
 
-        m must be a subalgebra.  Containing [g, g] proves it, since then
-        [m, m] <= [g, g] <= m; only other subspaces take the bracket sweep.
+        m must be a subalgebra (is_subalgebra decides it).
         """
-        if not (m.contains_subspace(self.commutator_ideal()) or self.is_subalgebra(m)):
+        if not self.is_subalgebra(m):
             raise NotSubalgebra("descending central series needs a subalgebra")
         series = []
         current = self.bracket_span(m, m)
@@ -528,7 +535,7 @@ class LieAlgebra:
                         for cj in cells] for ci in cells])
 
     def _is_nilpotent_ideal_over_commutator(self, v: Subspace) -> bool:
-        """Containing [g, g] is what makes v an ideal: [g, v] <= [g, g] <= v."""
+        """v contains [g, g], so is an ideal (see is_ideal), and is nilpotent."""
         return (v.contains_subspace(self.commutator_ideal())
                 and self.descending_central_series(v)[1].dim == 0)
 

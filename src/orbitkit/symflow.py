@@ -170,12 +170,6 @@ class ExpPoly:
     def d_dvar(self, var):
         """Exact partial derivative (product rule on poly * exp factors)."""
         terms = {}
-
-        def accumulate(key, c):
-            if not c:
-                return
-            terms[key] = terms.get(key, Q0) + c
-
         for (mono, lin), c in self._terms.items():
             for idx, (v, k) in enumerate(mono):
                 if v != var:
@@ -184,10 +178,10 @@ class ExpPoly:
                     new_mono = mono[:idx] + mono[idx + 1:]
                 else:
                     new_mono = mono[:idx] + ((v, k - 1),) + mono[idx + 1:]
-                accumulate((new_mono, lin), c * k)
+                terms[new_mono, lin] = terms.get((new_mono, lin), Q0) + c * k
             for v, a in lin:
                 if v == var:
-                    accumulate((mono, lin), c * a)
+                    terms[mono, lin] = terms.get((mono, lin), Q0) + c * a
         return ExpPoly(terms)
 
     def substitute(self, mapping):
@@ -478,7 +472,6 @@ def one_param_flow(g: LieAlgebra, x, param: str, restrict_to: Subspace | None = 
 class OrbitMap:
     """Symbolic parametrization of a coadjoint orbit through a functional."""
 
-    algebra: LieAlgebra
     component_names: tuple
     params: tuple
     components: tuple
@@ -537,6 +530,6 @@ def orbit_map(g: LieAlgebra, start, steps, restrict_to: Subspace | None = None) 
         components = tuple(sum((a * c for a, c in zip(row, components)), ExpPoly())
                            for row in flow)
     params = [param for _, param in factors]
-    return OrbitMap(algebra=g, component_names=names, params=tuple(params),
+    return OrbitMap(component_names=names, params=tuple(params),
                     components=components, start=tuple(start_list),
                     restricted_to=restrict_to)

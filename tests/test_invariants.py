@@ -361,6 +361,27 @@ def _closure_orbit(name):
     return om, tuple(orbit_certificates(g, f, om, 2))
 
 
+_CERTIFICATE_ORBITS = ([(name, False) for name in CATALOG_NAMES] + [("b5", True)]
+                       + [(name, False) for name in _ALG_FILES])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("name, restricted", _CERTIFICATE_ORBITS)
+def test_every_certificate_candidate_vanishes_on_its_orbit(name, restricted, degree):
+    """orbit_certificates filters nothing, so each candidate must vanish on the
+    orbit it was built for: the full orbit as closure-test steps it, and b5's
+    orbit restricted to m = g_f + n."""
+    if name in _ALG_FILES:
+        g, f, entry = parse_algebra(_ALG_FILES[name][0]), _ALG_FILES[name][1], None
+    else:
+        entry = get_entry(name)
+        g, f = entry.algebra, entry.reference_functional
+    m = stabilizer_ideal(g, f) if restricted else None
+    om = orbit_map(g, f, cli._orbit_steps(g, entry), restrict_to=m)
+    certs = orbit_certificates(g, f, om, degree)
+    assert all(vanish_on_orbit(q, om) for q in certs)
+
+
 # (orbit, target, use certificates, search keywords) -> the verdict recorded from
 # the search evaluated on Fractions, which the integer kernel must reproduce
 # exactly; the off-orbit b5 target reaches the random restarts, and the

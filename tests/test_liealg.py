@@ -32,7 +32,7 @@ from sympy.polys.matrices import DomainMatrix
 from orbitkit import cli, liealg
 from orbitkit.algfile import parse_algebra
 from orbitkit.catalog import get_entry
-from orbitkit.coadjoint import stabilizer_ideal
+from orbitkit.coadjoint import stabilizer, stabilizer_ideal
 from orbitkit.errors import (
     AntisymmetryViolation,
     JacobiViolation,
@@ -662,10 +662,36 @@ def test_ideal_and_subalgebra_tests_agree_with_the_bracket_span(name, change, da
     # test both answers
     spaces = [span(n, c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
     flag = _flag_ideals(g)
-    for v in spaces + [_draw_subspace(data, n)] + flag:
+    # g_f + [g, g] and a drawn superset of [g, g] take the rule that skips the
+    # sweep; a rule keyed on anything smaller would pass non-ideals here
+    comm = g.commutator_ideal()
+    over_comm = [stabilizer(g, _draw_vector(data, n, "f")) + comm,
+                 _draw_subspace(data, n) + comm]
+    for v in spaces + [_draw_subspace(data, n)] + flag + over_comm:
         assert g.is_ideal(v) == v.contains_subspace(g.bracket_span(full, v))
         assert g.is_subalgebra(v) == v.contains_subspace(g.bracket_span(v, v))
-    assert all(g.is_ideal(v) and g.is_subalgebra(v) for v in flag)
+    assert all(g.is_ideal(v) and g.is_subalgebra(v) for v in flag + over_comm)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["b3"])
+def test_a_subspace_over_the_commutator_ideal_takes_no_bracket_sweep(name, monkeypatch):
+    g = _catalog_or_b3(name)
+    comm = g.commutator_ideal()
+    f = tuple(Fraction(i + 1, 2) for i in range(g.dim))
+    spaces = [comm, stabilizer(g, f) + comm, Subspace.full(g.dim)]
+    calls = []
+    sweep = LieAlgebra._bracket_of_supports
+
+    def counted(self, xs, ys):
+        calls.append((xs, ys))
+        return sweep(self, xs, ys)
+
+    monkeypatch.setattr(LieAlgebra, "_bracket_of_supports", counted)
+    assert all(g.is_ideal(v) and g.is_subalgebra(v) for v in spaces)
+    assert calls == []
+    if comm.dim:  # a line off [g, g] still sweeps, through the patched kernel
+        g.is_ideal(span(g.dim, comm.complement_coordinates()[:1]))
+        assert calls
 
 
 @settings(max_examples=40, deadline=None)

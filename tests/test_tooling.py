@@ -282,6 +282,42 @@ def test_the_stdout_scan_flags_writes_outside_the_cli_main():
                                                    "report.py:8: show", "report.py:9: show"]
 
 
+def _vanish_checks(name, source):
+    """'file:line: function' for each reference to vanish_on_orbit outside
+    closure_membership, which is the one place that checks a certificate."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if ("vanish_on_orbit" in (getattr(node, "id", None), getattr(node, "attr", None))
+                and where != "closure_membership"):
+            out.append(f"{name}:{node.lineno}: {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_only_closure_membership_checks_that_a_certificate_vanishes():
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in _vanish_checks(path.name, path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_vanish_scan_flags_uses_outside_closure_membership():
+    source = ("from .invariants import vanish_on_orbit\n"
+              "def vanish_on_orbit(q, om):\n"
+              "    return True\n"
+              "def closure_membership(om, qs):\n"
+              "    return all(vanish_on_orbit(q, om) for q in qs)\n"
+              "def orbit_certificates(om, qs):\n"
+              "    return [q for q in qs if invariants.vanish_on_orbit(q, om)]\n"
+              "checks = list(filter(vanish_on_orbit, []))\n")
+    assert _vanish_checks("m.py", source) == ["m.py:7: orbit_certificates", "m.py:8: <module>"]
+
+
 def _unused_imports(name, source):
     """'file:line: name' for each imported name that the module never uses;
     a listing in __all__ counts as a use, any other string does not."""
