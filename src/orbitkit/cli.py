@@ -188,7 +188,7 @@ def _cmd_stabilizer(args):
     f = _require_functional(args, g, entry)
     names = g.basis_names
     gf = stabilizer(g, f)
-    m = gf + g.nilradical()  # the nilradical checks that it contains [g, g]
+    m = stabilizer_ideal(g, f)
     sub, _ = g.subalgebra(m)
     payload = {
         "functional": report.functional_json(f, names),
