@@ -18,7 +18,10 @@ piece on which an action A is lam*I is kept as it is: ker(0) is the whole
 piece, and its basis is already reduced.  Any other piece splits into
 piece.kernel_of(A.shifted(lam)) for each real eigenvalue lam.  The
 invariants are the weight-zero part.  A solution becomes an ExpPoly only
-at output.
+at output.  The list depends only on the algebra, the degree bound and the
+dual, so it is kept in the algebra's memo, one tuple of immutable (ExpPoly,
+weight) pairs per (degree bound, dual); as the algebra is immutable, a
+later call, such as the certificates of another target, reuses it.
 
 Closure membership returns certificates: a semi-invariant with a nonzero
 value is an exact disproof of membership, while a sufficiently close orbit
@@ -145,8 +148,18 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
     each total degree alone, with each derivation as sparse columns; a piece
     whose action is lam*I is kept whole, and only the others go to the
     eigenvalue search (see the module docstring).
+
+    The list is kept in g's memo as a tuple keyed by (degree_bound, module),
+    and each call returns a fresh list of it: a caller may change its list,
+    and the entries, (ExpPoly, tuple) pairs, are immutable.
     """
     names = g.dual_names(module)
+    return list(g.cached(("semi_invariants", degree_bound, module),
+                         lambda: _semi_invariant_search(g, degree_bound, module, names)))
+
+
+def _semi_invariant_search(g: LieAlgebra, degree_bound: int, module, names) -> tuple:
+    """semi_invariants' sorted pairs, computed afresh."""
     actions = [g.ad_matrix(unit_vector(g.dim, i), module) for i in range(g.dim)]
     comm = g.commutator_ideal()
     comm_actions = [g.ad_matrix(b, module) for b in comm.basis]
@@ -189,7 +202,7 @@ def semi_invariants(g: LieAlgebra, degree_bound: int, module: Subspace | None = 
                     weight.append(lam)
                 results.append((_vector_to_poly(v, names, monomials), tuple(weight)))
     results.sort(key=lambda t: (t[1], sorted(t[0].terms().keys())))
-    return results
+    return tuple(results)
 
 
 def vanish_on_orbit(q: ExpPoly, om: OrbitMap) -> bool:

@@ -23,7 +23,8 @@ not checked again, since a subspace closed under the bracket inherits the
 identities.
 
 A LieAlgebra is immutable, so its structure is computed once, in a private
-per-algebra memo.  The nilradical is the Killing-form radical when that
+per-algebra memo; LieAlgebra.cached keeps other algebra-only results there
+too, such as coadjoint flows and semi-invariants.  The nilradical is the Killing-form radical when that
 certifies itself as a nilpotent ideal, else the common kernel of the roots
 (de Graaf, Lie Algebras: Theory and Algorithms, 2000).
 """
@@ -95,22 +96,13 @@ class ExponentialVerdict:
 
 
 def _memoized(method):
-    """Keep method(self, *args), or the OrbitkitError it raised, in self._memo;
-    safe because self is immutable."""
+    """Keep method(self, *args) in the algebra's memo (LieAlgebra.cached),
+    keyed by the method's name and args.  Safe because the algebra is
+    immutable; the memoized methods return tuples, Subspaces and bools."""
     @functools.wraps(method)
-    def cached(self, *args):
-        key = (method.__name__,) + args
-        if key not in self._memo:
-            try:
-                self._memo[key] = method(self, *args)
-            except OrbitkitError as exc:
-                self._memo[key] = exc
-                raise
-        got = self._memo[key]
-        if isinstance(got, OrbitkitError):
-            raise got.with_traceback(None)
-        return got
-    return cached
+    def memoized(self, *args):
+        return self.cached((method.__name__,) + args, lambda: method(self, *args))
+    return memoized
 
 
 class LieAlgebra:
@@ -155,6 +147,24 @@ class LieAlgebra:
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.basis_names, self.table)))
         return self._hash
+
+    def cached(self, key, compute):
+        """compute(), or the OrbitkitError it raised, kept in this algebra's
+        memo under key and handed back (or raised again) on each later call
+        with that key.  Sound for a result that depends only on the algebra
+        and the key, since the algebra is immutable; the result should be
+        immutable too, as every caller of the memo may receive it."""
+        memo = self._memo
+        if key not in memo:
+            try:
+                memo[key] = compute()
+            except OrbitkitError as exc:
+                memo[key] = exc
+                raise
+        got = memo[key]
+        if isinstance(got, OrbitkitError):
+            raise got.with_traceback(None)
+        return got
 
     def _validate(self):
         n, s = self.dim, self.sparse_table
@@ -318,6 +328,7 @@ class LieAlgebra:
         """{x : [x, v] = 0}, the common kernel of ad(b) over the basis of v."""
         return Subspace.common_kernel(self.dim, [self.ad_matrix(b) for b in v.basis])
 
+    @_memoized
     def center(self) -> Subspace:
         return self.centralizer(Subspace.full(self.dim))
 
@@ -354,6 +365,7 @@ class LieAlgebra:
     def lower_central_series(self):
         return self.descending_central_series(Subspace.full(self.dim))
 
+    @_memoized
     def is_nilpotent(self) -> bool:
         _, stable = self.lower_central_series()
         return stable.dim == 0

@@ -456,12 +456,19 @@ def exp_matrix(a: Matrix, param: str) -> tuple:
 
 def one_param_flow(g: LieAlgebra, x, param: str, restrict_to: Subspace | None = None) -> tuple:
     """coAd(exp(t*x)) on g* (or on the dual of an ideal, else NotIdeal), as
-    exp_matrix's rows."""
+    exp_matrix's rows.
+
+    The rows, or the error exp_matrix raised, are kept in g's memo keyed by
+    (x, param, restrict_to), so an orbit map built again in the same process
+    reuses its flows.  That is safe: g is immutable, and the rows are tuples
+    of immutable ExpPolys.
+    """
     if isinstance(x, str):
         x = g.basis_vector(x)
     g.dual_names(restrict_to)  # raises NotIdeal unless restrict_to is an ideal
     # the infinitesimal coadjoint action on dual coordinates is -A^T
-    return exp_matrix((-g.ad_matrix(x, restrict_to)).transpose(), param)
+    return g.cached(("one_param_flow", tuple(x), param, restrict_to),
+                    lambda: exp_matrix((-g.ad_matrix(x, restrict_to)).transpose(), param))
 
 
 # ---------------------------------------------------------------------------

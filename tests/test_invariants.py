@@ -16,6 +16,7 @@ from reference import (
     CATALOG_NAMES,
     COORD,
     _poly_to_vector,
+    borel,
     borel3,
     derivation,
     draw_basis_change,
@@ -63,7 +64,7 @@ from orbitkit.invariants import (
     vanish_on_orbit,
 )
 from orbitkit.liealg import LieAlgebra, _gaussian_eigenvalues, b5, g49_zero, heisenberg3
-from orbitkit.symflow import ExpPoly, orbit_map
+from orbitkit.symflow import ExpPoly, one_param_flow, orbit_map
 
 F = Fraction
 
@@ -210,6 +211,42 @@ def test_semi_invariant_weights_agree_with_derivation():
         for q, w in semi_invariants(g, 2):
             for i, x in enumerate(g.basis_names):
                 assert derivation(g, x, q) == q * w[i]
+
+
+def test_a_caller_changing_its_list_leaves_the_kept_semi_invariants_alone():
+    g = b5()
+    first = semi_invariants(g, 2)
+    kept = list(first)
+    first.clear()
+    first.append(None)
+    assert semi_invariants(g, 2) == kept
+    assert semi_invariants(g, 2) is not semi_invariants(g, 2)
+
+
+def test_keyword_and_positional_module_share_one_memo_entry():
+    g = b5()
+    mm = Subspace.span_of_coordinates(5, [1, 2, 3, 4])
+    by_keyword = semi_invariants(g, 2, module=mm)
+    assert semi_invariants(g, 2, mm) == by_keyword
+    assert [key for key in g._memo if key[0] == "semi_invariants"] == [
+        ("semi_invariants", 2, mm)]
+
+
+def _memo_kept_objects(g):
+    """Flows on g* and on the nilradical's dual, semi-invariants of degree
+    <= 2 on both, the center and nilpotency."""
+    ideal = g.nilradical()
+    flows = [one_param_flow(g, x, "t", m) for x in g.basis_names for m in (None, ideal)]
+    semis = [semi_invariants(g, 2, m) for m in (None, ideal)]
+    return flows, semis, g.center(), g.is_nilpotent()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ["b_2", "b_3", "b_4"])
+def test_a_warmed_algebra_answers_as_a_fresh_one(name):
+    g = borel(int(name[2:])) if name.startswith("b_") else get_entry(name).algebra
+    warm = _memo_kept_objects(g)
+    assert _memo_kept_objects(g) == warm
+    assert _memo_kept_objects(LieAlgebra(g.basis_names, g.table)) == warm
 
 
 def test_dual_of_a_non_ideal_is_rejected():

@@ -184,6 +184,24 @@ def test_one_param_flow_restriction_requires_ideal():
         one_param_flow(b5(), "e0", "t", restrict_to=Subspace.span_of_coordinates(5, [0]))
 
 
+def test_a_kept_flow_error_is_raised_again():
+    # ad(a) squares to 2 on span{x, y}: the flow's roots are +-sqrt(2)
+    g = LieAlgebra.construct(("a", "x", "y"), {("a", "x"): {"y": 1}, ("a", "y"): {"x": 2}})
+    calls = []
+
+    def counting(a, param):
+        calls.append(param)
+        return exp_matrix(a, param)
+
+    raised = []
+    with mock.patch.object(symflow, "exp_matrix", counting):
+        for _ in range(2):
+            with pytest.raises(NonRationalSpectrum) as err:
+                one_param_flow(g, "a", "t")
+            raised.append((type(err.value), str(err.value)))
+    assert raised[0] == raised[1] and calls == ["t"]
+
+
 def test_orbit_map_is_the_product_of_its_flows():
     g = b5()
     f = functional(g, {"e0": F(1, 3), "e3": 1})

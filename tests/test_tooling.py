@@ -162,8 +162,7 @@ REACH_ALLOWED = {
         "envelop.UEAElement.__rmul__", "envelop.UEAElement.__eq__",
         "envelop.UEAElement.__repr__", "envelop.DiffOp.__eq__", "envelop.DiffOp.__repr__",
         "exactlin.GaussianRational.__repr__", "exactlin.Matrix.__eq__",
-        "exactlin.Matrix.__repr__", "exactlin.Subspace.__hash__",
-        "exactlin.Subspace.__repr__", "symflow.ExpPoly.__hash__", "symflow._linear_form",
+        "exactlin.Matrix.__repr__", "exactlin.Subspace.__repr__", "symflow.ExpPoly.__hash__", "symflow._linear_form",
         "symflow.ExpPoly.substitute.<locals>.linear_form"),
 }
 
