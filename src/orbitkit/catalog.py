@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .envelop import DiffOp
 from .exactlin import GaussianRational, Subspace
@@ -182,22 +183,27 @@ def catalog_names():
     return sorted(_ENTRIES) + ["abelian<n>"]
 
 
+@lru_cache(maxsize=None)
+def _abelian_entry(n: int) -> CatalogEntry:
+    """The abelianN entry, built once per process like the named entries, so
+    its algebra's memo outlives one command; the name pattern bounds n by 99."""
+    return CatalogEntry(
+        name=f"abelian{n}",
+        description=f"abelian algebra of dimension {n}",
+        algebra=LieAlgebra.abelian(tuple(f"e{i+1}" for i in range(n))),
+        reference_functional=tuple([Fraction(1)] * n),
+        orbit_steps=tuple((f"e{i+1}", f"x{i+1}") for i in range(n)),
+        ideal_flag=_coordinate_flag(n, [list(range(n - k, n))
+                                        for k in range(1, n + 1)]),
+        expected_verdict="star-regular",
+    )
+
+
 def get_entry(name: str) -> CatalogEntry:
-    """Named entry; 'abelianN' builds the abelian algebra of dimension N."""
+    """Named entry; 'abelianN' is the abelian algebra of dimension N."""
     if name in _ENTRIES:
         return _ENTRIES[name]
     m = _ABELIAN_RE.match(name)
     if m:
-        n = int(m.group(1))
-        alg = LieAlgebra.abelian(tuple(f"e{i+1}" for i in range(n)))
-        return CatalogEntry(
-            name=name,
-            description=f"abelian algebra of dimension {n}",
-            algebra=alg,
-            reference_functional=tuple([Fraction(1)] * n),
-            orbit_steps=tuple((f"e{i+1}", f"x{i+1}") for i in range(n)),
-            ideal_flag=_coordinate_flag(n, [list(range(n - k, n))
-                                            for k in range(1, n + 1)]),
-            expected_verdict="star-regular",
-        )
+        return _abelian_entry(int(m.group(1)))
     raise KeyError(f"no catalog entry named {name!r}")

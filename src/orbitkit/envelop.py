@@ -161,8 +161,12 @@ def _left_normal(algebra, word, ordered):
 
 
 def _add_into(acc, word_sum, scale=1):
-    for w, c in word_sum.items():
-        acc[w] = acc.get(w, 0) + scale * c
+    """acc += scale * word_sum, in place; a word is stored on its first
+    occurrence and added into afterwards."""
+    scaled = (word_sum.items() if scale == 1
+              else ((w, scale * c) for w, c in word_sum.items()))
+    for w, c in scaled:
+        acc[w] = acc[w] + c if w in acc else c
 
 
 def _combine(scaled_sums):

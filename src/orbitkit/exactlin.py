@@ -7,6 +7,8 @@ form, so subspace equality is literal equality of the canonical basis.
 Scalars have one normal form: a real value is always a Fraction, and only a
 value with a nonzero imaginary part is a GaussianRational.  Both types carry
 .real and .imag (PEP 3141), so code reads them whatever the scalar type.
+A GaussianRational times a nonzero int or Fraction takes two Fraction
+products and is never real; times zero it is Q0.
 """
 
 from __future__ import annotations
@@ -69,10 +71,18 @@ class GaussianRational:
         return GaussianRational(o.real - self.real, o.imag - self.imag)
 
     def __mul__(self, o):
-        if not isinstance(o, SCALARS):
+        if isinstance(o, GaussianRational):
+            return GaussianRational(self.real * o.real - self.imag * o.imag,
+                                    self.real * o.imag + self.imag * o.real)
+        if not isinstance(o, (int, Fraction)):
             return NotImplemented
-        return GaussianRational(self.real * o.real - self.imag * o.imag,
-                                self.real * o.imag + self.imag * o.real)
+        # a real o: two products, and a nonzero o keeps the imaginary part
+        if not o:
+            return Q0
+        out = object.__new__(GaussianRational)
+        object.__setattr__(out, "real", self.real * o)
+        object.__setattr__(out, "imag", self.imag * o)
+        return out
 
     __rmul__ = __mul__
 

@@ -10,6 +10,13 @@ and its exponent, a linear form without a constant part.  Terms with equal
 keys are merged, zero coefficients dropped, and terms kept in a
 deterministic order, so equality of normal forms is syntactic.
 
+Every stored key is merge-normal: its variables are sorted and it has no
+zero power or coefficient.  The ring kernels rely on that: a product with
+the constant 1 is its other factor, a key merged with an empty monomial or
+exponent is kept as it is, a term is stored on its key's first occurrence
+and added into afterwards, and the results go to ExpPoly._from_normal, the
+one constructor that trusts its input (it drops zeros and coerces nothing).
+
 Exponentials stay formal.  Numeric evaluation substitutes positive rationals
 for the atoms exp(variable); the multiplicative rule exp(a+b) =
 exp(a)*exp(b) is applied exactly, so evaluation never leaves the rationals.
@@ -43,6 +50,9 @@ from .exactlin import (
 from .liealg import LieAlgebra, _gaussian_eigenvalues
 
 
+_UNIT = {((), ()): Q1}
+
+
 def _term_sort_key(key):
     mono, lin = key
     return tuple((v, (c.real, c.imag)) for v, c in lin), mono
@@ -57,6 +67,14 @@ class ExpPoly:
         coerced = ((key, scalar(c)) for key, c in (terms or {}).items())
         object.__setattr__(self, "_terms", {key: c for key, c in coerced if c})
 
+    @classmethod
+    def _from_normal(cls, terms):
+        """The ExpPoly with terms {merge-normal key: normalized scalar}, zeros
+        dropped; no key or coefficient is coerced again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", {key: c for key, c in terms.items() if c})
+        return self
+
     def __setattr__(self, *args):
         raise AttributeError("ExpPoly is immutable")
 
@@ -64,17 +82,17 @@ class ExpPoly:
 
     @classmethod
     def constant(cls, c):
-        return cls({((), ()): scalar(c)})
+        return cls._from_normal({((), ()): scalar(c)})
 
     @classmethod
     def variable(cls, name):
-        return cls({(((name, 1),), ()): Q1})
+        return cls._from_normal({(((name, 1),), ()): Q1})
 
     @classmethod
     def exp(cls, linear):
         """exp(sum coeff*var) for a dict {var: coeff}."""
         lin = tuple(sorted((v, scalar(c)) for v, c in linear.items() if scalar(c)))
-        return cls({((), lin): Q1})
+        return cls._from_normal({((), lin): Q1})
 
     @classmethod
     def lift(cls, x):
@@ -120,8 +138,8 @@ class ExpPoly:
             return NotImplemented
         terms = dict(self._terms)
         for key, c in other._terms.items():
-            terms[key] = terms.get(key, Q0) + c
-        return ExpPoly(terms)
+            terms[key] = terms[key] + c if key in terms else c
+        return ExpPoly._from_normal(terms)
 
     __radd__ = __add__
 
@@ -132,18 +150,24 @@ class ExpPoly:
         return self + (-other)
 
     def __neg__(self):
-        return ExpPoly({key: -c for key, c in self._terms.items()})
+        return ExpPoly._from_normal({key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other):
         other = ExpPoly._operand(other)
         if other is None:
             return NotImplemented
+        if other._terms == _UNIT:
+            return self
+        if self._terms == _UNIT:
+            return other
         terms = {}
         for (m1, l1), a in self._terms.items():
             for (m2, l2), b in other._terms.items():
-                key = (_merge_mono(m1, m2), _merge_lin(l1, l2))
-                terms[key] = terms.get(key, Q0) + a * b
-        return ExpPoly(terms)
+                key = (_merge_mono(m1, m2) if m1 and m2 else m1 or m2,
+                       _merge_lin(l1, l2) if l1 and l2 else l1 or l2)
+                c = a * b
+                terms[key] = terms[key] + c if key in terms else c
+        return ExpPoly._from_normal(terms)
 
     __rmul__ = __mul__
 
@@ -178,11 +202,13 @@ class ExpPoly:
                     new_mono = mono[:idx] + mono[idx + 1:]
                 else:
                     new_mono = mono[:idx] + ((v, k - 1),) + mono[idx + 1:]
-                terms[new_mono, lin] = terms.get((new_mono, lin), Q0) + c * k
+                key, d = (new_mono, lin), c * k
+                terms[key] = terms[key] + d if key in terms else d
             for v, a in lin:
                 if v == var:
-                    terms[mono, lin] = terms.get((mono, lin), Q0) + c * a
-        return ExpPoly(terms)
+                    key, d = (mono, lin), c * a
+                    terms[key] = terms[key] + d if key in terms else d
+        return ExpPoly._from_normal(terms)
 
     def substitute(self, mapping):
         """Replace variables by scalars or ExpPolys.

@@ -8,11 +8,12 @@ and subalgebra tests, Killing form and rational Jacobi check, the flag
 search that reduces every column modulo the flag at each step,
 right-first normal ordering of a generator word, word-by-word evaluation
 of an enveloping-algebra element, the Leibniz sum for composing
-differential operators, identity, product and substitution on flows (rows
-of ExpPoly entries), the closure search's fold and coordinate descent on
-Fractions, the upper-triangular algebra b_n in any basis order, the
-gaussian-weights algebra as .alg text, and a drawn rational basis and an
-algebra in it.  No orbitkit command needs them."""
+differential operators, ExpPoly sum, negation, product and derivative
+with every key merged and every sum added into Q0, identity, product and
+substitution on flows (rows of ExpPoly entries), the closure search's fold
+and coordinate descent on Fractions, the upper-triangular algebra b_n in
+any basis order, the gaussian-weights algebra as .alg text, and a drawn
+rational basis and an algebra in it.  No orbitkit command needs them."""
 
 from fractions import Fraction
 from math import comb, lcm
@@ -24,7 +25,7 @@ from orbitkit.errors import DimensionMismatch, NonRationalSpectrum, Precondition
 from orbitkit.exactlin import Matrix, Q0, Subspace, kernel, rref, solve, unit_vector, vec
 from orbitkit.invariants import _capped, _monomials, _vector_to_poly
 from orbitkit.liealg import LieAlgebra, _eigen_ratio, _gaussian_eigenvalues, _restrict_to
-from orbitkit.symflow import ExpPoly
+from orbitkit.symflow import ExpPoly, _merge_lin, _merge_mono
 
 
 def derivation(m: LieAlgebra, x, q: ExpPoly, module: Subspace | None = None) -> ExpPoly:
@@ -381,6 +382,44 @@ def leibniz_product(p: DiffOp, q: DiffOp) -> DiffOp:
             for j, bj in enumerate(derivatives):
                 out = out + DiffOp({m - j + k: a * bj * comb(m, j)})
     return out
+
+
+def expoly_sum(p: ExpPoly, q: ExpPoly) -> ExpPoly:
+    """p + q with every sum added into Q0, built through ExpPoly(...)."""
+    terms = p.terms()
+    for key, c in q.terms().items():
+        terms[key] = terms.get(key, Q0) + c
+    return ExpPoly(terms)
+
+
+def expoly_negation(p: ExpPoly) -> ExpPoly:
+    return ExpPoly({key: -c for key, c in p.terms().items()})
+
+
+def expoly_product(p: ExpPoly, q: ExpPoly) -> ExpPoly:
+    """p * q with every key merged and every sum added into Q0, built through
+    ExpPoly(...)."""
+    terms = {}
+    for (m1, l1), a in p.terms().items():
+        for (m2, l2), b in q.terms().items():
+            key = (_merge_mono(m1, m2), _merge_lin(l1, l2))
+            terms[key] = terms.get(key, Q0) + a * b
+    return ExpPoly(terms)
+
+
+def expoly_derivative(p: ExpPoly, var) -> ExpPoly:
+    """d/dvar of p with every sum added into Q0, built through ExpPoly(...)."""
+    terms = {}
+    for (mono, lin), c in p.terms().items():
+        for idx, (v, k) in enumerate(mono):
+            if v == var:
+                lowered = ((v, k - 1),) if k > 1 else ()
+                key = (mono[:idx] + lowered + mono[idx + 1:], lin)
+                terms[key] = terms.get(key, Q0) + c * k
+        for v, a in lin:
+            if v == var:
+                terms[mono, lin] = terms.get((mono, lin), Q0) + c * a
+    return ExpPoly(terms)
 
 
 def identity_rows(n):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import CATALOG_NAMES, GAUSSIAN_WEIGHTS_ALG, borel, draw_basis_change
 
-from orbitkit import cli
+from orbitkit import cli, symflow
 from orbitkit.algfile import emit_algebra, parse_algebra, parse_functional
 from orbitkit.catalog import get_entry
 from orbitkit.errors import AntisymmetryViolation, ParseError
@@ -381,6 +381,21 @@ def test_cli_main_calls_share_one_parser(monkeypatch, capsys):
     first = len(built)
     assert first and run_cli(capsys, "closure-test", "--catalog", "b5", "--seed", "x")[0] == 1
     assert len(built) == first
+
+
+def test_abelian_entries_are_built_once_per_process(monkeypatch, capsys):
+    assert get_entry("abelian3") is get_entry("abelian3")
+    first = run_cli(capsys, "orbit", "--catalog", "abelian3", "--json")
+    calls = []
+    exp_matrix = symflow.exp_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return exp_matrix(*args)
+
+    monkeypatch.setattr(symflow, "exp_matrix", counting)
+    assert run_cli(capsys, "orbit", "--catalog", "abelian3", "--json") == first
+    assert first[0] == 0 and not calls
 
 
 # -- bad input ends in exit 1 or 2, never in a traceback -----------------------

@@ -90,6 +90,20 @@ def test_scalar_arithmetic_agrees_with_pairs_and_keeps_the_normal_form(p, q, k):
         assert _in_normal_form(x), op
 
 
+_REAL = st.integers(-4, 4) | _Q  # ints and Fractions, 0 included
+_NONREAL_PAIRS = st.tuples(_Q, _Q.filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NONREAL_PAIRS, _REAL)
+def test_gaussian_times_a_real_is_the_general_product(p, x):
+    a = GaussianRational(*p)
+    expected = _pair_mul(p, (F(x), F(0)))
+    for got in (a * x, x * a):
+        assert (got.real, got.imag) == expected
+        assert _in_normal_form(got)
+
+
 def _expoly_scalars(e):
     for (_, lin), c in e.terms().items():
         yield c

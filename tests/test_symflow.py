@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     draw_basis_matrix,
+    expoly_derivative,
+    expoly_negation,
+    expoly_product,
+    expoly_sum,
     identity_rows,
     power_generalized_eigenspace,
     rows_product,
@@ -22,7 +26,7 @@ from orbitkit.errors import (
     NonRationalSpectrum,
     NotIdeal,
 )
-from orbitkit.exactlin import Matrix, Subspace, solve, unit_vector
+from orbitkit.exactlin import GaussianRational, Matrix, Subspace, solve, unit_vector
 from orbitkit.liealg import LieAlgebra, _gaussian_eigenvalues, b5, heisenberg3
 from orbitkit.symflow import (
     ExpPoly,
@@ -96,6 +100,39 @@ def test_expoly_evaluate():
     assert half.evaluate({}, {"t": F(4)}) == F(2)
     with pytest.raises(InconsistentExponentialAssignment):
         half.evaluate({}, {"t": F(2)})
+
+
+_RATIONAL = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+_NONZERO = st.builds(F, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3))
+_COEFF = _RATIONAL | st.builds(GaussianRational, _RATIONAL, _NONZERO)
+# 0, 1, -1, i, -i, then any rational or Gaussian value
+_SCALAR = (st.sampled_from([0, 1, -1, GaussianRational(0, 1), GaussianRational(0, -1)])
+           | _COEFF | st.integers(-2, 2))
+_MONO = st.dictionaries(st.sampled_from("xy"), st.integers(1, 2), max_size=2)
+_LIN = st.dictionaries(st.sampled_from("st"), _COEFF.filter(bool), max_size=2)
+_EXPOLY = (_SCALAR.map(ExpPoly.constant)
+           | st.dictionaries(st.tuples(_MONO, _LIN).map(
+               lambda ml: tuple(tuple(sorted(d.items())) for d in ml)),
+               _COEFF, max_size=5).map(ExpPoly))
+
+
+def _items(e):
+    """The terms in their stored order, each coefficient with its type."""
+    return [(key, type(c), c) for key, c in e.terms().items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPOLY, _EXPOLY, _SCALAR)
+def test_expoly_kernels_match_the_merging_reference_in_order(p, q, c):
+    assert _items(p + q) == _items(expoly_sum(p, q))
+    assert _items(p + c) == _items(expoly_sum(p, ExpPoly.constant(c)))
+    assert _items(-p) == _items(expoly_negation(p))
+    assert _items(p * q) == _items(expoly_product(p, q))
+    assert _items(q * p) == _items(expoly_product(q, p))
+    assert _items(p * c) == _items(expoly_product(p, ExpPoly.constant(c)))
+    assert _items(c * p) == _items(expoly_product(ExpPoly.constant(c), p))
+    for v in "xs":
+        assert _items(p.d_dvar(v)) == _items(expoly_derivative(p, v))
 
 
 def test_one_param_flow_central_is_identity():
