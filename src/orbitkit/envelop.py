@@ -1,11 +1,12 @@
 """PBW normal forms in the complexified enveloping algebra, symmetrization,
 centrality, and evaluation in a Weyl-type algebra of differential operators.
 
-Enveloping-algebra elements are Gaussian-rational combinations of ordered
-monomials in the algebra's fixed basis order; products are rewritten with
-e_j e_i = e_i e_j - [e_i, e_j] for j > i until normal-ordered.  Symbolic
-rational constants (and the dotted generators -i*e_nu) live in ExpPoly
-coefficients.
+Enveloping-algebra elements are combinations of ordered monomials in the
+algebra's fixed basis order with ExpPoly coefficients, which hold symbolic
+rational constants and the factors -i of the dotted generators -i*e_nu.
+symmetrize and is_central build them already in normal form, rewriting a
+generator word with e_j e_i = e_i e_j - [e_i, e_j] for j > i until it is
+ordered; elements add termwise and have no product here.
 
 Symmetrization and the centrality test work on rational word sums
 {normal word: Fraction}: the structure constants are rational, so the normal
@@ -69,12 +70,6 @@ class UEAElement:
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: LieAlgebra, terms=None):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", _combine(
-            (ExpPoly.lift(coeff), _normalize_word(algebra, tuple(word)))
-            for word, coeff in (terms or {}).items()))
-
     def __setattr__(self, *args):
         raise AttributeError("UEAElement is immutable")
 
@@ -87,54 +82,15 @@ class UEAElement:
         object.__setattr__(self, "terms", {w: c for w, c in terms.items() if not c.is_zero()})
         return self
 
-    @classmethod
-    def scalar(cls, algebra, value):
-        return cls(algebra, {(): value})
-
-    def _check_same(self, other):
-        if self.algebra != other.algebra:
-            raise DimensionMismatch("elements live over different algebras")
-
     def __add__(self, other):
         if not isinstance(other, UEAElement):
-            other = UEAElement.scalar(self.algebra, other)
-        self._check_same(other)
+            return NotImplemented
+        if self.algebra != other.algebra:
+            raise DimensionMismatch("elements live over different algebras")
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms[w] + c if w in terms else c
         return UEAElement._from_normal(self.algebra, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, UEAElement):
-            other = UEAElement.scalar(self.algebra, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return UEAElement.scalar(self.algebra, other) + (-self)
-
-    def __neg__(self):
-        return UEAElement._from_normal(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, UEAElement):
-            other = ExpPoly.lift(other)
-            return UEAElement._from_normal(self.algebra,
-                                           {w: c * other for w, c in self.terms.items()})
-        self._check_same(other)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word = w1 + w2
-                coeff = c1 * c2
-                terms[word] = terms.get(word, ExpPoly()) + coeff
-        return UEAElement(self.algebra, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, UEAElement):
-            return NotImplemented
-        return self * other
 
     def __eq__(self, other):
         return (isinstance(other, UEAElement) and self.algebra == other.algebra
@@ -280,7 +236,7 @@ class DiffOp:
             other = DiffOp.multiplication(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, ExpPoly()) + c
+            terms[k] = terms[k] + c if k in terms else c
         return DiffOp(terms)
 
     __radd__ = __add__
@@ -308,7 +264,7 @@ class DiffOp:
                         break
                     coeff = a * derived * comb(m, j)
                     key = m - j + k
-                    terms[key] = terms.get(key, ExpPoly()) + coeff
+                    terms[key] = terms[key] + coeff if key in terms else coeff
         return DiffOp(terms)
 
     def __rmul__(self, other):
@@ -334,7 +290,7 @@ class DiffOp:
 
     def scalar_value(self) -> ExpPoly:
         if not self.is_scalar():
-            raise ValueError("operator is not a scalar")
+            raise PreconditionFailed("operator is not a scalar")
         return self.terms.get(0, ExpPoly())
 
     def __repr__(self):
@@ -360,23 +316,15 @@ def check_rep(m: LieAlgebra, assign: dict):
     """
     if set(assign) != set(m.basis_names):
         raise DimensionMismatch("assignment must cover exactly the basis")
-    t = {name: PLUS_I * assign[name] for name in m.basis_names}
-
-    def t_of_vector(v):
-        out = DiffOp()
-        for name, c in zip(m.basis_names, v):
-            if c:
-                out = out + t[name] * c
-        return out
-
-    for i, ni in enumerate(m.basis_names):
+    names = m.basis_names
+    t = [PLUS_I * assign[name] for name in names]
+    for i in range(m.dim):
         for j in range(i + 1, m.dim):
-            nj = m.basis_names[j]
-            lhs = t[ni] * t[nj] - t[nj] * t[ni]
-            rhs = t_of_vector(m.table[i][j])
+            lhs = t[i] * t[j] - t[j] * t[i]
+            rhs = sum((t[k] * c for k, c in m.sparse_table[i][j]), DiffOp())
             defect = lhs - rhs
             if not defect.is_zero():
-                return False, (ni, nj, defect)
+                return False, (names[i], names[j], defect)
     return True, None
 
 

@@ -6,8 +6,9 @@ power, monomial coordinates, the general-position test, the greedy
 coordinate complement, the dense bracket, ad-matrix, bracket span, ideal
 and subalgebra tests, Killing form and rational Jacobi check, the flag
 search that reduces every column modulo the flag at each step,
-right-first normal ordering of a generator word, word-by-word evaluation
-of an enveloping-algebra element, the Leibniz sum for composing
+right-first normal ordering of a generator word and the enveloping-algebra
+ring built on it, word-by-word evaluation of an enveloping-algebra
+element, the Leibniz sum for composing
 differential operators, ExpPoly sum, negation, product and derivative
 with every key merged and every sum added into Q0, identity, product and
 substitution on flows (rows of ExpPoly entries), the closure search's fold
@@ -343,7 +344,7 @@ def first_jacobi_defect(table):
 
 def normalize_word_right(g: LieAlgebra, word: tuple) -> dict:
     """{ordered word: rational coeff} by rewriting the rightmost inversion
-    first; envelop._normalize_word rewrites the leftmost."""
+    first; envelop's word normalizer rewrites the leftmost."""
     inversions = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
     if not inversions:
         return {word: Fraction(1)}
@@ -355,6 +356,73 @@ def normalize_word_right(g: LieAlgebra, word: tuple) -> dict:
         for w, cf in normalize_word_right(g, word[:pos] + (k,) + word[pos + 2:]).items():
             result[w] = result.get(w, Fraction(0)) + c * cf
     return {w: c for w, c in result.items() if c}
+
+
+class ReferenceUEA(UEAElement):
+    """The enveloping-algebra ring that tests build expected values in.
+
+    ReferenceUEA(g, {word: coeff}) is the sum of coeff * e_word, each word
+    normal-ordered by normalize_word_right.  Sums, differences, negation and
+    products with a scalar or an ExpPoly or with another element (src
+    UEAElements included) are ReferenceUEAs; a product of elements is the
+    concatenation of every pair of words, normalized again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, algebra: LieAlgebra, terms=None):
+        normal = {}
+        for word, coeff in (terms or {}).items():
+            coeff = ExpPoly.lift(coeff)
+            for w, r in normalize_word_right(algebra, tuple(word)).items():
+                normal[w] = normal.get(w, ExpPoly()) + coeff * r
+        return cls._from_normal(algebra, normal)
+
+    def _operand(self, other):
+        """other as a ReferenceUEA over this algebra, a scalar or an ExpPoly
+        as a multiple of the empty word; None for any other operand."""
+        if isinstance(other, UEAElement):
+            if other.algebra != self.algebra:
+                raise DimensionMismatch("elements live over different algebras")
+            return ReferenceUEA._from_normal(other.algebra, other.terms)
+        other = ExpPoly._operand(other)
+        return None if other is None else ReferenceUEA(self.algebra, {(): other})
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            terms[w] = terms.get(w, ExpPoly()) + c
+        return ReferenceUEA._from_normal(self.algebra, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceUEA._from_normal(self.algebra, {w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else other + (-self)
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        words = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                words[w1 + w2] = words.get(w1 + w2, ExpPoly()) + c1 * c2
+        return ReferenceUEA(self.algebra, words)
+
+    def __rmul__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else other * self
 
 
 def evaluate_uea_by_words(assign: dict, u: UEAElement) -> DiffOp:

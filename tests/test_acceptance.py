@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from reference import (
+    ReferenceUEA,
     _poly_to_vector,
     derivation,
     normalize_word_right,
@@ -28,7 +29,6 @@ from orbitkit.coadjoint import (
 )
 from orbitkit.envelop import (
     DiffOp,
-    UEAElement,
     _normalize_word,
     check_rep,
     evaluate_uea,
@@ -186,7 +186,7 @@ def test_criterion_6_enveloping_pipeline():
     w = symmetrize(e0 * e3 - e1 * e2 - f0 * e3, m)
 
     # the dotted generators -i * e_n
-    ed = {n: UEAElement(m, {(i,): GaussianRational(0, -1)})
+    ed = {n: ReferenceUEA(m, {(i,): GaussianRational(0, -1)})
           for i, n in enumerate(m.basis_names)}
     w_display = (ed["e3"] * ed["e0"]
                  - (ed["e2"] * ed["e1"] + ed["e1"] * ed["e2"]) * F(1, 2)
@@ -314,7 +314,7 @@ def _suite_pbw():
         n = m.dim
 
         def rand_elt(max_len):
-            return UEAElement(m, {
+            return ReferenceUEA(m, {
                 tuple(rng.choices(range(n), k=rng.randint(0, max_len))):
                 F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)})
 

@@ -150,17 +150,26 @@ def test_catalog_output_matches_its_pinned_digests(monkeypatch, capsys):
 
 _B3_NAMES = ["E00", "E01", "E02", "E11", "E12", "E22"]
 # algebras whose adjoint spectra take each branch of the eigenspace split:
-# roots +-sqrt(2) outside Q(i), a rotation, Gaussian weights, a Jordan block,
-# a Killing form blind to the nilradical, a non-integer weight, a nilpotent
-# filiform, and b_3 in three basis orders
+# roots +-sqrt(2) outside Q(i), the roots of t^3 - 2 and +-i*sqrt(2) outside
+# Q(i), a rotation, Gaussian weights, a Jordan block, a Killing form blind to
+# the nilradical, a non-integer weight, a nilpotent filiform, R^2 acting on
+# it by weights (-1, 0, -1, -2) and (-1, -1, -2, -3), and b_3 in three basis
+# orders
 EIGEN_PATH_FILES = {
     "sqrt2.alg": "basis a x y\nbracket a x = y\nbracket a y = 2*x\n",
+    "cbrt2.alg": "basis a x y z\nbracket a x = y\nbracket a y = z\nbracket a z = 2*x\n",
+    "i-sqrt2.alg": "basis a x y\nbracket a x = y\nbracket a y = -2*x\n",
     "rotation.alg": "basis a x y\nbracket a x = y\nbracket a y = -x\n",
     "gaussian-weights.alg": GAUSSIAN_WEIGHTS_ALG,
     "jordan.alg": "basis a x y z\nbracket a x = x\nbracket a y = x + y\n",
     "killing-blind.alg": "basis a x y\nbracket a x = x + y\nbracket a y = -x + y\n",
     "half.alg": "basis a b\nbracket a b = 1/2*b\n",
     "f4.alg": "basis x1 x2 x3 x4\nbracket x1 x2 = x3\nbracket x1 x3 = x4\n",
+    "r2-f4.alg": ("basis a b x1 x2 x3 x4\n"
+                  "bracket a x1 = -x1\nbracket a x3 = -x3\nbracket a x4 = -2*x4\n"
+                  "bracket b x1 = -x1\nbracket b x2 = -x2\nbracket b x3 = -2*x3\n"
+                  "bracket b x4 = -3*x4\n"
+                  "bracket x1 x2 = x3\nbracket x1 x3 = x4\n"),
     "b3.alg": emit_algebra(borel(3)),
     "b3-reversed.alg": emit_algebra(borel(3, _B3_NAMES[::-1])),
     "b3-diagonal-first.alg": emit_algebra(borel(3, sorted(_B3_NAMES,

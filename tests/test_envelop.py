@@ -8,7 +8,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import evaluate_uea_by_words, leibniz_product, normalize_word_right
+from reference import (
+    ReferenceUEA,
+    evaluate_uea_by_words,
+    leibniz_product,
+    normalize_word_right,
+)
 
 from orbitkit.algfile import parse_algebra
 from orbitkit.catalog import get_entry
@@ -43,7 +48,7 @@ def var(name):
 
 
 def gens(algebra):
-    return {n: UEAElement(algebra, {(i,): 1}) for i, n in enumerate(algebra.basis_names)}
+    return {n: ReferenceUEA(algebra, {(i,): 1}) for i, n in enumerate(algebra.basis_names)}
 
 
 def dotted(algebra):
@@ -71,8 +76,8 @@ def test_central_generator_commutes():
     g = gens(h3)
     rng = random.Random(4)
     for _ in range(10):
-        u = UEAElement(h3, {tuple(rng.choices(range(3), k=rng.randint(0, 3))):
-                            F(rng.randint(-3, 3))})
+        u = ReferenceUEA(h3, {tuple(rng.choices(range(3), k=rng.randint(0, 3))):
+                              F(rng.randint(-3, 3))})
         assert (g["e3"] * u - u * g["e3"]).is_zero()
 
 
@@ -119,9 +124,9 @@ def test_symmetrize_repeated_letters_matches_all_orderings(data, c):
     q = ExpPoly.constant(c)
     for name in letters:
         q = q * var(name)
-    expected = UEAElement(m, {})
+    expected = ReferenceUEA(m, {})
     for perm in permutations(letters):
-        prod = UEAElement.scalar(m, 1)
+        prod = ReferenceUEA(m, {(): 1})
         for name in perm:
             prod = prod * ed[name]
         expected = expected + prod
@@ -130,7 +135,7 @@ def test_symmetrize_repeated_letters_matches_all_orderings(data, c):
 
 def test_is_central():
     m, w = catalog_w()
-    assert is_central(UEAElement.scalar(m, F(5, 3)))[0]
+    assert is_central(ReferenceUEA(m, {(): F(5, 3)}))[0]
     ok, witness = is_central(w)
     assert ok and witness is None
     ok, witness = is_central(dotted(m)["e0"])
@@ -151,8 +156,8 @@ coefficients = st.one_of(
 def test_is_central_witness_is_the_commutator(data):
     m = data.draw(st.sampled_from(ALGEBRAS[:2]))
     words = st.lists(st.integers(0, m.dim - 1), max_size=4).map(tuple)
-    u = UEAElement(m, data.draw(st.dictionaries(words, coefficients, min_size=1,
-                                                max_size=4)))
+    u = ReferenceUEA(m, data.draw(st.dictionaries(words, coefficients, min_size=1,
+                                                  max_size=4)))
     expected = (True, None)
     for name, e in gens(m).items():
         commutator = u * e - e * u
@@ -165,9 +170,21 @@ def test_is_central_witness_is_the_commutator(data):
 def test_words_with_letters_outside_the_basis_are_rejected():
     m = g49_zero()
     for word in ((-1,), (3, -1), (9,)):
-        for coeff in (1, 0):
-            with pytest.raises(DimensionMismatch):
-                UEAElement(m, {word: coeff})
+        with pytest.raises(DimensionMismatch):
+            _normalize_word(m, word)
+
+
+def test_src_elements_come_in_normal_form_and_add_only_to_elements():
+    m = g49_zero()
+    with pytest.raises(TypeError):
+        UEAElement(m, {(1, 0): 1})
+    u = symmetrize(var("e0") * var("e1"), m)
+    v = symmetrize(var("e2"), m)
+    assert u + v == ReferenceUEA(m, {}) + u + v
+    with pytest.raises(TypeError):
+        u + 1
+    with pytest.raises(DimensionMismatch):
+        u + symmetrize(var("e1"), heisenberg3())
 
 
 def test_mixed_operands_defer_to_the_element_or_operator():
@@ -208,6 +225,13 @@ def test_diffop_canonical_commutator():
     xi = DiffOp.multiplication(var("xi"))
     minus_i = DiffOp.multiplication(GaussianRational(0, -1))
     assert d * xi - xi * d == minus_i
+
+
+def test_scalar_value_refuses_an_operator_that_is_not_a_scalar():
+    assert DiffOp.multiplication(var("f0")).scalar_value() == var("f0")
+    for op in (DiffOp.D(), DiffOp.multiplication(var("xi"))):
+        with pytest.raises(PreconditionFailed, match="not a scalar"):
+            op.scalar_value()
 
 
 def test_diffop_associativity():
@@ -289,10 +313,10 @@ def test_evaluate_is_homomorphism():
     dpi = entry.representations["dpi_s"]
     rng = random.Random(12)
     for _ in range(8):
-        u = UEAElement(m, {tuple(rng.choices(range(4), k=rng.randint(0, 2))):
-                           F(rng.randint(-2, 2))})
-        v = UEAElement(m, {tuple(rng.choices(range(4), k=rng.randint(0, 2))):
-                           F(rng.randint(-2, 2))})
+        u = ReferenceUEA(m, {tuple(rng.choices(range(4), k=rng.randint(0, 2))):
+                             F(rng.randint(-2, 2))})
+        v = ReferenceUEA(m, {tuple(rng.choices(range(4), k=rng.randint(0, 2))):
+                             F(rng.randint(-2, 2))})
         left = evaluate_uea(dpi, u * v)
         right = evaluate_uea(dpi, u) * evaluate_uea(dpi, v)
         assert left == right
@@ -319,7 +343,7 @@ def f0_polynomials():
                        f0_polynomials(), max_size=8))
 def test_evaluate_matches_word_by_word_evaluation(terms):
     entry = get_entry("g49_0")
-    u = UEAElement(entry.algebra, terms)
+    u = ReferenceUEA(entry.algebra, terms)
     for assign in entry.representations.values():
         assert evaluate_uea(assign, u) == evaluate_uea_by_words(assign, u)
 

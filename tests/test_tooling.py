@@ -1,6 +1,7 @@
 """Source checks: exact arithmetic on every path that can decide a verdict,
 one denominator cap, no src function that no command or benchmark run
-enters (outside an allow-list with reasons), no import that nothing uses,
+enters (outside an allow-list with reasons), no src raise of a class
+outside orbitkit.errors (outside a few listed ones), no import that nothing uses,
 no import of a package that pyproject.toml does not declare, no sympy
 import at start-up, every name that the benchmark's tracer wraps still
 there, and no stdout write outside the command line's main."""
@@ -15,7 +16,7 @@ import tomllib
 import types
 from pathlib import Path
 
-from orbitkit import envelop, liealg
+from orbitkit import envelop, errors, liealg
 from orbitkit.symflow import ExpPoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,11 +157,8 @@ REACH_ALLOWED = {
         "exactlin.Subspace.__setattr__", "liealg.LieAlgebra.__setattr__",
         "symflow.ExpPoly.__setattr__"),
     "a reference operation that tests compare against or assert with": (
-        "envelop.UEAElement.__init__", "envelop.UEAElement.scalar",
-        "envelop.UEAElement.__sub__", "envelop.UEAElement.__rsub__",
-        "envelop.UEAElement.__neg__", "envelop.UEAElement.__mul__",
-        "envelop.UEAElement.__rmul__", "envelop.UEAElement.__eq__",
-        "envelop.UEAElement.__repr__", "envelop.DiffOp.__eq__", "envelop.DiffOp.__repr__",
+        "envelop.UEAElement.__eq__", "envelop.UEAElement.__repr__",
+        "envelop.DiffOp.__eq__", "envelop.DiffOp.__repr__",
         "exactlin.GaussianRational.__repr__", "exactlin.Matrix.__eq__",
         "exactlin.Matrix.__repr__", "exactlin.Subspace.__repr__", "symflow.ExpPoly.__hash__", "symflow._linear_form",
         "symflow.ExpPoly.substitute.<locals>.linear_form"),
@@ -279,6 +277,77 @@ def test_the_stdout_scan_flags_writes_outside_the_cli_main():
                                                 "cli.py:9: show"]
     assert _stdout_writes("report.py", source) == ["report.py:3: main", "report.py:5: main",
                                                    "report.py:8: show", "report.py:9: show"]
+
+
+# src raises of a class outside orbitkit.errors, as (file, function, raised)
+# with None for any file or function: the command line's exits and argparse's
+# type errors, the immutability guards, the catalog lookup that cli turns
+# into exit 1, and the re-raises of the per-algebra memo
+FOREIGN_RAISES_ALLOWED = (
+    ("cli.py", None, "SystemExit"), ("cli.py", None, "argparse.ArgumentTypeError"),
+    (None, "__setattr__", "AttributeError"), ("catalog.py", "get_entry", "KeyError"),
+    ("liealg.py", "cached", "re-raise"), ("liealg.py", "cached", "got.with_traceback"))
+
+
+def _foreign_raises(name, source, known, allowed=FOREIGN_RAISES_ALLOWED):
+    """'file:line: function: raised' for each raise of an exception that
+    known does not name and allowed does not cover; raised is the called or
+    named exception, or 're-raise' for a bare raise."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Raise):
+            exc = node.exc
+            raised = "re-raise" if exc is None else ast.unparse(
+                exc.func if isinstance(exc, ast.Call) else exc)
+            if raised not in known and not any(
+                    f in (None, name) and w in (None, where) and r == raised
+                    for f, w, r in allowed):
+                out.append(f"{name}:{node.lineno}: {where}: {raised}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_src_raises_only_orbitkit_errors():
+    known = {n for n, c in vars(errors).items()
+             if isinstance(c, type) and issubclass(c, errors.OrbitkitError)}
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in _foreign_raises(path.name, path.read_text(encoding="utf-8"), known)]
+    assert found == []
+
+
+def test_the_raise_scan_flags_a_class_outside_the_errors_module():
+    source = ("class DiffOp:\n"
+              "    def __setattr__(self, *args):\n"
+              "        raise AttributeError('immutable')\n"
+              "    def scalar_value(self):\n"
+              "        raise ValueError('not a scalar')\n"
+              "def get_entry(name):\n"
+              "    if name:\n"
+              "        raise KeyError(name)\n"
+              "    raise PreconditionFailed(name)\n"
+              "def cached(memo, key):\n"
+              "    try:\n"
+              "        return memo[key]\n"
+              "    except LookupError:\n"
+              "        raise\n"
+              "raise SystemExit(main())\n")
+    known = {"PreconditionFailed"}
+    assert _foreign_raises("envelop.py", source, known) == [
+        "envelop.py:5: scalar_value: ValueError", "envelop.py:8: get_entry: KeyError",
+        "envelop.py:14: cached: re-raise", "envelop.py:15: <module>: SystemExit"]
+    assert _foreign_raises("catalog.py", source, known) == [
+        "catalog.py:5: scalar_value: ValueError", "catalog.py:14: cached: re-raise",
+        "catalog.py:15: <module>: SystemExit"]
+    assert _foreign_raises("cli.py", source, known, allowed=()) == [
+        "cli.py:3: __setattr__: AttributeError", "cli.py:5: scalar_value: ValueError",
+        "cli.py:8: get_entry: KeyError", "cli.py:14: cached: re-raise",
+        "cli.py:15: <module>: SystemExit"]
 
 
 def _vanish_checks(name, source):
