@@ -14,9 +14,11 @@ them on every catalog load in the test suite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .envelop import DiffOp
 from .exactlin import GaussianRational, Subspace
@@ -31,8 +33,7 @@ from .liealg import (
 from .symflow import ExpPoly
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """An algebra plus the reference data its golden tests rely on."""
 
     name: str
@@ -44,7 +45,7 @@ class CatalogEntry:
     ideal_flag: tuple | None = None
     stabilizer_names: tuple | None = None
     expected_polarization: Subspace | None = None
-    representations: dict = field(default_factory=dict)
+    representations: Mapping = MappingProxyType({})
     expected_verdict: str | None = None
     critical_label_oracle: object = None
 

@@ -8,8 +8,8 @@ from scratch; nothing is ever rounded.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, FlagInvalid, NotCoabelianIdeal
 from .exactlin import Matrix, Q0, Subspace, kernel, vec
@@ -58,8 +58,7 @@ def stabilizer_ideal(g: LieAlgebra, f, n: Subspace | None = None) -> Subspace:
     return stabilizer(g, f) + n
 
 
-@dataclass(frozen=True)
-class ConditionRCertificate:
+class ConditionRCertificate(NamedTuple):
     """Witness data for the condition (R) test at one functional."""
 
     f: tuple
@@ -123,8 +122,7 @@ def vergne_polarization(g: LieAlgebra, flag, f) -> Subspace:
                                          for v in gk.kernel_of(_gram(b, gk.basis)).basis])
 
 
-@dataclass(frozen=True)
-class PolarizationReport:
+class PolarizationReport(NamedTuple):
     """The four exactly checkable polarization flags at a functional."""
 
     subspace: Subspace
@@ -165,8 +163,7 @@ def random_functional(g: LieAlgebra, rng: random.Random) -> tuple:
                  for _ in range(g.dim))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """Verdict of the decision cascade, with certificates and side notes."""
 
     verdict: str

@@ -36,11 +36,10 @@ for the record it hands back.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, groupby
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -65,16 +64,20 @@ INCONCLUSIVE = "inconclusive"
 # ---------------------------------------------------------------------------
 
 def _monomials(names, degree_bound):
-    """Exponent tuples of total degree 1..degree_bound, in a fixed order."""
+    """Exponent tuples of total degree 1..degree_bound, in a fixed order,
+    yielded one degree at a time; PreconditionFailed before the first if
+    there are more than _MONOMIAL_CAP of them."""
     k = len(names)
-    out = []
+    if comb(k + degree_bound, k) - 1 > _MONOMIAL_CAP:
+        raise PreconditionFailed(
+            f"degree {degree_bound} in {k} coordinates gives more than "
+            f"{_MONOMIAL_CAP} monomials")
     for d in range(1, degree_bound + 1):
         for combo in combinations_with_replacement(range(k), d):
             expo = [0] * k
             for i in combo:
                 expo[i] += 1
-            out.append(tuple(expo))
-    return out
+            yield tuple(expo)
 
 
 def _vector_to_poly(v, names, monomials):
@@ -220,8 +223,7 @@ def vanish_on_orbit(q: ExpPoly, om: OrbitMap) -> bool:
 # closure membership
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosureVerdict:
+class ClosureVerdict(NamedTuple):
     """Outcome of an orbit-closure test, with recomputable witness data;
     budget is a soft bound: a search can spend one more evaluation (see
     closure_membership)."""
@@ -419,6 +421,9 @@ _DENOMINATOR_CAP = 10 ** 24
 # the bits of the atom's numerator and denominator beyond one each (so the
 # atom 1 counts 0): exponents from large integer roots would fill memory
 _POWER_BITS_CAP = 2 ** 16
+# _monomials refuses a search on more monomials than this, counted over all
+# degrees; b5 at degree 14 has 11627 and its search takes most of a minute
+_MONOMIAL_CAP = 10 ** 5
 
 
 def _capped(n, d):
@@ -813,8 +818,7 @@ NOT_IN_OMEGA = "not-in-omega"
 SAME_N_ORBIT = "same-n-orbit"
 
 
-@dataclass(frozen=True)
-class CriticalVerdict:
+class CriticalVerdict(NamedTuple):
     """Classification of a functional against the orbit of a reference one."""
 
     label: str

@@ -35,8 +35,8 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     AntisymmetryViolation,
@@ -70,8 +70,7 @@ def _support(v):
     return [(i, x) for i, x in enumerate(v) if x]
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A weight of the adjoint representation, split as re + i*im covectors."""
 
     re: tuple
@@ -85,8 +84,7 @@ class Root:
         return all(not self.value(b) for b in space.basis)
 
 
-@dataclass(frozen=True)
-class ExponentialVerdict:
+class ExponentialVerdict(NamedTuple):
     kind: str  # "exponential" | "not-exponential" | "unknown"
     witness: Root | None = None
     detail: str = ""

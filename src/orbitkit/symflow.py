@@ -24,9 +24,9 @@ exp(a)*exp(b) is applied exactly, so evaluation never leaves the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -501,8 +501,7 @@ def one_param_flow(g: LieAlgebra, x, param: str, restrict_to: Subspace | None = 
 # orbit maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitMap:
+class OrbitMap(NamedTuple):
     """Symbolic parametrization of a coadjoint orbit through a functional."""
 
     component_names: tuple

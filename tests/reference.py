@@ -72,7 +72,7 @@ def ungraded_invariant_space(m: LieAlgebra, degree_bound: int):
     """Canonical basis of the nonconstant invariants up to the degree bound,
     from one common kernel on the whole monomial span."""
     names = m.basis_names
-    monomials = _monomials(names, degree_bound)
+    monomials = list(_monomials(names, degree_bound))
     mats = [_derivation_matrix(m.ad_matrix(unit_vector(m.dim, i)), monomials)
             for i in range(m.dim)]
     space = Subspace.common_kernel(len(monomials), mats)
@@ -85,7 +85,7 @@ def ungraded_semi_invariants(g: LieAlgebra, degree_bound: int,
     monomial span of degree 1..degree_bound, in one block, and every piece
     refined through its eigenvalues, scalar actions included."""
     names = g.dual_names(module)
-    monomials = _monomials(names, degree_bound)
+    monomials = list(_monomials(names, degree_bound))
     mats = [_derivation_matrix(g.ad_matrix(unit_vector(g.dim, i), module), monomials)
             for i in range(g.dim)]
     comm = g.commutator_ideal()

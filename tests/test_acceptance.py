@@ -163,7 +163,7 @@ def test_criterion_5_invariants():
     assert len(inv) == 3  # e3, e0*e3 - e1*e2, e3^2 (nonconstant, degree <= 2)
     e0, e1, e2, e3 = (var(n) for n in m_alg.basis_names)
     from orbitkit.invariants import _monomials
-    monomials = _monomials(m_alg.basis_names, 2)
+    monomials = list(_monomials(m_alg.basis_names, 2))
     cols = [_poly_to_vector(q, m_alg.basis_names, monomials) for q in inv]
     for member in (e3, e0 * e3 - e1 * e2):
         target = _poly_to_vector(member, m_alg.basis_names, monomials)

@@ -6,6 +6,7 @@ import io
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -526,6 +527,17 @@ def test_cli_closure_test_on_orbit_target_without_compiled_search(capsys):
                              "--g", "a=0,x=0,y=1")
     assert code == 2 and out == ""
     assert err.startswith("orbitkit: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["invariants"], ["closure-test", "--g", "e1=3,e0=5"]])
+def test_an_unbounded_degree_is_refused_before_any_monomial_is_listed(capsys, command):
+    # b5 at degree 10^9 has C(10^9 + k, k) - 1 monomials: listing them all
+    # first would fill memory long before the search read one
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command[0], "--catalog", "b5", *command[1:],
+                             "--degree", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "monomials" in err and "Traceback" not in err
 
 
 def test_cli_closure_test_at_the_orbit_start_needs_no_search(capsys):

@@ -48,6 +48,7 @@ from orbitkit.invariants import (
     NOT_IN_OMEGA,
     SAME_N_ORBIT,
     _DENOMINATOR_CAP,
+    _MONOMIAL_CAP,
     _Gram,
     closure_membership,
     critical_test,
@@ -58,6 +59,7 @@ from orbitkit.invariants import (
     _capped,
     _fold,
     _gram,
+    _monomials,
     _powers,
     _Search,
     _step,
@@ -87,7 +89,7 @@ def b5_pipeline():
 def poly_in_span(q, basis_polys, names, degree):
     """Membership via exact linear algebra on the monomial coefficients."""
     from orbitkit.invariants import _monomials
-    monomials = _monomials(names, degree)
+    monomials = list(_monomials(names, degree))
     cols = [_poly_to_vector(p, names, monomials) for p in basis_polys]
     target = _poly_to_vector(q, names, monomials)
     from orbitkit.exactlin import Matrix, solve
@@ -102,6 +104,15 @@ def test_derivation_examples():
     g = b5()
     mm = Subspace.span_of_coordinates(5, [1, 2, 3, 4])
     assert derivation(g, "d", e3, module=mm) == e3
+
+
+def test_monomials_come_one_degree_at_a_time_up_to_the_cap():
+    assert list(_monomials(("x", "y"), 2)) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    # in one coordinate, degree D gives D monomials
+    at_cap = _monomials(("x",), _MONOMIAL_CAP)
+    assert next(at_cap) == (1,) and next(at_cap) == (2,)
+    with pytest.raises(PreconditionFailed, match="monomials"):
+        next(_monomials(("x",), _MONOMIAL_CAP + 1))
 
 
 def test_derivation_leibniz_and_linearity():

@@ -2,9 +2,11 @@
 one denominator cap, no src function that no command or benchmark run
 enters (outside an allow-list with reasons), no src raise of a class
 outside orbitkit.errors (outside a few listed ones), no import that nothing uses,
-no import of a package that pyproject.toml does not declare, no sympy
-import at start-up, every name that the benchmark's tracer wraps still
-there, and no stdout write outside the command line's main."""
+no import of a package that pyproject.toml does not declare, no
+module-level import of sympy or dataclasses in src and none of sympy,
+dataclasses or inspect loaded by importing the command line, every name
+that the benchmark's tracer wraps still there, and no stdout write outside
+the command line's main."""
 
 import ast
 import json
@@ -491,11 +493,16 @@ def _module_level_imports(name, source):
     return out
 
 
+# sympy is the eigenvalue fallback's alone, imported when it first runs;
+# dataclasses, which loads inspect, ast and tokenize, is not needed at all:
+# the records are NamedTuples
+NOT_IMPORTED_AT_START = ("sympy", "dataclasses")
+
+
 def test_no_module_level_sympy_import():
-    # sympy is the eigenvalue fallback's alone, imported when it first runs
     found = [use for path in sorted(SRC.glob("*.py"))
              for use in _module_level_imports(path.name, path.read_text(encoding="utf-8"))
-             if use.split(": ")[1].split(".")[0] == "sympy"]
+             if use.split(": ")[1].split(".")[0] in NOT_IMPORTED_AT_START]
     assert found == []
 
 
@@ -514,18 +521,28 @@ def test_the_import_level_scan_skips_function_bodies():
         "m.py:1: sympy.polys", "m.py:2: .exactlin", "m.py:4: sympy", "m.py:8: gmpy2"]
 
 
-def _fresh_interpreter_imports_sympy(code):
+def _fresh_interpreter_imports(code, modules):
+    """Those of modules that a fresh interpreter has loaded after running code,
+    in the order given."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
-                           "print('sympy' in sys.modules, file=sys.stderr)"],
+                           f"print('loaded:', *(m for m in {modules!r} if m in sys.modules),"
+                           " file=sys.stderr)"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
                           check=True)
-    return proc.stderr.split()[-1]
+    return proc.stderr.splitlines()[-1].split()[1:]
 
 
 def test_importing_the_cli_leaves_sympy_unimported():
-    assert _fresh_interpreter_imports_sympy("import orbitkit.cli") == "False"
+    modules = (*NOT_IMPORTED_AT_START, "inspect")
+    assert _fresh_interpreter_imports("import orbitkit.cli", modules) == []
+
+
+def test_the_import_probe_names_the_modules_a_run_loaded():
+    code = "import dataclasses\nimport fractions"
+    assert _fresh_interpreter_imports(code, ("sympy", "dataclasses", "inspect")) == [
+        "dataclasses", "inspect"]
 
 
 def test_gaussian_spectra_never_reach_the_sympy_fallback():
@@ -533,7 +550,7 @@ def test_gaussian_spectra_never_reach_the_sympy_fallback():
     code = ("from orbitkit import cli\n"
             "assert cli.main(['invariants', '--catalog', 'e2-motion', '--degree', '3',"
             " '--json']) == 0")
-    assert _fresh_interpreter_imports_sympy(code) == "False"
+    assert _fresh_interpreter_imports(code, ("sympy",)) == []
 
 
 def _benchmark_tracer():
