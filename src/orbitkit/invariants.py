@@ -421,8 +421,8 @@ _DENOMINATOR_CAP = 10 ** 24
 # the bits of the atom's numerator and denominator beyond one each (so the
 # atom 1 counts 0): exponents from large integer roots would fill memory
 _POWER_BITS_CAP = 2 ** 16
-# _monomials refuses a search on more monomials than this, counted over all
-# degrees; b5 at degree 14 has 11627 and its search takes most of a minute
+# _monomials refuses more monomials than this over all degrees (b5's dual has
+# 125 at degree 4, 11627 at 14): the search holds each degree in memory
 _MONOMIAL_CAP = 10 ** 5
 
 
