@@ -89,7 +89,7 @@ def _load(args):
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_usage_error(f"cannot read {args.file}: {exc}"))
     return parse_algebra(text), None
 

@@ -13,8 +13,8 @@ differential operators, ExpPoly sum, negation, product and derivative
 with every key merged and every sum added into Q0, identity, product and
 substitution on flows (rows of ExpPoly entries), the closure search's fold
 and coordinate descent on Fractions, the upper-triangular algebra b_n in
-any basis order, the gaussian-weights algebra as .alg text, and a drawn
-rational basis and an algebra in it.  No orbitkit command needs them."""
+any basis order, and a drawn rational basis and an algebra in it.  No
+orbitkit command needs them."""
 
 from fractions import Fraction
 from math import comb, lcm
@@ -191,20 +191,6 @@ def borel(n, order=None) -> LieAlgebra:
 def borel3(order=None) -> LieAlgebra:
     """b_3, which the tests sample beside the catalog."""
     return borel(3, order)
-
-
-
-# ad(a) and ad(b) act on x, y, u, v by rotation blocks, ad(b) between the two
-# blocks: the flag search meets eigenvalues and matrix entries in Q(i)
-GAUSSIAN_WEIGHTS_ALG = """\
-basis a b x y u v
-bracket a x = y
-bracket a y = -x
-bracket a u = v
-bracket a v = -u
-bracket b x = u + v
-bracket b y = -u + v
-"""
 
 
 # a vector coordinate: zero, or a small rational

@@ -1,19 +1,18 @@
 """Definition-file grammar, round trips, and the command line surface."""
 
 import contextlib
-import hashlib
 import io
 import json
-import random
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import corpus
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import CATALOG_NAMES, GAUSSIAN_WEIGHTS_ALG, borel, draw_basis_change
+from reference import CATALOG_NAMES, draw_basis_change
 
 from orbitkit import cli, symflow
 from orbitkit.algfile import emit_algebra, parse_algebra, parse_functional
@@ -22,12 +21,6 @@ from orbitkit.errors import AntisymmetryViolation, ParseError
 from orbitkit.liealg import b5
 
 REPO = Path(__file__).resolve().parent.parent
-# sha256 of stdout and stderr and the exit code of each _pinned_runs argv
-OUTPUT_DIGESTS = REPO / "tests" / "golden" / "catalog-output.json"
-# sha256 of stdout and stderr and the exit code of each _eigen_path_runs argv
-EIGEN_PATH_DIGESTS = REPO / "tests" / "golden" / "eigen-paths.json"
-# sha256 of stdout and stderr and the exit code of each _borel_path_runs argv
-BOREL_PATH_DIGESTS = REPO / "tests" / "golden" / "borel-paths.json"
 
 
 def test_shipped_b5_file_parses_to_catalog_algebra():
@@ -102,145 +95,30 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-_CATALOG_COMMANDS = [["analyze"], ["stabilizer"], ["condition-r"], ["polarize"], ["orbit"],
-                     ["regularity-report", "--seed", "0"],
-                     *(["invariants", "--degree", str(d)] for d in range(1, 5))]
-# argv that end in a usage error (exit 1) or a computation error (exit 2)
-_FAILING_RUNS = [["analyze", "--catalog", "abelian0"], ["analyze"],
-                 ["condition-r", "--catalog", "b5", "--f", "e3=1,e3=2"],
-                 ["closure-test", "--catalog", "b5", "--g", "e3=1", "--budget", "0"],
-                 ["regularity-report", "--catalog", "b5", "--seed", "x"],
-                 ["closure-test", "--catalog", "e2-motion", "--g", "a=0,x=0,y=1"]]
+@pytest.mark.parametrize("group", corpus.GROUPS)
+def test_the_corpus_replays(alg_dir, group):
+    runs, records = corpus.GROUPS[group], corpus.load_records()
+    assert corpus.problems(corpus.replay(runs, alg_dir),
+                           {key: records[key] for key in runs if key in records}) == []
 
 
-def _pinned_runs():
-    """{key: argv} for the catalog runs whose output is pinned, each in text
-    mode and with --json: every subcommand but closure-test on every catalog
-    entry (invariants at degree 1..4), closure-test at degree 3 on b5 with
-    four targets (one the search finds near the orbit, one an exact point
-    and two a semi-invariant certifies off it), catalog, and _FAILING_RUNS."""
-    runs = [command[:1] + ["--catalog", name] + command[1:]
-            for name in CATALOG_NAMES for command in _CATALOG_COMMANDS]
-    runs += [["closure-test", "--catalog", "b5", "--degree", "3", "--g", g]
-             for g in ("e1=3,e0=5", "e1=1,e2=2", "e0=1/3,e3=1", "e1=3,e0=5,e3=1/2")]
-    runs += [["catalog"], *_FAILING_RUNS]
-    return {" ".join(argv + mode): argv + mode for argv in runs for mode in ([], ["--json"])}
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _replay(capsys, digests, runs, workdir=None):
-    """Run each argv of runs and compare its exit code and the sha256 of its
-    stdout and stderr with the record of its key in the digests file; a run
-    on a file in workdir must not print that directory."""
-    pinned = json.loads(digests.read_text(encoding="utf-8"))
-    assert sorted(pinned) == sorted(runs)
-    for key, argv in runs.items():
-        code, out, err = run_cli(capsys, *argv)
-        if workdir is not None:
-            assert str(workdir) not in out + err, key
-        assert {"exit": code, "stdout": _sha256(out), "stderr": _sha256(err)} == pinned[key], key
-
-
-def test_catalog_output_matches_its_pinned_digests(monkeypatch, capsys):
-    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
-    _replay(capsys, OUTPUT_DIGESTS, _pinned_runs())
-
-
-_B3_NAMES = ["E00", "E01", "E02", "E11", "E12", "E22"]
-# algebras whose adjoint spectra take each branch of the eigenspace split:
-# roots +-sqrt(2) outside Q(i), the roots of t^3 - 2 and +-i*sqrt(2) outside
-# Q(i), a rotation, Gaussian weights, a Jordan block, a Killing form blind to
-# the nilradical, a non-integer weight, a nilpotent filiform, R^2 acting on
-# it by weights (-1, 0, -1, -2) and (-1, -1, -2, -3), and b_3 in three basis
-# orders
-EIGEN_PATH_FILES = {
-    "sqrt2.alg": "basis a x y\nbracket a x = y\nbracket a y = 2*x\n",
-    "cbrt2.alg": "basis a x y z\nbracket a x = y\nbracket a y = z\nbracket a z = 2*x\n",
-    "i-sqrt2.alg": "basis a x y\nbracket a x = y\nbracket a y = -2*x\n",
-    "rotation.alg": "basis a x y\nbracket a x = y\nbracket a y = -x\n",
-    "gaussian-weights.alg": GAUSSIAN_WEIGHTS_ALG,
-    "jordan.alg": "basis a x y z\nbracket a x = x\nbracket a y = x + y\n",
-    "killing-blind.alg": "basis a x y\nbracket a x = x + y\nbracket a y = -x + y\n",
-    "half.alg": "basis a b\nbracket a b = 1/2*b\n",
-    "f4.alg": "basis x1 x2 x3 x4\nbracket x1 x2 = x3\nbracket x1 x3 = x4\n",
-    "r2-f4.alg": ("basis a b x1 x2 x3 x4\n"
-                  "bracket a x1 = -x1\nbracket a x3 = -x3\nbracket a x4 = -2*x4\n"
-                  "bracket b x1 = -x1\nbracket b x2 = -x2\nbracket b x3 = -2*x3\n"
-                  "bracket b x4 = -3*x4\n"
-                  "bracket x1 x2 = x3\nbracket x1 x3 = x4\n"),
-    "b3.alg": emit_algebra(borel(3)),
-    "b3-reversed.alg": emit_algebra(borel(3, _B3_NAMES[::-1])),
-    "b3-diagonal-first.alg": emit_algebra(borel(3, sorted(_B3_NAMES,
-                                                        key=lambda e: (e[2] > e[1], e)))),
-}
-
-
-def _eigen_path_runs(workdir):
-    """{key: argv} of analyze, invariants at degree 1..3, orbit, polarize and
-    regularity-report on each EIGEN_PATH_FILES algebra, in text mode and with
-    --json; orbit and polarize at a fixed functional.  A key names the file
-    by its name alone."""
-    runs = {}
-    for name, text in EIGEN_PATH_FILES.items():
-        path = workdir / name
-        path.write_text(text, encoding="utf-8")
-        basis = parse_algebra(text).basis_names
-        f = ",".join(f"{e}={v}" for e, v in zip(basis, ["1", "-2", "3/2", "1/3", "-1", "2"]))
-        commands = [["analyze"], ["regularity-report"], ["orbit", "--f", f],
-                    ["polarize", "--f", f], *(["invariants", "--degree", str(d)] for d in (1, 2, 3))]
-        for command in commands:
-            for mode in ([], ["--json"]):
-                runs[" ".join([command[0], name, *command[1:], *mode])] = [
-                    command[0], "--file", str(path), *command[1:], *mode]
-    return runs
-
-
-def test_eigen_paths_match_their_pinned_digests(monkeypatch, tmp_path, capsys):
-    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
-    _replay(capsys, EIGEN_PATH_DIGESTS, _eigen_path_runs(tmp_path), tmp_path)
-
-
-def _borel_orders(n):
-    """{label: basis order} of b_n: by (i, j), reversed and seeded-shuffled
-    for n <= 5; seeded-shuffled alone for b_6."""
-    names = list(borel(n).basis_names)
-    shuffled = names[:]
-    random.Random(f"borel-paths:{n}").shuffle(shuffled)
-    if n == 6:
-        return {"shuffled": shuffled}
-    return {"natural": names, "reversed": names[::-1], "shuffled": shuffled}
-
-
-def _borel_path_runs(workdir):
-    """{key: argv} of analyze, stabilizer, condition-r, polarize, orbit and
-    regularity-report --seed 0 on b_2..b_6 (three basis orders each, one for
-    b_6), in text mode and with --json; the commands that take a functional
-    get one seeded per file, with entries p/q, p in -3..3 and q in 1..3."""
-    runs = {}
-    for n in range(2, 7):
-        for label, order in _borel_orders(n).items():
-            name = f"b{n}-{label}.alg"
-            path = workdir / name
-            path.write_text(emit_algebra(borel(n, order)), encoding="utf-8")
-            rng = random.Random(name)
-            f = ",".join(f"{e}={Fraction(rng.randint(-3, 3), rng.randint(1, 3))}"
-                         for e in order)
-            commands = [["analyze"], ["regularity-report", "--seed", "0"],
-                        *([c, "--f", f] for c in ("stabilizer", "condition-r", "polarize",
-                                                  "orbit"))]
-            for command in commands:
-                for mode in ([], ["--json"]):
-                    runs[" ".join([command[0], name, *mode])] = [
-                        command[0], "--file", str(path), *command[1:], *mode]
-    return runs
-
-
-def test_borel_paths_match_their_pinned_digests(monkeypatch, tmp_path, capsys):
-    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
-    _replay(capsys, BOREL_PATH_DIGESTS, _borel_path_runs(tmp_path), tmp_path)
+def test_the_replay_flags_each_changed_byte_and_each_unmatched_key():
+    text, as_json = "condition (R) at f: holds\n", '{"holds": true}\n'
+    failed = "orbitkit: line 2, col 14: bad rational '1/0'\n"
+    records = {"text": corpus.record_of(0, text, ""), "json": corpus.record_of(0, as_json, ""),
+               "failed": corpus.record_of(2, "", failed)}
+    assert corpus.problems(records, records) == []
+    changed = {"text": corpus.record_of(0, text.replace("holds", "holdS"), ""),
+               "json": corpus.record_of(0, as_json.replace("true", "frue"), ""),
+               "failed": corpus.record_of(2, "", failed.replace("14", "15"))}
+    assert [p.split()[:2] for p in corpus.problems(changed, records)] == [
+        ["text:", "stdout"], ["json:", "stdout"], ["failed:", "stderr"]]
+    exit_1 = {**records, "failed": corpus.record_of(1, "", failed)}
+    assert corpus.problems(exit_1, records) == ["failed: exit 1, recorded 2"]
+    extra = {**records, "new": records["text"]}
+    assert corpus.problems(extra, records) == ["new: a run with no record"]
+    assert corpus.problems(extra, {**records, "gone": records["text"]}) == [
+        "gone: a record with no run", "new: a run with no record"]
 
 
 def test_cli_catalog_lists_entries(capsys):
@@ -313,17 +191,16 @@ def test_cli_file_input(tmp_path, capsys):
     assert "star-regular" in out
 
 
-def test_cli_stabilizer_ideal_names_avoid_the_basis_names(tmp_path, capsys):
+def test_cli_stabilizer_ideal_names_avoid_the_basis_names(alg_dir, capsys):
     # m = span(t - z, b0): the non-unit row must not be named b0 as well
-    path = tmp_path / "clash.alg"
-    path.write_text("basis t b0 z\nbracket t b0 = b0\nbracket z b0 = b0\n", encoding="utf-8")
-    code, out, _ = run_cli(capsys, "stabilizer", "--file", str(path), "--f", "b0=1", "--json")
+    code, out, _ = run_cli(capsys, "stabilizer", "--file", str(alg_dir / "name-clash.alg"),
+                           "--f", "b0=1", "--json")
     assert code == 0
     names = json.loads(out)["result"]["stabilizer_ideal_basis_names"]
     assert len(names) == 2 and len(set(names)) == 2 and "b0" in names
 
 
-@pytest.mark.parametrize("argv", _FAILING_RUNS, ids=" ".join)
+@pytest.mark.parametrize("argv", corpus.FAILING_RUNS, ids=" ".join)
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
 def test_failing_runs_write_nothing_to_stdout(capsys, argv, mode):
     code, out, err = run_cli(capsys, *argv, *mode)
@@ -355,15 +232,14 @@ def test_cli_empty_f_is_the_zero_functional(capsys):
     assert code == 0, err
 
 
-@pytest.mark.parametrize("dim", ["\u00b2", "1" * 5000], ids=["superscript-two", "5000-digits"])
-def test_dim_that_is_not_an_ascii_integer_is_a_parse_error(tmp_path, capsys, dim):
-    text = f"dim {dim}\nbasis a b\n"
+@pytest.mark.parametrize("label", ["superscript-two", "5000-digits"])
+def test_dim_that_is_not_an_ascii_integer_is_a_parse_error(alg_dir, capsys, label):
+    name = f"dim-{label}.alg"
+    dim = corpus.ALG_FILES[name].split()[1]
     with pytest.raises(ParseError) as err:
-        parse_algebra(text)
+        parse_algebra(corpus.ALG_FILES[name])
     assert (err.value.line, err.value.col) == (1, 1)
-    path = tmp_path / "dim.alg"
-    path.write_text(text, encoding="utf-8")
-    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    code, out, err = run_cli(capsys, "analyze", "--file", str(alg_dir / name))
     assert code == 2 and out == "" and "line 1" in err and "dim" in err
     if 0 < _DIGIT_LIMIT < len(dim):
         assert "digits" in err
@@ -412,7 +288,7 @@ def test_abelian_entries_are_built_once_per_process(monkeypatch, capsys):
 
 def test_zero_denominator_in_a_file_is_a_positioned_parse_error():
     with pytest.raises(ParseError) as err:
-        parse_algebra("basis a b\nbracket a b = 1/0*b\n")
+        parse_algebra(corpus.ALG_FILES["bad-rational.alg"])
     assert (err.value.line, err.value.col) == (2, 14)
 
 
@@ -426,12 +302,10 @@ def test_cli_zero_denominator_in_f_is_a_usage_error(capsys):
     assert code == 1 and "bad rational" in err
 
 
-def test_cli_closure_test_without_g_is_a_usage_error(tmp_path, capsys):
+def test_cli_closure_test_without_g_is_a_usage_error(alg_dir, capsys):
     # the orbit cannot be built (the spectrum leaves Q(i)), so --g is checked first
-    path = tmp_path / "cubic.alg"
-    path.write_text("basis a x y z\nbracket a x = y\nbracket a y = z\n"
-                    "bracket a z = 2*x\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "closure-test", "--file", str(path), "--f", "x=1")
+    code, out, err = run_cli(capsys, "closure-test", "--file", str(alg_dir / "cbrt2.alg"),
+                             "--f", "x=1")
     assert code == 1 and out == "" and "--g is required" in err
 
 
@@ -440,11 +314,17 @@ def test_cli_zero_denominator_in_g_is_a_usage_error(capsys):
     assert code == 1 and "bad rational" in err
 
 
-def test_cli_zero_denominator_in_a_file_is_a_computation_error(tmp_path, capsys):
-    path = tmp_path / "bad.alg"
-    path.write_text("basis a b\nbracket a b = 1/0*b\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "analyze", "--file", str(path))
+def test_cli_zero_denominator_in_a_file_is_a_computation_error(alg_dir, capsys):
+    code, _, err = run_cli(capsys, "analyze", "--file", str(alg_dir / "bad-rational.alg"))
     assert code == 2 and "line 2" in err
+
+
+@pytest.mark.parametrize("name", ["missing.alg", "not-utf8.alg"])
+def test_cli_file_that_cannot_be_read_is_a_usage_error(alg_dir, capsys, name):
+    # bytes that are not UTF-8 end like a missing file: exit 1, not a traceback
+    path = alg_dir / name
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert (code, out) == (1, "") and err.startswith(f"orbitkit: error: cannot read {path}: ")
 
 
 # a literal with more digits than Python converts from a string (0 means no limit)
@@ -553,12 +433,10 @@ def test_cli_closure_test_at_the_orbit_start_needs_no_search(capsys):
 
 
 @pytest.mark.parametrize("target", ["b=2", "b=9/4"])
-def test_cli_closure_test_with_fractional_exponents(tmp_path, capsys, target):
+def test_cli_closure_test_with_fractional_exponents(alg_dir, capsys, target):
     # the orbit component exp(-s/2) is searched through the atom exp(s/2)
-    path = tmp_path / "half.alg"
-    path.write_text("basis a b\nbracket a b = 1/2*b\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "closure-test", "--file", str(path), "--f", "b=1",
-                             "--g", target, "--json")
+    code, out, err = run_cli(capsys, "closure-test", "--file", str(alg_dir / "half.alg"),
+                             "--f", "b=1", "--g", target, "--json")
     assert code == 0, err
     result = json.loads(out)["result"]
     assert result["kind"] == "exact-point"

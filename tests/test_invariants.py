@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
 
+import corpus
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -389,7 +390,7 @@ def test_critical_test_agrees_with_catalog_description():
 
 # closure-test --file inputs with their --f: exp(-s/2), and s^2 in a component
 _ALG_FILES = {
-    "half": ("basis a b\nbracket a b = 1/2*b\n", (F(0), F(1))),
+    "half": (corpus.ALG_FILES["half.alg"], (F(0), F(1))),
     "filiform4": ("basis x y z w\nbracket x y = z\nbracket x z = w\n", (F(0),) * 3 + (F(1),)),
 }
 
@@ -835,17 +836,11 @@ def test_closure_membership_rejects_a_budget_below_one():
     assert closure_membership(om, (F(3, 2), F(5, 2)), certs, budget=1).evaluations >= 1
 
 
-# x, y with ad(a) of charpoly (t - p)(t - q) for 25-digit primes p, q: the
-# orbit carries exp(p*s), so the search's atom powers have 25-digit exponents
-_LARGE_ROOTS_ALG = ("basis a x y\nbracket a x = y\n"
-                    "bracket a y = -3000000000000000000000028000000000000000000000049*x"
-                    " + 4000000000000000000000014*y\n")
-
-
-def test_large_integer_roots_end_in_a_computation_error(tmp_path):
-    # under an address-space cap, so a regression fails instead of filling memory
-    path = tmp_path / "large-roots.alg"
-    path.write_text(_LARGE_ROOTS_ALG, encoding="utf-8")
+def test_large_integer_roots_end_in_a_computation_error(alg_dir):
+    # x, y with ad(a) of charpoly (t - p)(t - q) for 25-digit primes p, q: the
+    # orbit carries exp(p*s), so the search's atom powers have 25-digit
+    # exponents; run under an address-space cap, so a regression fails
+    # instead of filling memory
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
             "from orbitkit import cli\n"
@@ -853,8 +848,9 @@ def test_large_integer_roots_end_in_a_computation_error(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, "closure-test", "--file", str(path),
-                           "--f", "x=1", "--g", "x=2,y=3", "--json"],
+    proc = subprocess.run([sys.executable, "-c", code, "closure-test", "--file",
+                           str(alg_dir / "large-roots.alg"), "--f", "x=1", "--g", "x=2,y=3",
+                           "--json"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("orbitkit: exp atom") and "size cap" in proc.stderr

@@ -8,13 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import corpus
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     CATALOG_NAMES,
     COORD,
-    GAUSSIAN_WEIGHTS_ALG,
     borel,
     dense_ad_matrix,
     dense_bracket,
@@ -287,7 +287,7 @@ def test_nilradical_outside_gaussian_spectrum():
         g.adjoint_weights()
 
 
-def test_memo_keeps_a_raised_error(monkeypatch, tmp_path, capsys):
+def test_memo_keeps_a_raised_error(monkeypatch, alg_dir, capsys):
     # analyze asks is_exponential, then adjoint_weights: both need the flag
     # that the sqrt(2) spectrum makes impossible, and the memo answers the second
     calls = Counter()
@@ -297,9 +297,7 @@ def test_memo_keeps_a_raised_error(monkeypatch, tmp_path, capsys):
         return _gaussian_eigenvalues(m)
 
     monkeypatch.setattr(liealg, "_gaussian_eigenvalues", counting)
-    path = tmp_path / "sqrt2.alg"
-    path.write_text("basis a x y\nbracket a x = y\nbracket a y = 2*x\n", encoding="utf-8")
-    assert cli.main(["analyze", "--file", str(path), "--json"]) == 0
+    assert cli.main(["analyze", "--file", str(alg_dir / "sqrt2.alg"), "--json"]) == 0
     assert "roots_error" in capsys.readouterr().out
     assert calls == {"eigen": 1}
     g = LieAlgebra.construct(("a", "x", "y"), {("a", "x"): {"y": 1}, ("a", "y"): {"x": 2}})
@@ -578,7 +576,7 @@ def test_a_permuted_triangular_matrix_peels_to_an_empty_core(data):
 
 
 @pytest.mark.parametrize("command", ["analyze", "regularity-report"])
-def test_gaussian_entry_triangularization_keeps_its_output(command, monkeypatch, tmp_path,
+def test_gaussian_entry_triangularization_keeps_its_output(command, monkeypatch, alg_dir,
                                                            capsys):
     # ad(b) acts by 1 - i on the -i eigenspace of ad(a), so the flag search
     # hands _gaussian_eigenvalues matrices with non-real entries
@@ -591,9 +589,7 @@ def test_gaussian_entry_triangularization_keeps_its_output(command, monkeypatch,
 
     monkeypatch.setattr(liealg, "_gaussian_eigenvalues", counting)
     monkeypatch.delenv("ORBITKIT_SEED", raising=False)
-    path = tmp_path / "gaussian-weights.alg"
-    path.write_text(GAUSSIAN_WEIGHTS_ALG, encoding="utf-8")
-    assert cli.main([command, "--file", str(path), "--json"]) == 0
+    assert cli.main([command, "--file", str(alg_dir / "gaussian-weights.alg"), "--json"]) == 0
     golden = GOLDEN / f"gaussian-weights.{command}.json"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
     assert gaussian_calls[True] >= 1
@@ -626,7 +622,7 @@ def _flag_ideals(g):
 _SPARSE_CASES = {
     "b2": lambda: borel(2), "b3": lambda: borel(3), "b4": lambda: borel(4),
     "spiral": _killing_blind,
-    "gaussian-weights": lambda: parse_algebra(GAUSSIAN_WEIGHTS_ALG),
+    "gaussian-weights": lambda: parse_algebra(corpus.ALG_FILES["gaussian-weights.alg"]),
     "sqrt2": lambda: LieAlgebra.construct(("a", "x", "y"),
                                           {("a", "x"): {"y": 1}, ("a", "y"): {"x": 2}}),
 }

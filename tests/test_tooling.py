@@ -5,8 +5,9 @@ outside orbitkit.errors (outside a few listed ones), no import that nothing uses
 no import of a package that pyproject.toml does not declare, no
 module-level import of sympy or dataclasses in src and none of sympy,
 dataclasses or inspect loaded by importing the command line, every name
-that the benchmark's tracer wraps still there, and no stdout write outside
-the command line's main."""
+that the benchmark's tracer wraps still there, no stdout write outside
+the command line's main, and no file under tests/golden that no test source
+names."""
 
 import ast
 import json
@@ -160,10 +161,9 @@ REACH_ALLOWED = {
         "symflow.ExpPoly.__setattr__"),
     "a reference operation that tests compare against or assert with": (
         "envelop.UEAElement.__eq__", "envelop.UEAElement.__repr__",
-        "envelop.DiffOp.__eq__", "envelop.DiffOp.__repr__",
-        "exactlin.GaussianRational.__repr__", "exactlin.Matrix.__eq__",
-        "exactlin.Matrix.__repr__", "exactlin.Subspace.__repr__", "symflow.ExpPoly.__hash__", "symflow._linear_form",
-        "symflow.ExpPoly.substitute.<locals>.linear_form"),
+        "envelop.DiffOp.__eq__", "envelop.DiffOp.__repr__", "exactlin.Matrix.__eq__",
+        "exactlin.Matrix.__repr__", "exactlin.Subspace.__repr__", "symflow.ExpPoly.__hash__",
+        "symflow._linear_form", "symflow.ExpPoly.substitute.<locals>.linear_form"),
 }
 
 
@@ -585,3 +585,34 @@ def test_the_benchmark_cache_probe_sees_symmetrize_use_the_word_cache():
     with _benchmark_tracer().CacheProbe() as probe:
         envelop.symmetrize(e0 ** 2 * e3, m)
     assert probe.hits + probe.misses > 0
+
+
+def _orphan_golden_files(names, sources):
+    """Those of names that no string literal of sources spells, and no
+    f-string that ends in literal text matches with a run of word characters
+    and hyphens for each placeholder."""
+    literals, patterns = set(), []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.JoinedStr) and isinstance(node.values[-1], ast.Constant):
+                patterns.append("".join(re.escape(part.value) if isinstance(part, ast.Constant)
+                                        else r"[\w-]+" for part in node.values))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+    return [name for name in names
+            if name not in literals and not any(re.fullmatch(p, name) for p in patterns)]
+
+
+def test_every_golden_file_is_named_by_a_test():
+    names = sorted(path.name for path in (ROOT / "tests" / "golden").iterdir())
+    sources = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))]
+    assert _orphan_golden_files(names, sources) == []
+
+
+def test_the_golden_scan_flags_a_file_that_no_test_names():
+    source = ('RECORDS = ROOT / "golden" / "corpus.json"\n'
+              'def golden(command):\n'
+              '    return f"borel4.{command}.json"\n'
+              'label = f"{name}.{ext}"\n')
+    names = ["corpus.json", "borel4.regularity-report.json", "borel4.a.b.json", "gone.json"]
+    assert _orphan_golden_files(names, [source]) == ["borel4.a.b.json", "gone.json"]
