@@ -20,7 +20,8 @@ class JacobiViolation(OrbitkitError):
         self.triple = (i, j, k)
         self.defect = tuple(defect)
         label = f"({i},{j},{k})" if names is None else f"({names[i]},{names[j]},{names[k]})"
-        super().__init__(f"Jacobi identity fails on triple {label}, defect {self.defect}")
+        shown = ", ".join(map(str, self.defect))
+        super().__init__(f"Jacobi identity fails on triple {label}, defect ({shown})")
 
 
 class NotSubalgebra(OrbitkitError):

@@ -8,7 +8,8 @@ Scalars have one normal form: a real value is always a Fraction, and only a
 value with a nonzero imaginary part is a GaussianRational.  Both types carry
 .real and .imag (PEP 3141), so code reads them whatever the scalar type.
 A GaussianRational times a nonzero int or Fraction takes two Fraction
-products and is never real; times zero it is Q0.
+products and is never real; times zero it is Q0.  vec and every Matrix row
+coerce their entries to normal form; Fractions alone are kept as they are.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ SCALARS = (int, Fraction, GaussianRational)
 # ---------------------------------------------------------------------------
 
 def vec(entries):
-    return tuple(scalar(x) for x in entries)
+    """entries as a tuple in normal form, which all-Fraction entries are in."""
+    v = tuple(entries)
+    return v if set(map(type, v)) <= {Fraction} else tuple(map(scalar, v))
 
 
 def vec_scale(c, u):
@@ -173,7 +176,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=0):
-        rows = tuple(tuple(scalar(x) for x in row) for row in entries)
+        rows = tuple(map(vec, entries))
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else cols)

@@ -15,8 +15,9 @@ under a fixed work budget.  Past it sympy factors, imported only then.
 
 The structure constants are read through a sparse table, built once per
 algebra: for each basis pair, the nonzero (index, constant) pairs of the
-bracket.  The bracket, the Killing form, the coadjoint form and the PBW
-rewriting walk only those.  The Jacobi identity is checked on integers: with
+bracket.  The bracket, the Killing form, the coadjoint form, the PBW
+rewriting and [g, g] walk only those, and the flag search keeps each action
+on g/flag as sparse rows.  The Jacobi identity is checked on integers: with
 D the common denominator of the constants, each basis triple's defect is
 summed as an integer vector over D^2.  A subalgebra of a checked algebra is
 not checked again, since a subspace closed under the bracket inherits the
@@ -295,23 +296,26 @@ class LieAlgebra:
         return self.subspace_names(ideal)
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        bs = [_support(v) for v in b.basis]
-        vectors = (self._bracket_of_supports(_support(u), v) for u in a.basis for v in bs)
+        """[a, b]; for a == b only the unordered pairs of a's basis, since
+        [u, v] = -[v, u] and [u, u] = 0."""
+        supports = [_support(u) for u in a.basis]
+        pairs = (itertools.combinations(supports, 2) if a == b else
+                 itertools.product(supports, [_support(v) for v in b.basis]))
+        vectors = (self._bracket_of_supports(u, v) for u, v in pairs)
         return Subspace.from_vectors(self.dim, [w for w in vectors if any(w)])
 
     @_memoized
     def commutator_ideal(self) -> Subspace:
-        full = Subspace.full(self.dim)
-        return self.bracket_span(full, full)
+        """[g, g], spanned by the nonzero cells [e_i, e_j] with i < j."""
+        return Subspace.from_vectors(self.dim, [self.table[i][j]
+                                                for i, row in enumerate(self.sparse_table)
+                                                for j in range(i + 1, self.dim) if row[j]])
 
     def is_subalgebra(self, v: Subspace) -> bool:
         """Is [v, v] <= v?  A v containing [g, g] is an ideal (see is_ideal),
         so it is one at once; only other subspaces take the bracket sweep."""
-        if v.contains_subspace(self.commutator_ideal()):
-            return True
-        vs = [_support(b) for b in v.basis]
-        brackets = (self._bracket_of_supports(a, b) for a, b in itertools.combinations(vs, 2))
-        return all(v.contains(w) for w in brackets if any(w))
+        return (v.contains_subspace(self.commutator_ideal())
+                or v.contains_subspace(self.bracket_span(v, v)))
 
     def is_ideal(self, v: Subspace) -> bool:
         """Is [g, v] <= v?  Containing [g, g] proves it, since then
@@ -424,9 +428,10 @@ class LieAlgebra:
         NonRationalSpectrum when an eigenvalue escapes Q(i).
 
         The action of each basis and commutator ad-matrix on g/flag is kept
-        as q x q rows over the coordinates that are no flag pivot.  When v,
-        1 at its lead, joins the flag, M[r][c] -= v[r]*M[lead][c], then row
-        and column lead go.  That is the reduction modulo the new flag: its
+        as {row: {column: nonzero entry}} over the coordinates that are no
+        flag pivot.  When v, 1 at its lead, joins the flag, row and column
+        lead go and M[r][c] -= v[r]*M[lead][c] on supp(v) x supp(M[lead]),
+        dropping what cancels.  That is the reduction modulo the new flag: its
         pivots are the old ones and the lead, where the new columns vanish,
         and a residue vanishing on the pivots is unique.  _eigen_ratio checks
         each weight, read off the basis matrix times v.
@@ -436,26 +441,27 @@ class LieAlgebra:
         n = self.dim
         comm = self.commutator_ideal()
         comp_coords = comm.complement_coordinates()
-        basis_mats = self._basis_ad_matrices()
-        actions = [[list(row) for row in a.entries]
-                   for a in basis_mats + tuple(self.ad_matrix(b) for b in comm.basis)]
+        actions = [{r: s for r, row in enumerate(a.entries) if (s := dict(_support(row)))}
+                   for a in self._basis_ad_matrices() + tuple(map(self.ad_matrix, comm.basis))]
         free = list(range(n))  # the coordinates that are no flag pivot
 
         def act(rows, v):
-            vs = _support(v)
-            return tuple(sum((row[c] * x for c, x in vs if row[c]), Q0) for row in rows)
+            vs = {c: x for c, x in zip(free, v) if x}
+            return tuple(sum((y * vs[c] for c, y in rows[r].items() if c in vs), Q0)
+                         if r in rows else Q0 for r in free)
 
         flag_vectors, weights = [], []
         while free:
-            rows = [row for m in actions[n:] for row in m if any(row)]
+            rows = [tuple(row.get(c, Q0) for c in free)
+                    for m in actions[n:] for row in m.values()]
             w_space = Subspace.common_kernel(len(free), [Matrix(rows, len(free))])
             if w_space.dim == 0:
                 raise PreconditionFailed("no common null vector for the commutator action")
             for c in comp_coords:
                 if w_space.dim == 1:
                     break
-                if basis_mats[c].is_zero():
-                    continue  # every vector is a 0-eigenvector: w_space stays whole
+                if not actions[c]:
+                    continue  # ad(e_c) is zero on g/flag: w_space stays whole
                 az = _restrict_to(functools.partial(act, actions[c]), w_space)
                 eigs = _gaussian_eigenvalues(az)
                 if not eigs:
@@ -468,18 +474,25 @@ class LieAlgebra:
             v, lead = w_space.basis[0], w_space.pivots[0]
             weights.append(tuple(_eigen_ratio(act(actions[i], v), v, lead, name)
                                  for i, name in enumerate(self.basis_names)))
-            placed = dict(zip(free, v))
+            support = [(c, x) for c, x in zip(free, v) if x]
+            placed = dict(support)
             flag_vectors.append(tuple(placed.get(c, Q0) for c in range(n)))
-            del free[lead]
+            lead = free.pop(lead)
             for m in actions:
-                top = [(c, y) for c, y in enumerate(m[lead]) if y]
-                for r, x in _support(v):  # row lead becomes zero, and goes
-                    row = m[r]
-                    for c, y in top:
-                        row[c] = row[c] - x * y
-                del m[lead]
-                for row in m:
-                    del row[lead]
+                for r, row in list(m.items()):  # column lead goes
+                    if row.pop(lead, None) is not None and not row:
+                        del m[r]
+                top = m.pop(lead, {})
+                for r, x in support[1:]:  # support[0] is (lead, 1)
+                    row = m.setdefault(r, {})
+                    for c, y in top.items():
+                        z = row.get(c, Q0) - x * y
+                        if z:
+                            row[c] = z
+                        else:
+                            del row[c]
+                    if not row:
+                        del m[r]
         return tuple(flag_vectors), tuple(weights)
 
     def adjoint_weights(self):

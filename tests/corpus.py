@@ -4,7 +4,9 @@ golden/corpus.json by its exit code and the sha256 of its stdout and stderr.
 afresh; nothing else writes them.  The pytest replay (test_algfile_cli.py) and
 the reach run (reach_run.py) both compare with problems().  Every run starts
 with ORBITKIT_SEED unset, in a directory that holds ALG_FILES, and names its
-file relatively, so a run that echoes its path can be recorded."""
+file relatively, so a run that echoes its path can be recorded.  Every run
+has the interpreter's default integer string digit limit, whatever the
+caller's, since an error message names it."""
 
 import contextlib
 import hashlib
@@ -13,6 +15,7 @@ import json
 import os
 import random
 import shlex
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -192,11 +195,24 @@ def record_of(code, stdout, stderr):
             "stderr": hashlib.sha256(stderr.encode("utf-8")).hexdigest()}
 
 
+@contextlib.contextmanager
+def _default_digit_limit():
+    """The interpreter's default integer string digit limit, which the
+    records pin through dim-5000-digits.alg, then the caller's limit again."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def replay(runs, workdir):
     """{key: record} of each argv of runs ({key: argv}), run by cli.main in
-    workdir, which write_files has filled, with ORBITKIT_SEED unset."""
+    workdir, which write_files has filled, with ORBITKIT_SEED unset and the
+    default digit limit."""
     got = {}
-    with contextlib.chdir(workdir), mock.patch.dict(os.environ):
+    with contextlib.chdir(workdir), mock.patch.dict(os.environ), _default_digit_limit():
         os.environ.pop("ORBITKIT_SEED", None)
         for key, argv in runs.items():
             out, err = io.StringIO(), io.StringIO()

@@ -102,6 +102,21 @@ def test_the_corpus_replays(alg_dir, group):
                            {key: records[key] for key in runs if key in records}) == []
 
 
+@pytest.mark.parametrize("outer", [640, 0])
+def test_the_replay_keeps_the_default_digit_limit_and_restores_the_callers(alg_dir, outer):
+    runs = {key: argv for key, argv in corpus.RUNS.items() if "dim-5000-digits.alg" in argv}
+    records = corpus.load_records()
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(outer)
+    try:
+        got = corpus.replay(runs, alg_dir)
+        assert sys.get_int_max_str_digits() == outer
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert len(runs) == 2
+    assert corpus.problems(got, {key: records[key] for key in runs}) == []
+
+
 def test_the_replay_flags_each_changed_byte_and_each_unmatched_key():
     text, as_json = "condition (R) at f: holds\n", '{"holds": true}\n'
     failed = "orbitkit: line 2, col 14: bad rational '1/0'\n"

@@ -21,6 +21,7 @@ from orbitkit.exactlin import (
     rref,
     solve,
     unit_vector,
+    vec,
     vec_scale,
 )
 from orbitkit.symflow import ExpPoly, exp_matrix
@@ -102,6 +103,34 @@ def test_gaussian_times_a_real_is_the_general_product(p, x):
     for got in (a * x, x * a):
         assert (got.real, got.imag) == expected
         assert _in_normal_form(got)
+
+
+# a row of ints, numeric strings, Fractions and Gaussian rationals
+_MIXED_ROW = st.lists(st.one_of(st.integers(-4, 4), _Q.map(str), _Q, _GAUSSIAN),
+                      min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_MIXED_ROW, min_size=1, max_size=3))
+def test_vec_and_matrix_rows_coerce_mixed_entries_to_the_normal_form(rows):
+    expected = tuple(tuple(x if isinstance(x, GaussianRational) else F(x) for x in row)
+                     for row in rows)
+    for got in (tuple(map(vec, rows)), Matrix(rows).entries):
+        assert got == expected
+        assert all(_in_normal_form(x) for row in got for x in row)
+
+
+def test_a_row_of_fractions_comes_back_equal_to_its_input():
+    row = (F(1, 2), F(0), F(-3))
+    assert vec(row) == row and vec(list(row)) == row
+    assert Matrix([row, list(row)]).entries == (row, row)
+
+
+@pytest.mark.parametrize("rows", [
+    [(F(1), F(2)), (F(3),)], [(F(1),), (F(2), F(3))], [[1, "2"], [GaussianRational(0, 1)]]])
+def test_ragged_rows_raise(rows):
+    with pytest.raises(DimensionMismatch):
+        Matrix(rows)
 
 
 def _expoly_scalars(e):

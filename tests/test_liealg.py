@@ -698,10 +698,15 @@ def test_sparse_structure_sweeps_equal_their_dense_references(name, data):
     x = _draw_vector(data, n, "x")
     for v in (x, unit_vector(n, data.draw(st.integers(0, n - 1), label="i"))):
         assert g.ad_matrix(v) == dense_ad_matrix(g, v)
-    for a in [_draw_subspace(data, n) for _ in range(2)] + [span(n, [n - 1])]:
+    drawn = [_draw_subspace(data, n) for _ in range(2)]
+    for a in drawn + [span(n, [n - 1])]:
         assert g.is_ideal(a) == dense_is_ideal(g, a)
         assert g.is_subalgebra(a) == dense_is_subalgebra(g, a)
         assert g.bracket_span(a, a) == dense_bracket_span(g, a, a)
+    full = Subspace.full(n)
+    assert g.commutator_ideal() == dense_bracket_span(g, full, full)
+    # two subspaces, different in most draws, take the ordered pairs
+    assert g.bracket_span(*drawn) == dense_bracket_span(g, *drawn)
 
 
 @settings(max_examples=40, deadline=None)
@@ -758,6 +763,9 @@ def test_a_perturbed_cell_fails_jacobi_as_the_reference_says(name, data):
     with pytest.raises(JacobiViolation) as err:
         LieAlgebra(g.basis_names, table)
     assert (err.value.triple, err.value.defect) == expected
+    a, b, c = (g.basis_names[i] for i in expected[0])
+    shown = ", ".join(str(x) for x in expected[1])  # 1/2, not Fraction(1, 2)
+    assert str(err.value) == f"Jacobi identity fails on triple ({a},{b},{c}), defect ({shown})"
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
