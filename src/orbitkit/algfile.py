@@ -164,22 +164,17 @@ def _format_coeff_name(coeff: Fraction, name: str) -> str:
 def emit_algebra(g: LieAlgebra) -> str:
     """Canonical text form: parse(emit(g)) == g."""
     lines = [f"dim {g.dim}", "basis " + " ".join(g.basis_names)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            cell = g.sparse_table[i][j]
-            if not cell:
-                continue
-            chunks = []
-            for k, c in cell:
-                piece = _format_coeff_name(c, g.basis_names[k])
-                if not chunks:
-                    chunks.append(piece)
-                elif piece.startswith("-"):
-                    chunks.append("- " + piece[1:])
-                else:
-                    chunks.append("+ " + piece)
-            lines.append(
-                f"bracket {g.basis_names[i]} {g.basis_names[j]} = " + " ".join(chunks))
+    for (i, j), cell in g.brackets:
+        chunks = []
+        for k, c in cell:
+            piece = _format_coeff_name(c, g.basis_names[k])
+            if not chunks:
+                chunks.append(piece)
+            elif piece.startswith("-"):
+                chunks.append("- " + piece[1:])
+            else:
+                chunks.append("+ " + piece)
+        lines.append(f"bracket {g.basis_names[i]} {g.basis_names[j]} = " + " ".join(chunks))
     return "\n".join(lines) + "\n"
 
 

@@ -202,12 +202,9 @@ def _cmd_stabilizer(args):
         yield _subspace_line("stabilizer g_f", gf, names)
         yield _subspace_line("stabilizer ideal m = g_f + n", m, names)
         yield "bracket table of m:"
-        for i in range(sub.dim):
-            for j in range(i + 1, sub.dim):
-                cell = sub.sparse_table[i][j]
-                if cell:
-                    text = " + ".join(f"{c}*{sub.basis_names[k]}" for k, c in cell)
-                    yield f"  [{sub.basis_names[i]},{sub.basis_names[j]}] = {text}"
+        for (i, j), cell in sub.brackets:
+            text = " + ".join(f"{c}*{sub.basis_names[k]}" for k, c in cell)
+            yield f"  [{sub.basis_names[i]},{sub.basis_names[j]}] = {text}"
     return payload, lines()
 
 

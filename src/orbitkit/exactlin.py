@@ -166,10 +166,6 @@ def unit_vector(n, i):
     return tuple(Q1 if j == i else Q0 for j in range(n))
 
 
-def zero_vector(n):
-    return (Q0,) * n
-
-
 class Matrix:
     """Immutable dense matrix with exact entries; cols is the width of one without rows."""
 
@@ -192,7 +188,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([zero_vector(cols) for _ in range(rows)], cols)
+        return cls([(Q0,) * cols for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, columns):

@@ -13,15 +13,15 @@ zero off the diagonal are peeled off, the rest gets a division-free
 Berkowitz charpoly, and the roots that Gauss's lemma allows are tested
 under a fixed work budget.  Past it sympy factors, imported only then.
 
-The structure constants are read through a sparse table, built once per
-algebra: for each basis pair, the nonzero (index, constant) pairs of the
-bracket.  The bracket, the Killing form, the coadjoint form, the PBW
-rewriting and [g, g] walk only those, and the flag search keeps each action
-on g/flag as sparse rows.  The Jacobi identity is checked on integers: with
-D the common denominator of the constants, each basis triple's defect is
-summed as an integer vector over D^2.  A subalgebra of a checked algebra is
-not checked again, since a subspace closed under the bracket inherits the
-identities.
+An algebra is kept as its brackets, the nonzero (index, constant) pairs
+of [e_i, e_j] for each i < j; the sparse table derived by [e_j, e_i] =
+-[e_i, e_j] holds every pair, so antisymmetry holds by construction.  The
+bracket, the Killing form, the coadjoint form, the PBW rewriting and [g, g]
+walk only those, and the flag search keeps each action on g/flag as sparse
+rows.  The Jacobi identity is checked on integers: with D the common
+denominator of the constants, each basis triple's defect is summed as an
+integer vector over D^2.  A subalgebra of a checked algebra is not checked
+again, since a subspace closed under the bracket inherits the identities.
 
 A LieAlgebra is immutable, so its structure is computed once, in a private
 per-algebra memo; LieAlgebra.cached keeps other algebra-only results there
@@ -59,16 +59,22 @@ from .exactlin import (
     rank,
     solve,
     unit_vector,
-    vec,
     vec_dot,
     vec_scale,
-    zero_vector,
 )
 
 
 def _support(v):
     """The (index, value) pairs of the nonzero coordinates of v."""
     return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _dense(n, support):
+    """The vector of length n with the (index, value) pairs of support."""
+    out = [Q0] * n
+    for i, x in support:
+        out[i] = x
+    return tuple(out)
 
 
 class Root(NamedTuple):
@@ -107,28 +113,29 @@ def _memoized(method):
 class LieAlgebra:
     """A finite-dimensional Lie algebra with named ordered basis.
 
-    Structure constants satisfy [e_i, e_j] = sum_k c[i][j][k] e_k; table
-    holds them dense, and sparse_table[i][j] the nonzero (k, c[i][j][k])
-    pairs in order of k.  Antisymmetry and the Jacobi identity are checked at
-    construction, unless _validated vouches for the table.
+    Structure constants satisfy [e_i, e_j] = sum_k c[i][j][k] e_k, given as
+    brackets {(i, j): ((k, c[i][j][k]), ...)} with i < j and k rising;
+    brackets keeps the nonzero ones sorted, sparse_table[i][j] holds every
+    pair, and table is a dense view for the tests and the benchmark.  The
+    Jacobi identity is checked at construction unless _validated vouches.
     """
 
-    __slots__ = ("dim", "basis_names", "table", "sparse_table", "_memo", "_hash")
+    __slots__ = ("dim", "basis_names", "brackets", "sparse_table", "_memo", "_hash")
 
-    def __init__(self, basis_names, table, _validated=False):
+    def __init__(self, basis_names, brackets, _validated=False):
         names = tuple(basis_names)
         n = len(names)
         if len(set(names)) != n:
             raise DimensionMismatch("duplicate basis names")
-        tbl = tuple(tuple(vec(cell) for cell in row) for row in table)
-        if len(tbl) != n or any(len(row) != n or any(len(c) != n for c in row) for row in tbl):
-            raise DimensionMismatch("structure constant table has wrong shape")
+        cells = [[()] * n for _ in range(n)]
+        for (i, j), terms in brackets.items():
+            cell = tuple((k, c) for k, c in terms if c)
+            cells[i][j], cells[j][i] = cell, tuple((k, -c) for k, c in cell)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "basis_names", names)
-        object.__setattr__(self, "table", tbl)
-        object.__setattr__(self, "sparse_table", tuple(
-            tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
-            for row in tbl))
+        object.__setattr__(self, "brackets", tuple(
+            ((i, j), row[j]) for i, row in enumerate(cells) for j in range(i + 1, n) if row[j]))
+        object.__setattr__(self, "sparse_table", tuple(map(tuple, cells)))
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_hash", None)
         if not _validated:
@@ -140,12 +147,19 @@ class LieAlgebra:
     def __eq__(self, other):
         return (isinstance(other, LieAlgebra)
                 and self.basis_names == other.basis_names
-                and self.table == other.table)
+                and self.brackets == other.brackets)
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.basis_names, self.table)))
+            object.__setattr__(self, "_hash", hash((self.basis_names, self.brackets)))
         return self._hash
+
+    @property
+    def table(self):
+        """The dense view, for the tests and the benchmark: table[i][j] is
+        [e_i, e_j] in basis coordinates."""
+        return self.cached(("table",), lambda: tuple(
+            tuple(_dense(self.dim, cell) for cell in row) for row in self.sparse_table))
 
     def cached(self, key, compute):
         """compute(), or the OrbitkitError it raised, kept in this algebra's
@@ -167,12 +181,6 @@ class LieAlgebra:
 
     def _validate(self):
         n, s = self.dim, self.sparse_table
-        for i in range(n):
-            for j in range(n):
-                if s[i][j] != tuple((k, -c) for k, c in s[j][i]):
-                    raise AntisymmetryViolation(
-                        f"[{self.basis_names[i]},{self.basis_names[j]}] is not the "
-                        f"negative of [{self.basis_names[j]},{self.basis_names[i]}]")
         # D times each constant is an integer, so D^2 times each defect is one
         d = math.lcm(1, *(c.denominator for row in s for cell in row for _, c in cell))
         t = [[[(k, c.numerator * (d // c.denominator)) for k, c in cell] for cell in row]
@@ -194,44 +202,33 @@ class LieAlgebra:
 
     @classmethod
     def construct(cls, names, brackets):
-        """Build an algebra from a sparse bracket map {(a, b): {c: coeff}}."""
+        """Build an algebra from a name-keyed bracket map {(a, b): {c: coeff}}.
+        (a, b) and (b, a) may both be given when they agree, [b, a] = -[a, b];
+        [a, a] must vanish."""
         names = tuple(names)
-        n = len(names)
         index = {name: i for i, name in enumerate(names)}
-        table = [[[Q0] * n for _ in range(n)] for _ in range(n)]
-        seen = {}
+        cells = {}
         for (a, b), terms in brackets.items():
             if a not in index or b not in index:
                 raise DimensionMismatch(f"unknown basis name in bracket ({a},{b})")
             i, j = index[a], index[b]
-            coeffs = [Q0] * n
+            coeffs = {}
             for c, val in terms.items():
                 if c not in index:
                     raise DimensionMismatch(f"unknown basis name {c!r} in bracket value")
-                coeffs[index[c]] = coeffs[index[c]] + Fraction(val)
+                coeffs[index[c]] = coeffs.get(index[c], Q0) + Fraction(val)
+            signed = tuple(sorted((k, x if i < j else -x) for k, x in coeffs.items() if x))
             if i == j:
-                if any(x != 0 for x in coeffs):
+                if signed:
                     raise AntisymmetryViolation(f"[{a},{a}] must vanish")
-                continue
-            key = (min(i, j), max(i, j))
-            signed = coeffs if i < j else [-x for x in coeffs]
-            if key in seen:
-                if seen[key] != tuple(signed):
-                    raise AntisymmetryViolation(
-                        f"brackets for ({a},{b}) conflict with the opposite order")
-            else:
-                seen[key] = tuple(signed)
-        for (i, j), coeffs in seen.items():
-            table[i][j] = list(coeffs)
-            table[j][i] = [-x for x in coeffs]
-        return cls(names, table)
+            elif cells.setdefault((min(i, j), max(i, j)), signed) != signed:
+                raise AntisymmetryViolation(
+                    f"brackets for ({a},{b}) conflict with the opposite order")
+        return cls(names, cells)
 
     @classmethod
     def abelian(cls, names):
-        names = tuple(names)
-        n = len(names)
-        zero = tuple(tuple(zero_vector(n) for _ in range(n)) for _ in range(n))
-        return cls(names, zero, _validated=True)
+        return cls(names, {}, _validated=True)
 
     def index_of(self, name):
         try:
@@ -306,10 +303,9 @@ class LieAlgebra:
 
     @_memoized
     def commutator_ideal(self) -> Subspace:
-        """[g, g], spanned by the nonzero cells [e_i, e_j] with i < j."""
-        return Subspace.from_vectors(self.dim, [self.table[i][j]
-                                                for i, row in enumerate(self.sparse_table)
-                                                for j in range(i + 1, self.dim) if row[j]])
+        """[g, g], spanned by the nonzero brackets [e_i, e_j] with i < j."""
+        return Subspace.from_vectors(self.dim, [_dense(self.dim, cell)
+                                                for _, cell in self.brackets])
 
     def is_subalgebra(self, v: Subspace) -> bool:
         """Is [v, v] <= v?  A v containing [g, g] is an ideal (see is_ideal),
@@ -402,18 +398,19 @@ class LieAlgebra:
 
         proj = Matrix([[project(unit_vector(self.dim, j))[i] for j in range(self.dim)]
                        for i in range(k)])
-        table = [[project(self.bracket(unit_vector(self.dim, a), unit_vector(self.dim, b)))
-                  for b in comp] for a in comp]
-        return LieAlgebra(names, table), proj
+        brackets = {(i, j): _support(project(_dense(self.dim, self.sparse_table[a][b])))
+                    for (i, a), (j, b) in itertools.combinations(enumerate(comp), 2)}
+        return LieAlgebra(names, brackets), proj
 
     def subalgebra(self, v: Subspace):
         """Algebra structure on a subalgebra plus the inclusion matrix."""
         if not self.is_subalgebra(v):
             raise NotSubalgebra("not closed under the bracket")
-        table = [[v.coordinates_of(self.bracket(a, b)) for b in v.basis] for a in v.basis]
+        brackets = {(i, j): _support(v.coordinates_of(self.bracket(a, b)))
+                    for (i, a), (j, b) in itertools.combinations(enumerate(v.basis), 2)}
         incl = Matrix.from_columns(list(v.basis))
-        # a closed subspace inherits antisymmetry and the Jacobi identity
-        return LieAlgebra(self.subspace_names(v), table, _validated=True), incl
+        # a closed subspace inherits the Jacobi identity
+        return LieAlgebra(self.subspace_names(v), brackets, _validated=True), incl
 
     # -- spectra -------------------------------------------------------------
 
@@ -563,7 +560,10 @@ class LieAlgebra:
                 and self.descending_central_series(v)[1].dim == 0)
 
     def is_exponential(self) -> ExponentialVerdict:
-        """No adjoint root may be purely imaginary and nonzero."""
+        """An exponential algebra is solvable, and no adjoint root of it may
+        be purely imaginary and nonzero."""
+        if not self.is_solvable():
+            return ExponentialVerdict("not-exponential", detail="the algebra is not solvable")
         try:
             roots = self.adjoint_weights()
         except NonRationalSpectrum as exc:

@@ -90,7 +90,18 @@ ERROR_FILES = {
     "dim-5000-digits.alg": f"dim {'1' * 5000}\nbasis a b\n",
     "not-utf8.alg": b"\xff\xfe",
 }
-ALG_FILES = {**EIGEN_PATH_FILES, **BOREL_PATH_FILES, **ERROR_FILES}
+# the ways a file can state its structure constants: [x, x] given (an error),
+# (x, y) and (y, x) in conflict (an error) and in agreement, and a [g, g]
+# whose echelon basis row x + y is no unit vector; and sl2, which is not
+# solvable
+BRACKET_FILES = {
+    "self-bracket.alg": "basis x y\nbracket x x = y\n",
+    "conflict.alg": "basis x y z\nbracket x y = z\nbracket y x = z\n",
+    "both-orders.alg": "basis x y z\nbracket x y = z\nbracket y x = -1*z\n",
+    "nonunit.alg": "basis a x y\nbracket a x = x + y\nbracket a y = x + y\n",
+    "sl2.alg": "basis h e f\nbracket h e = 2*e\nbracket h f = -2*f\nbracket e f = h\n",
+}
+ALG_FILES = {**EIGEN_PATH_FILES, **BOREL_PATH_FILES, **ERROR_FILES, **BRACKET_FILES}
 
 _MODES = ([], ["--json"])
 _CATALOG_COMMANDS = [["analyze"], ["stabilizer"], ["condition-r"], ["polarize"], ["orbit"],
@@ -180,6 +191,16 @@ GROUPS["added"] = _both_modes(
        ["stabilizer", "--file", "name-clash.alg", "--f", "b0=1"],
        ["orbit", "--file", "jordan.alg", "--f", "x=1,y=2,z=1"],
        ["stabilizer", "--catalog", "b5", "--f", ""]])
+# analyze on each BRACKET_FILES file, stabilizer on both-orders, every
+# command but invariants and closure-test on nonunit at one functional, and
+# regularity-report, condition-r and stabilizer on sl2
+GROUPS["brackets"] = _both_modes(
+    [["analyze", "--file", name] for name in BRACKET_FILES]
+    + [["stabilizer", "--file", "both-orders.alg", "--f", "z=1"]]
+    + [[c, "--file", "nonunit.alg", "--f", "a=1,x=2"]
+       for c in ("stabilizer", "condition-r", "orbit", "polarize", "regularity-report")]
+    + [["regularity-report", "--file", "sl2.alg"]]
+    + [[c, "--file", "sl2.alg", "--f", "h=1"] for c in ("condition-r", "stabilizer")])
 RUNS = {key: argv for runs in GROUPS.values() for key, argv in runs.items()}
 
 

@@ -200,12 +200,20 @@ _SMALL_Q = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 _NONZERO_Q = st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), st.integers(1, 3))
 
 
+def algebra_of_table(names, table):
+    """The LieAlgebra whose [e_i, e_j] is the dense cell table[i][j]; only
+    the cells with i < j are read."""
+    n = len(names)
+    return LieAlgebra(names, {(i, j): tuple((k, c) for k, c in enumerate(table[i][j]) if c)
+                              for i in range(n) for j in range(i + 1, n)})
+
+
 def _change_basis(g, p):
     """g in the basis of the columns of p: [p e_i, p e_j] in p-coordinates."""
     n = g.dim
     cols = [p.column(j) for j in range(n)]
     table = [[solve(p, g.bracket(cols[i], cols[j])) for j in range(n)] for i in range(n)]
-    return LieAlgebra(g.basis_names, table)
+    return algebra_of_table(g.basis_names, table)
 
 
 def draw_basis_matrix(data, n):

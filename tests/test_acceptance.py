@@ -12,6 +12,7 @@ from fractions import Fraction
 from reference import (
     ReferenceUEA,
     _poly_to_vector,
+    algebra_of_table,
     derivation,
     normalize_word_right,
     rows_product,
@@ -46,7 +47,7 @@ from orbitkit.invariants import (
     semi_invariants,
     vanish_on_orbit,
 )
-from orbitkit.liealg import LieAlgebra, ax_b, b5, g49_zero, heisenberg3, motion_e2
+from orbitkit.liealg import ax_b, b5, g49_zero, heisenberg3, motion_e2
 from orbitkit.symflow import ExpPoly, one_param_flow, orbit_map
 
 F = Fraction
@@ -286,7 +287,7 @@ def _suite_jacobi_validation():
                 w = g.bracket(cols[i], cols[j])
                 row.append(solve(p, w))
             table.append(row)
-        h = LieAlgebra(tuple(f"b{i}" for i in range(n)), table)
+        h = algebra_of_table(tuple(f"b{i}" for i in range(n)), table)
         assert h.is_solvable() == g.is_solvable()
         assert h.is_nilpotent() == g.is_nilpotent()
         assert h.commutator_ideal().dim == g.commutator_ideal().dim

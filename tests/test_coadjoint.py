@@ -105,7 +105,7 @@ def test_stabilizer_ideal_examples(name, change, data):
     # nilradical and the cascade run no ideal sweep; a fresh algebra has
     # nothing memoized that would hide one
     g = borel3() if name == "b3" else get_entry(name).algebra
-    g = draw_basis_change(data, g) if change else LieAlgebra(g.basis_names, g.table)
+    g = draw_basis_change(data, g) if change else LieAlgebra(g.basis_names, dict(g.brackets))
     draw = st.lists(COORD, min_size=g.dim, max_size=g.dim).map(tuple)
     comm = g.commutator_ideal()
     extra = data.draw(st.lists(draw, max_size=2), label="extra")

@@ -258,7 +258,7 @@ def test_a_warmed_algebra_answers_as_a_fresh_one(name):
     g = borel(int(name[2:])) if name.startswith("b_") else get_entry(name).algebra
     warm = _memo_kept_objects(g)
     assert _memo_kept_objects(g) == warm
-    assert _memo_kept_objects(LieAlgebra(g.basis_names, g.table)) == warm
+    assert _memo_kept_objects(LieAlgebra(g.basis_names, dict(g.brackets))) == warm
 
 
 def test_dual_of_a_non_ideal_is_rejected():

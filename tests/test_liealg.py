@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reference import (
     CATALOG_NAMES,
     COORD,
+    algebra_of_table,
     borel,
     dense_ad_matrix,
     dense_bracket,
@@ -30,7 +31,7 @@ from sympy import QQ, QQ_I, nextprime
 from sympy.polys.matrices import DomainMatrix
 
 from orbitkit import cli, liealg
-from orbitkit.algfile import parse_algebra
+from orbitkit.algfile import emit_algebra, parse_algebra
 from orbitkit.catalog import get_entry
 from orbitkit.coadjoint import stabilizer, stabilizer_ideal
 from orbitkit.errors import (
@@ -324,7 +325,7 @@ def test_the_hash_is_computed_once_and_kept():
     g = g49_zero()
     assert g._hash is None
     h = hash(g)
-    assert g._hash == h == hash((g.basis_names, g.table)) == hash(g49_zero())
+    assert g._hash == h == hash((g.basis_names, g.brackets)) == hash(g49_zero())
     with pytest.raises(AttributeError):
         g._hash = None
 
@@ -633,6 +634,18 @@ def _sparse_algebra(name):
     return _SPARSE_CASES[name]() if name in _SPARSE_CASES else get_entry(name).algebra
 
 
+def test_a_non_solvable_algebra_is_not_exponential(alg_dir, capsys):
+    # an exponential algebra is solvable; sl2 is not, and has no roots to ask for
+    g = parse_algebra((alg_dir / "sl2.alg").read_text(encoding="utf-8"))
+    verdict = g.is_exponential()
+    assert (verdict.kind, verdict.witness) == ("not-exponential", None)
+    assert verdict.detail == "the algebra is not solvable"
+    assert cli.main(["analyze", "--file", str(alg_dir / "sl2.alg")]) == 0
+    out = capsys.readouterr().out
+    assert "solvable: False" in out
+    assert "exponential: not-exponential (the algebra is not solvable)" in out
+
+
 def _sparse_case(name, data):
     g = _sparse_algebra(name)
     return draw_basis_change(data, g) if data.draw(st.booleans(), label="change") else g
@@ -748,6 +761,20 @@ def test_flag_search_equals_the_reference_on_non_real_and_irrational_spectra():
 def test_a_perturbed_cell_fails_jacobi_as_the_reference_says(name, data):
     g = draw_basis_change(data, _catalog_or_b3(name))
     n = g.dim
+    # one store gives one algebra: the brackets, construct given each bracket
+    # in both orders, and the text form all give g back
+    fresh = LieAlgebra(g.basis_names, dict(g.brackets))
+    assert fresh == g and hash(fresh) == hash(g)
+    for a, b in itertools.product(range(n), repeat=2):
+        cell = dict(g.sparse_table[a][b])
+        assert g.table[a][b] == tuple(cell.get(k, 0) for k in range(n))
+        assert g.table[a][b] == tuple(-x for x in g.table[b][a])
+    names = g.basis_names
+    once = {(names[a], names[b]): {names[k]: c for k, c in cell} for (a, b), cell in g.brackets}
+    both = {**once, **{(y, x): {z: -c for z, c in terms.items()}
+                       for (x, y), terms in once.items()}}
+    assert LieAlgebra.construct(names, both) == LieAlgebra.construct(names, once) == g
+    assert parse_algebra(emit_algebra(g)) == g
     i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
                      label="cell")
     k = data.draw(st.integers(0, n - 1), label="component")
@@ -758,10 +785,10 @@ def test_a_perturbed_cell_fails_jacobi_as_the_reference_says(name, data):
     table[j][i][k] -= delta
     expected = first_jacobi_defect(table)
     if expected is None:
-        LieAlgebra(g.basis_names, table)  # the perturbation kept the identity
+        algebra_of_table(g.basis_names, table)  # the perturbation kept the identity
         return
     with pytest.raises(JacobiViolation) as err:
-        LieAlgebra(g.basis_names, table)
+        algebra_of_table(g.basis_names, table)
     assert (err.value.triple, err.value.defect) == expected
     a, b, c = (g.basis_names[i] for i in expected[0])
     shown = ", ".join(str(x) for x in expected[1])  # 1/2, not Fraction(1, 2)
@@ -776,7 +803,7 @@ def test_subalgebras_pass_the_validating_constructor(name):
     g = entry.algebra
     for v in [stabilizer_ideal(g, entry.reference_functional)] + _flag_ideals(g):
         sub, _ = g.subalgebra(v)
-        assert LieAlgebra(sub.basis_names, sub.table) == sub
+        assert LieAlgebra(sub.basis_names, dict(sub.brackets)) == sub
 
 
 BOREL4_ALG = """\

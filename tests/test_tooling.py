@@ -6,8 +6,9 @@ no import of a package that pyproject.toml does not declare, no
 module-level import of sympy or dataclasses in src and none of sympy,
 dataclasses or inspect loaded by importing the command line, every name
 that the benchmark's tracer wraps still there, no stdout write outside
-the command line's main, and no file under tests/golden that no test source
-names."""
+the command line's main, no src read of the dense structure table outside
+the view that defines it, and no file under tests/golden that no test
+source names."""
 
 import ast
 import json
@@ -150,7 +151,8 @@ REACH_ALLOWED = {
         "exactlin.solve", "exactlin.Matrix.zero", "exactlin.Matrix.row",
         "exactlin.Matrix.column",
         "exactlin.Subspace.intersect", "exactlin.Subspace.annihilator_matrix",
-        "liealg.LieAlgebra.quotient", "liealg.LieAlgebra.quotient.<locals>.project"),
+        "liealg.LieAlgebra.quotient", "liealg.LieAlgebra.quotient.<locals>.project",
+        "liealg.LieAlgebra.table"),
     "ROADMAP gives it a caller: critical_test (item 2), verify (item 5)": (
         "invariants.critical_test", "coadjoint.ConditionRCertificate.verify",
         "coadjoint.RegularityReport.verify"),
@@ -386,6 +388,45 @@ def test_the_vanish_scan_flags_uses_outside_closure_membership():
               "    return [q for q in qs if invariants.vanish_on_orbit(q, om)]\n"
               "checks = list(filter(vanish_on_orbit, []))\n")
     assert _vanish_checks("m.py", source) == ["m.py:7: orbit_certificates", "m.py:8: <module>"]
+
+
+def _table_reads(name, source):
+    """'file:line: function' for each .table attribute outside the liealg
+    property that defines the dense view, which src leaves to the tests and
+    the benchmark."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "table"
+                and (name, where) != ("liealg.py", "table")):
+            out.append(f"{name}:{node.lineno}: {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_src_reads_no_dense_table():
+    found = [use for path in sorted(SRC.glob("*.py"))
+             for use in _table_reads(path.name, path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_the_table_scan_flags_reads_outside_the_view():
+    source = ("class LieAlgebra:\n"
+              "    @property\n"
+              "    def table(self):\n"
+              "        return self.table\n"
+              "    def commutator_ideal(self):\n"
+              "        return [row for row in self.table]\n"
+              "CELL = g.table[0][1]\n")
+    assert _table_reads("liealg.py", source) == ["liealg.py:6: commutator_ideal",
+                                                 "liealg.py:7: <module>"]
+    assert _table_reads("cli.py", source) == ["cli.py:4: table", "cli.py:6: commutator_ideal",
+                                              "cli.py:7: <module>"]
 
 
 def _unused_imports(name, source):
