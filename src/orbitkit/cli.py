@@ -8,6 +8,8 @@ format.  ORBITKIT_SEED sets the default seed.
 Each _cmd_* returns (payload, lines): the result that --json wraps in the
 report envelope, and the text-mode lines, yielded lazily so that a --json run
 formats none.  main alone writes stdout, once the whole output is formatted.
+Each command imports the layers it runs, so a structural command on a --file
+algebra never loads the catalog, the orbit maps or the invariant search.
 
 Exit codes: 0 completed (verdicts are in the payload), 1 usage error, 2
 computation error.  Every failure is exit 1 or exit 2: bad arguments, bad
@@ -25,7 +27,6 @@ from fractions import Fraction
 
 from . import report
 from .algfile import parse_algebra, parse_functional
-from .catalog import catalog_names, get_entry
 from .coadjoint import (
     check_polarization,
     condition_R_at,
@@ -35,13 +36,6 @@ from .coadjoint import (
     vergne_polarization,
 )
 from .errors import OrbitkitError, ParseError
-from .invariants import (
-    closure_membership,
-    invariant_space,
-    orbit_certificates,
-    semi_invariants,
-)
-from .symflow import orbit_map
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,6 +74,7 @@ def _load(args):
     if bool(args.catalog) == bool(args.file):
         raise SystemExit(_usage_error("exactly one of --catalog or --file is required"))
     if args.catalog:
+        from .catalog import get_entry
         try:
             entry = get_entry(args.catalog)
         except KeyError as exc:
@@ -136,6 +131,7 @@ def _certificate_lines(cert, names, m_label, stable_label, values_label):
 # -- commands ----------------------------------------------------------------
 
 def _cmd_catalog(args):
+    from .catalog import catalog_names, get_entry
     entries = []
     for name in catalog_names():
         if name == "abelian<n>":
@@ -236,6 +232,7 @@ def _cmd_polarize(args):
 
 
 def _cmd_orbit(args):
+    from .symflow import orbit_map
     g, entry = _load(args)
     if entry is not None and entry.symbolic_start is not None and args.f is None:
         start = entry.symbolic_start
@@ -250,6 +247,7 @@ def _cmd_orbit(args):
 
 
 def _cmd_invariants(args):
+    from .invariants import invariant_space, semi_invariants
     g, entry = _load(args)
     semis = semi_invariants(g, args.degree)
     payload = {
@@ -270,6 +268,8 @@ def _cmd_invariants(args):
 
 
 def _cmd_closure_test(args):
+    from .invariants import closure_membership, orbit_certificates
+    from .symflow import orbit_map
     # the report prints the tolerance 10^-k, whose denominator has k + 1 digits
     limit = sys.get_int_max_str_digits()
     if limit and args.tol_exponent >= limit:

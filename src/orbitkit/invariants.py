@@ -566,30 +566,39 @@ class _Search:
         return var, _capped(-coeffs.get(0, 0), coeffs[1])
 
     def _multipass_pin(self, folded, skip=None, preset=None):
-        """Solve components exactly one variable at a time, in passes.
+        """Solve components exactly one variable at a time, in passes;
+        returns (start, indices of the components that pinned).
 
         Mirrors how witness sequences are built by hand: components that are
         linear in a single remaining unknown get solved exactly; everything
         still unpinned afterwards is set to zero.  _linear_pin sees pinned
-        variables substituted, so it returns an unpinned one.
+        variables substituted, so it returns an unpinned one, and a component
+        that has pinned its one unpinned variable has none left: it leaves
+        the passes.
         """
         pinned = dict(preset or {})
-        progress = True
-        while progress:
-            progress = False
-            for ci, f in enumerate(folded):
-                if ci == skip:
-                    continue
-                got = self._linear_pin(f, pinned)
-                if got is not None:
+        pending = [ci for ci in range(len(folded)) if ci != skip]
+        pinners = []
+        while True:
+            waiting = []
+            for ci in pending:
+                got = self._linear_pin(folded[ci], pinned)
+                if got is None:
+                    waiting.append(ci)
+                else:
                     pinned[got[0]] = got[1]
-                    progress = True
-        return {v: pinned.get(v, (0, 1)) for v in self.poly_vars}
+                    pinners.append(ci)
+            if len(waiting) == len(pending):
+                break
+            pending = waiting
+        return {v: pinned.get(v, (0, 1)) for v in self.poly_vars}, pinners
 
     def _pin_starts(self, atoms, folded):
-        starts = [self._multipass_pin(folded)]
-        for ci in range(len(folded)):
-            starts.append(self._multipass_pin(folded, skip=ci))
+        start, pinners = self._multipass_pin(folded)
+        starts = [start]
+        # skipping a component that never pinned repeats the first start
+        for ci in sorted(pinners):
+            starts.append(self._multipass_pin(folded, skip=ci)[0])
         # product breaker: a large dyadic value for the first variable,
         # sized against the smallest atom, unlocks x*y-coupled components
         if self.poly_vars:
@@ -598,7 +607,7 @@ class _Search:
             first = self.poly_vars[0]
             for sign in (1, -1):
                 starts.append(self._multipass_pin(
-                    folded, preset={first: (sign * 2 ** h, 1)}))
+                    folded, preset={first: (sign * 2 ** h, 1)})[0])
         unique = []
         for s in starts:
             if s not in unique:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from .coadjoint import (
     ConditionRCertificate,
@@ -18,9 +19,13 @@ from .coadjoint import (
     RegularityReport,
 )
 from .exactlin import Subspace
-from .invariants import ClosureVerdict
 from .liealg import ExponentialVerdict, Root
-from .symflow import OrbitMap
+
+if TYPE_CHECKING:
+    # annotation-only names: importing them would load the orbit and
+    # invariant layers with every command
+    from .invariants import ClosureVerdict
+    from .symflow import OrbitMap
 
 SCHEMA = "orbitkit-report/1"
 DISTANCE_DECIMALS = 12

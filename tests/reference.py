@@ -12,7 +12,8 @@ element, the Leibniz sum for composing
 differential operators, ExpPoly sum, negation, product and derivative
 with every key merged and every sum added into Q0, identity, product and
 substitution on flows (rows of ExpPoly entries), the closure search's fold
-and coordinate descent on Fractions, the upper-triangular algebra b_n in
+and coordinate descent on Fractions, its pin starts with every component
+retried in every pass, the upper-triangular algebra b_n in
 any basis order, and a drawn rational basis and an algebra in it.  No
 orbitkit command needs them."""
 
@@ -609,3 +610,33 @@ def fraction_descend(search, assignment, folded):
         if best == sweep_start:
             break
     return best, assignment
+
+
+def pin_starts(search, atoms, folded):
+    """_Search._pin_starts with every component retried in every pass of
+    each multipass pin, and one start skipping each component."""
+    def multipass(skip=None, preset=None):
+        pinned = dict(preset or {})
+        progress = True
+        while progress:
+            progress = False
+            for ci, f in enumerate(folded):
+                if ci == skip:
+                    continue
+                got = search._linear_pin(f, pinned)
+                if got is not None:
+                    pinned[got[0]] = got[1]
+                    progress = True
+        return {v: pinned.get(v, (0, 1)) for v in search.poly_vars}
+
+    starts = [multipass()] + [multipass(skip=ci) for ci in range(len(folded))]
+    if search.poly_vars:
+        low = min(atoms.values(), default=1)
+        h = max(0, (-low.numerator.bit_length() + low.denominator.bit_length() + 1) // 2)
+        starts += [multipass(preset={search.poly_vars[0]: (sign * 2 ** h, 1)})
+                   for sign in (1, -1)]
+    unique = []
+    for s in starts:
+        if s not in unique:
+            unique.append(s)
+    return unique

@@ -23,6 +23,7 @@ from reference import (
     draw_basis_change,
     fraction_descend,
     fraction_fold,
+    pin_starts,
     ungraded_invariant_space,
     ungraded_semi_invariants,
 )
@@ -565,6 +566,31 @@ def test_closure_search_trajectory_is_pinned(label):
     v = closure_membership(om, target, certs if with_certs else (), **kwargs)
     got = (v.kind, v.evaluations, v.assignment, v.exp_atoms, v.squared_distance)
     assert got == GOLDEN_VERDICTS[label]
+
+
+def test_pin_starts_are_the_reference_starts(monkeypatch):
+    """Over every offer of the golden searches, the pin starts are those of
+    the reference that retries every component in every pass, in the same
+    order; some offers have a component that never pins, whose skip start
+    the search leaves out."""
+    searched, differing, unpinning = set(), [], 0
+    original = _Search._pin_starts
+
+    def compared(self, atoms, folded):
+        nonlocal unpinning
+        got = original(self, atoms, folded)
+        searched.add(label)
+        if got != pin_starts(self, atoms, folded):
+            differing.append(label)
+        unpinning += len(folded) - len(self._multipass_pin(folded)[1])
+        return got
+
+    monkeypatch.setattr(_Search, "_pin_starts", compared)
+    for label, (name, target, with_certs, kwargs) in GOLDEN_CALLS.items():
+        om, certs = _closure_orbit(name)
+        closure_membership(om, target, certs if with_certs else (), **kwargs)
+    assert differing == []
+    assert searched == set(GOLDEN_CALLS) and unpinning > 0
 
 
 _Q = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))

@@ -4,7 +4,8 @@ enters (outside an allow-list with reasons), no src raise of a class
 outside orbitkit.errors (outside a few listed ones), no import that nothing uses,
 no import of a package that pyproject.toml does not declare, no
 module-level import of sympy or dataclasses in src and none of sympy,
-dataclasses or inspect loaded by importing the command line, every name
+dataclasses or inspect loaded by importing the command line, no layer
+loaded by a command that does not run it, every name
 that the benchmark's tracer wraps still there, no stdout write outside
 the command line's main, no src read of the dense structure table outside
 the view that defines it, and no file under tests/golden that no test
@@ -584,6 +585,36 @@ def test_the_import_probe_names_the_modules_a_run_loaded():
     code = "import dataclasses\nimport fractions"
     assert _fresh_interpreter_imports(code, ("sympy", "dataclasses", "inspect")) == [
         "dataclasses", "inspect"]
+
+
+# the layers that only the catalog, orbit, invariants and closure-test paths run
+DEFERRED_LAYERS = ("orbitkit.catalog", "orbitkit.envelop", "orbitkit.invariants",
+                   "orbitkit.symflow")
+
+
+def test_importing_the_cli_loads_only_the_structural_layers():
+    modules = ("orbitkit", *(f"orbitkit.{path.stem}" for path in sorted(SRC.glob("*.py"))
+                             if path.stem != "__init__"))
+    assert _fresh_interpreter_imports("import orbitkit.cli", modules) == [
+        "orbitkit", "orbitkit.algfile", "orbitkit.cli", "orbitkit.coadjoint",
+        "orbitkit.errors", "orbitkit.exactlin", "orbitkit.liealg", "orbitkit.report"]
+
+
+def _layers_a_command_loads(argv):
+    code = f"from orbitkit import cli\nassert cli.main({argv!r}) == 0"
+    return _fresh_interpreter_imports(code, DEFERRED_LAYERS)
+
+
+def test_each_command_loads_only_the_layers_it_runs(alg_dir):
+    b3 = ["--file", str(alg_dir / "b3.alg"), "--json"]
+    f = ["--f", "E00=1,E01=2,E02=3,E11=-1,E12=1/2,E22=2"]
+    assert _layers_a_command_loads(["analyze", *b3]) == []
+    for command in ("stabilizer", "condition-r", "polarize", "regularity-report"):
+        assert _layers_a_command_loads([command, *b3, *f]) == [], command
+    assert _layers_a_command_loads(["orbit", *b3, *f]) == ["orbitkit.symflow"]
+    # the probe sees every deferred layer once a command runs it
+    assert _layers_a_command_loads(["closure-test", "--catalog", "b5", "--g", "e3=1",
+                                    "--json"]) == list(DEFERRED_LAYERS)
 
 
 def test_gaussian_spectra_never_reach_the_sympy_fallback():
